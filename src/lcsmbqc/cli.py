@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
     if args.suite == "subgroups":
         kwargs["p"] = args.p or 3
         kwargs["m"] = args.m or 2
-        if args.budget:
+        if args.budget is not None:
             kwargs["budget"] = args.budget
     if args.suite == "phi":
         if args.n:
@@ -203,8 +203,8 @@ def cmd_verify(args) -> int:
     if args.suite in ("phi", "symplectic", "decomposition", "pipeline"):
         if args.seed is not None:
             kwargs["seed"] = args.seed
-    if args.suite in ("phi", "symplectic"):
-        if args.samples:
+    if args.suite in ("phi", "symplectic", "decomposition"):
+        if args.samples is not None:
             kwargs["samples"] = args.samples
 
     suite_fn = verify.SUITES.get(args.suite)

@@ -3,6 +3,12 @@
 Every scalar in this package is a ``Phase``: a value exp(2*pi*i * e / p^M)
 stored as exact integers.  Multiplication and powers never leave this set,
 so no floating point is involved anywhere in the algebra.
+
+Phase tables and group elements do not hold ``Phase`` objects: they store
+integer exponents (see ``phase_fn``) and build a ``Phase`` only where a
+scalar leaves them.  Those edges use ``reduced_phase``, which skips the
+primality check of the public constructor because the prime of a table was
+checked when the table was made.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from .errors import LevelError, PrimeMismatchError
 DEFAULT_MAX_LEVEL = 4
 
 _max_level = DEFAULT_MAX_LEVEL
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def max_level() -> int:
@@ -46,6 +55,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _canonical(p: int, M: int, e: int) -> tuple[int, int]:
+    """The canonical (M, e) of exp(2*pi*i * e / p^M), checked against the cap."""
+    e %= p**M if M > 0 else 1
+    while e and e % p == 0:
+        e //= p
+        M -= 1
+    if e == 0:
+        M = 0
+    if M > _max_level:
+        raise LevelError(f"phase level {M} exceeds the configured cap {_max_level}")
+    return M, e
+
+
+def reduced_phase(p: int, M: int, e: int) -> Phase:
+    """The Phase exp(2*pi*i * e / p^M) for a prime ``p`` that is already
+    known to be prime; canonicalises and enforces the level cap like the
+    constructor, without re-testing primality."""
+    M, e = _canonical(p, M, e)
+    out = _new(Phase)
+    _set(out, "p", p)
+    _set(out, "M", M)
+    _set(out, "e", e)
+    return out
+
+
 class Phase:
     """The root of unity exp(2*pi*i * e / p^M), stored canonically.
 
@@ -61,17 +95,10 @@ class Phase:
             raise ValueError(f"p must be prime, got {p}")
         if M < 0:
             raise ValueError(f"level must be non-negative, got {M}")
-        e %= p**M if M > 0 else 1
-        while e and e % p == 0:
-            e //= p
-            M -= 1
-        if e == 0:
-            M = 0
-        if M > _max_level:
-            raise LevelError(f"phase level {M} exceeds the configured cap {_max_level}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "e", e)
+        M, e = _canonical(p, M, e)
+        _set(self, "p", p)
+        _set(self, "M", M)
+        _set(self, "e", e)
 
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
@@ -90,13 +117,13 @@ class Phase:
             return NotImplemented
         if self.p != other.p:
             raise PrimeMismatchError(f"cannot multiply phases over p={self.p} and p={other.p}")
-        M = max(self.M, other.M)
-        pM = self.p**M
-        e = self.e * self.p ** (M - self.M) + other.e * self.p ** (M - other.M)
-        return Phase(self.p, M, e % pM)
+        p, M, N = self.p, self.M, other.M
+        if M >= N:
+            return reduced_phase(p, M, self.e + other.e * p ** (M - N))
+        return reduced_phase(p, N, self.e * p ** (N - M) + other.e)
 
     def __pow__(self, k: int) -> Phase:
-        return Phase(self.p, self.M, self.e * k)
+        return reduced_phase(self.p, self.M, self.e * k)
 
     def inverse(self) -> Phase:
         return self**-1

@@ -21,7 +21,10 @@ from .errors import (
     PrimeMismatchError,
     TorusMembershipError,
 )
-from .phase_fn import PhaseFunction, modinv
+from .phase_fn import PhaseFunction, at_level, canonical_table, modinv, product_table, rotate
+
+_new = object.__new__
+_set = object.__setattr__
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "LCSMBQC_BUDGET"
@@ -36,11 +39,22 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_BUDGET
 
 
+def _element(xi: PhaseFunction, b: int) -> KElement:
+    """An element from a table already known to have det == 1 and a shift
+    already reduced mod p: the closed products of valid elements."""
+    out = _new(KElement)
+    _set(out, "xi", xi)
+    _set(out, "b", b)
+    return out
+
+
 class KElement:
     """A monomial operator S_xi X^b with det(S_xi) = 1.
 
     Tables with determinant != 1 are rejected at construction, so invalid
-    elements are unrepresentable.
+    elements are unrepresentable.  Products, inverses, powers and
+    commutators of valid elements have det == 1 by construction and are
+    built without re-checking it.
     """
 
     __slots__ = ("xi", "b")
@@ -48,8 +62,8 @@ class KElement:
     def __init__(self, xi: PhaseFunction, b: int):
         if not xi.in_special_torus():
             raise TorusMembershipError("diagonal part must have det == 1")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "b", b % xi.p)
+        _set(self, "xi", xi)
+        _set(self, "b", b % xi.p)
 
     def __setattr__(self, name, value):
         raise AttributeError("KElement is immutable")
@@ -60,16 +74,16 @@ class KElement:
 
     @property
     def level(self) -> int:
-        return self.xi.value_level()
+        return self.xi.m
 
     @classmethod
     def identity(cls, p: int) -> KElement:
-        return cls(PhaseFunction.one(p), 0)
+        return _element(PhaseFunction.one(p), 0)
 
     @classmethod
     def shift(cls, p: int) -> KElement:
         """The generalised Pauli X."""
-        return cls(PhaseFunction.one(p), 1)
+        return _element(PhaseFunction.one(p), 1 % p)
 
     @classmethod
     def clock(cls, p: int) -> KElement:
@@ -79,7 +93,7 @@ class KElement:
     @classmethod
     def central(cls, p: int, c: int) -> KElement:
         """The central scalar omega^c * identity."""
-        return cls(PhaseFunction.constant(Phase.omega(p, c)), 0)
+        return _element(PhaseFunction.constant(Phase.omega(p, c)), 0)
 
     def is_diagonal(self) -> bool:
         return self.b == 0
@@ -87,41 +101,61 @@ class KElement:
     def __mul__(self, other: KElement) -> KElement:
         if not isinstance(other, KElement):
             return NotImplemented
-        if self.p != other.p:
+        xi, eta = self.xi, other.xi
+        p = xi.p
+        if p != eta.p:
             raise PrimeMismatchError("product needs matching primes")
-        return KElement(self.xi * other.xi.shift(self.b), self.b + other.b)
+        b = self.b
+        table = product_table(p, xi.m, xi.exps, eta.m, rotate(eta.exps, -b))
+        return _element(table, (b + other.b) % p)
 
     def inverse(self) -> KElement:
-        return KElement(self.xi.inverse().shift(-self.b), -self.b)
+        return _element(self.xi.inverse().shift(-self.b), -self.b % self.xi.p)
 
     def __pow__(self, n: int) -> KElement:
+        """Closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).  For b != 0
+        the shifts run through all of Z_p every p factors, so the product is
+        (n // p) copies of the full sum plus the first n % p shifts."""
         if n < 0:
             return self.inverse() ** (-n)
-        xi = PhaseFunction.one(self.p)
-        for i in range(n):
-            xi = xi * self.xi.shift(i * self.b)
-        return KElement(xi, n * self.b)
+        xi, b = self.xi, self.b
+        p = xi.p
+        if b == 0:
+            return _element(xi**n, 0)
+        full, rest = divmod(n, p)
+        exps = xi.exps
+        acc = [full * sum(exps)] * p
+        for i in range(rest):
+            acc = [a + e for a, e in zip(acc, rotate(exps, -i * b))]
+        return _element(canonical_table(p, xi.m, acc), n * b % p)
 
     def commutator(self, other: KElement) -> KElement:
-        """[self, other] = M N M^-1 N^-1; always diagonal."""
-        if self.p != other.p:
+        """[self, other] = M N M^-1 N^-1; always diagonal, with table
+        xi(q) eta(q - b) / (xi(q - c) eta(q))."""
+        p = self.p
+        if p != other.p:
             raise PrimeMismatchError("commutator needs matching primes")
-        xi, b = self.xi, self.b
-        eta, c = other.xi, other.b
-        table = xi * eta.shift(b) * xi.inverse().shift(c) * eta.inverse()
-        return KElement(table, 0)
+        level = max(self.xi.m, other.xi.m)
+        x = at_level(self.xi, level)
+        y = at_level(other.xi, level)
+        table = [
+            a + bb - c - d
+            for a, bb, c, d in zip(x, rotate(y, -self.b), rotate(x, -other.b), y)
+        ]
+        return _element(canonical_table(p, level, table), 0)
 
     def is_p_torsion(self) -> bool:
-        return (self ** self.p) == KElement.identity(self.p)
+        power = self**self.p
+        return power.b == 0 and power.xi.m == 0
 
     def as_scalar(self) -> Optional[Phase]:
         """The constant value when this element is a scalar multiple of the
         identity, else None."""
         if self.b != 0:
             return None
-        first = self.xi.values[0]
-        if all(v == first for v in self.xi.values):
-            return first
+        exps = self.xi.exps
+        if exps.count(exps[0]) == len(exps):
+            return self.xi(0)
         return None
 
     def scalar_commutant(self, other: KElement) -> Optional[int]:
@@ -154,7 +188,7 @@ class KElement:
 def structural_p_torsion(element: KElement) -> bool:
     """Torsion via the structural description: any shift part, or a diagonal
     whose table lives at level <= 1."""
-    return element.b != 0 or element.xi.value_level() <= 1
+    return element.b != 0 or element.xi.m <= 1
 
 
 @dataclass(frozen=True)
@@ -248,7 +282,7 @@ def enumerate_kgroup(p: int, m: int, budget: Optional[int] = None) -> list[KElem
     if count > resolve_budget(budget):
         raise BudgetExceededError(f"|K| = {count} exceeds the enumeration budget")
     torus = enumerate_torus(p, m, budget)
-    return [KElement(xi, b) for xi in torus for b in range(p)]
+    return [_element(xi, b) for xi in torus for b in range(p)]
 
 
 def _close_under_multiplication(generators: Sequence[KElement]) -> frozenset[KElement]:

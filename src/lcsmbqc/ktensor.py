@@ -3,7 +3,8 @@ scalar, plus the symplectic bookkeeping of their commutators.
 
 Two tensors are equal when they induce the same operator: site tables may be
 rescaled by per-site omega powers as long as the global phase absorbs the
-inverse rescaling.  ``canonical_key`` fixes one representative per class.
+inverse rescaling.  ``canonical_key`` fixes one representative per class
+directly from the integer exponents of the site tables.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cyclo import Phase
+from .cyclo import Phase, reduced_phase
 from .errors import LevelError, PrimeMismatchError, ShapeMismatchError
 from .kgroup import KElement
-from .phase_fn import modinv
+from .phase_fn import at_level, canonical_table, modinv
 
 
 class TensorElement:
@@ -150,25 +151,29 @@ class TensorElement:
         return SymplecticVector(self.p, tuple(fbar), self.b_vector)
 
     def canonical_key(self) -> tuple:
-        """A representative of the operator-equality class: each site table is
-        rescaled by the omega power making it lexicographically smallest, the
-        global phase absorbing the adjustments."""
-        omega = Phase.omega(self.p)
-        global_phase = self.global_phase
+        """A representative of the operator-equality class.  A det-1 site
+        table is determined up to a factor omega^j, so each site is read at
+        level L = max(1, m) and multiplied by the omega power that sets the
+        top (level-1) base-p digit of its q = 0 exponent to 0; the global
+        phase absorbs the inverse factors.  O(sites * p) integer work."""
+        p = self.p
+        moved = 0
         site_keys = []
         for site in self.sites:
-            best = None
-            best_j = 0
-            table = site.xi.values
-            for j in range(self.p):
-                w = omega**j
-                key = tuple((v * w).M for v in table) + tuple((v * w).e for v in table)
-                if best is None or key < best:
-                    best = key
-                    best_j = j
-            site_keys.append((best, site.b))
-            global_phase = global_phase * omega ** (-best_j)
-        return (global_phase.M, global_phase.e, tuple(site_keys))
+            xi = site.xi
+            level = max(1, xi.m)
+            exps = at_level(xi, level)
+            top = p ** (level - 1)
+            digit = exps[0] // top
+            if digit:
+                moved += digit
+                xi = canonical_table(p, level, [e - digit * top for e in exps])
+            site_keys.append((xi.m, xi.exps, site.b))
+        g = self.global_phase
+        if moved:
+            level = max(1, g.M)
+            g = reduced_phase(p, level, g.e * p ** (level - g.M) + moved * p ** (level - 1))
+        return (g.M, g.e, tuple(site_keys))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):

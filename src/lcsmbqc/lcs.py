@@ -19,8 +19,8 @@ from .errors import (
 )
 from .kgroup import KElement
 from .ktensor import TensorElement
-from .mbqc import MbqcSpec, OutputTable, ghz_evaluate, ghz_image_coefficients
-from .phase_fn import PhaseFunction, modinv
+from .mbqc import MbqcSpec, OutputTable, ghz_evaluate
+from .phase_fn import PhaseFunction, at_level, modinv, rotate
 from .projection import HWElement, PROOF, phi, value_map_nu
 
 
@@ -281,10 +281,29 @@ def check_solution_conditions_hw(
 
 def commute_on_ghz(e1: TensorElement, e2: TensorElement) -> bool:
     """Whether (E E') and (E' E) act identically on the GHZ state, decided by
-    comparing exact branch phases of both products."""
+    comparing exact branch phases of both products.
+
+    Both products send the branch |q>^(x)N to the same basis state; per site
+    with E = S_xi X^b and E' = S_eta X^c, E E' picks up eta(q + c) xi(q + b + c)
+    and E' E picks up xi(q + b) eta(q + b + c), and the global phases agree.
+    So the products are compared as exponent sums at one common level."""
     if e1.p != e2.p or e1.n_sites != e2.n_sites:
         raise ShapeMismatchError("operands must share prime and site count")
-    return ghz_image_coefficients(e1 * e2) == ghz_image_coefficients(e2 * e1)
+    p = e1.p
+    level = max(site.xi.m for site in e1.sites + e2.sites)
+    diff = [0] * p
+    for m, n in zip(e1.sites, e2.sites):
+        x = at_level(m.xi, level)
+        y = at_level(n.xi, level)
+        b, c = m.b, n.b
+        diff = [
+            d + y1 + x1 - x2 - y2
+            for d, y1, x1, x2, y2 in zip(
+                diff, rotate(y, c), rotate(x, b + c), rotate(x, b), rotate(y, b + c)
+            )
+        ]
+    pl = p**level
+    return all(d % pl == 0 for d in diff)
 
 
 def lcs_from_mbqc(spec: MbqcSpec, table: OutputTable) -> LCS:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .cyclo import Phase, is_prime
+from .cyclo import Phase, is_prime, reduced_phase
 from .errors import (
     EvenPrimeError,
     NondeterministicTableError,
@@ -20,7 +20,7 @@ from .errors import (
 )
 from .kgroup import KElement
 from .ktensor import TensorElement
-from .phase_fn import PhaseFunction, lagrange_coeffs
+from .phase_fn import PhaseFunction, at_level, lagrange_coeffs, rotate
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ class MbqcSpec:
 
 def measurement_op(xi: PhaseFunction, setting: int) -> KElement:
     """The operator S_xi^l X as a group element: (xi^l pointwise, shift 1),
-    with the setting reduced to [0, p)."""
+    with the setting reduced to [0, p).  Raises ``TorusMembershipError``
+    when xi^l has det != 1."""
     return KElement(xi ** (setting % xi.p), 1)
 
 
@@ -125,16 +126,25 @@ def star_measurement_op(p: int, setting: int) -> KElement:
     return measurement_op(star_base_function(p), setting)
 
 
+def ghz_branch_exponents(element: TensorElement) -> tuple[int, list[int]]:
+    """(L, ys): the image of the GHZ branch |q>^(x)N carries the coefficient
+    exp(2*pi*i * ys[q] / p^L), with L the largest level among the global
+    phase and the site tables."""
+    p = element.p
+    g = element.global_phase
+    level = max(g.M, max(site.xi.m for site in element.sites))
+    ys = [g.e * p ** (level - g.M)] * p
+    for site in element.sites:
+        ys = [y + e for y, e in zip(ys, rotate(at_level(site.xi, level), site.b))]
+    pl = p**level
+    return level, [y % pl for y in ys]
+
+
 def ghz_image_coefficients(element: TensorElement) -> tuple[Phase, ...]:
     """Coefficient attached to the image of each GHZ branch |q>^(x)N; the
     branch maps to that multiple of |q + b_1> (x) ... (x) |q + b_N>."""
-    out = []
-    for q in range(element.p):
-        acc = element.global_phase
-        for site in element.sites:
-            acc = acc * site.xi((q + site.b) % element.p)
-        out.append(acc)
-    return tuple(out)
+    level, ys = ghz_branch_exponents(element)
+    return tuple(reduced_phase(element.p, level, y) for y in ys)
 
 
 def ghz_evaluate(element: TensorElement) -> Optional[Phase]:
@@ -144,10 +154,10 @@ def ghz_evaluate(element: TensorElement) -> Optional[Phase]:
     b = element.sites[0].b
     if any(site.b != b for site in element.sites):
         return None
-    coeffs = ghz_image_coefficients(element)
-    if any(c != coeffs[0] for c in coeffs):
+    level, ys = ghz_branch_exponents(element)
+    if ys.count(ys[0]) != len(ys):
         return None
-    return coeffs[0]
+    return reduced_phase(element.p, level, ys[0])
 
 
 @dataclass(frozen=True)

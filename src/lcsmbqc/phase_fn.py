@@ -1,7 +1,14 @@
 """Phase tables xi: Z_p -> U(1) and their unique per-level polynomial expansion.
 
-A ``PhaseFunction`` is the diagonal of a generalised phase gate.  Every table
-whose values are p^m-th roots of unity factors uniquely as
+A ``PhaseFunction`` is the diagonal of a generalised phase gate.  It is
+stored as ``(p, m, exps)``: the value at q is exp(2*pi*i * exps[q] / p^m),
+with every exponent in [0, p^m) and m the canonical (smallest) level, so
+that equal tables have equal triples.  Products, powers, shifts and the
+determinant are integer arithmetic mod p^m; ``Phase`` objects are built only
+where a value leaves the table (``values``, calls, ``det``, JSON and
+``repr``).
+
+Every table whose values are p^m-th roots of unity factors uniquely as
 
     xi(q) = prod_{j=1..m} exp(2*pi*i * f_j(q) / p^j),
 
@@ -13,27 +20,28 @@ digit = level 1) and interpolating each digit row; see ``decompose``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cyclo import Phase, is_prime
+from .cyclo import Phase, is_prime, max_level, reduced_phase
 from .errors import LevelError, PrimeMismatchError, TorusMembershipError
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def modinv(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def lagrange_coeffs(values: Sequence[int], p: int) -> tuple[int, ...]:
-    """Coefficients (constant first) of the unique degree <= p-1 polynomial
-    over Z_p taking values[q] at q, for q = 0..p-1."""
-    if len(values) != p:
-        raise ValueError(f"need {p} values, got {len(values)}")
-    coeffs = [0] * p
-    for q, v in enumerate(values):
-        v %= p
-        if v == 0:
-            continue
-        # basis polynomial L_q(x) = prod_{r != q} (x - r) / (q - r)
+@lru_cache(maxsize=None)
+def _lagrange_basis(p: int) -> tuple[tuple[int, ...], ...]:
+    """The inverse of the Vandermonde matrix (q^a) over Z_p: row a holds the
+    x^a coefficients of the Lagrange basis polynomials L_0, ..., L_{p-1}.
+    Computed once per prime."""
+    columns = []
+    for q in range(p):
+        # L_q(x) = prod_{r != q} (x - r) / (q - r)
         basis = [1]
         denom = 1
         for r in range(p):
@@ -46,10 +54,19 @@ def lagrange_coeffs(values: Sequence[int], p: int) -> tuple[int, ...]:
                 nxt[i + 1] = (nxt[i + 1] + c) % p
             basis = nxt
             denom = denom * (q - r) % p
-        scale = v * modinv(denom, p) % p
-        for i, c in enumerate(basis):
-            coeffs[i] = (coeffs[i] + scale * c) % p
-    return tuple(coeffs)
+        scale = modinv(denom, p)
+        columns.append([c * scale % p for c in basis])
+    return tuple(tuple(col[a] for col in columns) for a in range(p))
+
+
+def lagrange_coeffs(values: Sequence[int], p: int) -> tuple[int, ...]:
+    """Coefficients (constant first) of the unique degree <= p-1 polynomial
+    over Z_p taking values[q] at q, for q = 0..p-1."""
+    if len(values) != p:
+        raise ValueError(f"need {p} values, got {len(values)}")
+    return tuple(
+        sum(c * v for c, v in zip(row, values)) % p for row in _lagrange_basis(p)
+    )
 
 
 def eval_poly(coeffs: Sequence[int], q: int, p: int) -> int:
@@ -88,13 +105,14 @@ class LevelCoefficients:
     def reconstruct(self) -> PhaseFunction:
         """The table xi(q) = prod_j exp(2*pi*i * f_j(q) / p^j), evaluating each
         f_j in Z_p with representative in [0, p)."""
-        values = []
-        for q in range(self.p):
-            v = Phase.one(self.p)
-            for j, row in enumerate(self.theta, start=1):
-                v = v * Phase(self.p, j, eval_poly(row, q, self.p))
-            values.append(v)
-        return PhaseFunction(values)
+        p, m = self.p, self.m
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        exps = [
+            sum(eval_poly(row, q, p) * p ** (m - j) for j, row in enumerate(self.theta, start=1))
+            for q in range(p)
+        ]
+        return canonical_table(p, m, exps)
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "theta": [list(row) for row in self.theta]}
@@ -104,10 +122,64 @@ class LevelCoefficients:
         return cls(int(data["p"]), tuple(tuple(row) for row in data["theta"]))
 
 
-class PhaseFunction:
-    """A length-p table of Phases over a common prime, values[q] = xi(q)."""
+def _table(p: int, m: int, exps: tuple[int, ...]) -> PhaseFunction:
+    """A table from exponents already canonical at level m, with no checks."""
+    out = _new(PhaseFunction)
+    _set(out, "p", p)
+    _set(out, "m", m)
+    _set(out, "exps", exps)
+    return out
 
-    __slots__ = ("p", "values")
+
+def canonical_table(p: int, m: int, exps: Sequence[int]) -> PhaseFunction:
+    """The table exp(2*pi*i * exps[q] / p^m) for a prime ``p`` already known
+    to be prime, brought to its canonical level.  Raises ``LevelError`` when
+    that level is above the cap, like the Phase constructor."""
+    pm = p**m
+    exps = [e % pm for e in exps]
+    while m and not any(e % p for e in exps):
+        exps = [e // p for e in exps]
+        m -= 1
+    if m > max_level():
+        raise LevelError(f"phase level {m} exceeds the configured cap {max_level()}")
+    return _table(p, m, tuple(exps))
+
+
+def rotate(exps: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The exponent tuple read from index k on: out[q] = exps[(q + k) % p]."""
+    k %= len(exps)
+    return exps[k:] + exps[:k] if k else exps
+
+
+def at_level(table: PhaseFunction, level: int) -> tuple[int, ...]:
+    """The exponents of ``table`` rescaled to denominator p^level, which must
+    be at least the table's own level."""
+    if level == table.m:
+        return table.exps
+    scale = table.p ** (level - table.m)
+    return tuple(e * scale for e in table.exps)
+
+
+def product_table(p: int, m1: int, e1: Sequence[int], m2: int, e2: Sequence[int]) -> PhaseFunction:
+    """The pointwise product of two canonical exponent tables over p."""
+    if m1 == m2:
+        # equal levels can cancel down to a lower level
+        return canonical_table(p, m1, [a + b for a, b in zip(e1, e2)])
+    if m1 < m2:
+        m1, e1, m2, e2 = m2, e2, m1, e1
+    # a value of level m1 keeps its last digit, so the level stays m1
+    if m1 > max_level():
+        raise LevelError(f"phase level {m1} exceeds the configured cap {max_level()}")
+    pm = p**m1
+    scale = p ** (m1 - m2)
+    return _table(p, m1, tuple((a + b * scale) % pm for a, b in zip(e1, e2)))
+
+
+class PhaseFunction:
+    """A length-p table of p-power roots of unity over a common prime,
+    stored as integer exponents ``exps`` at the canonical level ``m``."""
+
+    __slots__ = ("p", "m", "exps")
 
     def __init__(self, values: Iterable[Phase]):
         values = tuple(values)
@@ -120,77 +192,90 @@ class PhaseFunction:
             raise ValueError(f"table over Z_{p} needs {p} values, got {len(values)}")
         if any(v.p != p for v in values):
             raise PrimeMismatchError("all table values must share one prime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "values", values)
+        m = max(v.M for v in values)
+        _set(self, "p", p)
+        _set(self, "m", m)
+        _set(self, "exps", tuple(v.e * p ** (m - v.M) for v in values))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseFunction is immutable")
 
+    @property
+    def values(self) -> tuple[Phase, ...]:
+        """The table as Phases, values[q] = xi(q)."""
+        p, m = self.p, self.m
+        return tuple(reduced_phase(p, m, e) for e in self.exps)
+
     @classmethod
     def one(cls, p: int) -> PhaseFunction:
-        return cls([Phase.one(p)] * p)
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        return _table(p, 0, (0,) * p)
 
     @classmethod
     def constant(cls, value: Phase) -> PhaseFunction:
-        return cls([value] * value.p)
+        return _table(value.p, value.M, (value.e,) * value.p)
 
     @classmethod
     def omega_poly(cls, p: int, coeffs: Sequence[int]) -> PhaseFunction:
         """Level-1 table omega^{f(q)} for the polynomial with the given coefficients."""
-        return cls([Phase.omega(p, eval_poly(coeffs, q, p)) for q in range(p)])
+        return cls.from_exponents(p, 1, [eval_poly(coeffs, q, p) for q in range(p)])
 
     @classmethod
     def from_exponents(cls, p: int, m: int, exponents: Sequence[int]) -> PhaseFunction:
         """Table with values exp(2*pi*i * exponents[q] / p^m)."""
-        return cls([Phase(p, m, e) for e in exponents])
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if m < 0:
+            raise ValueError(f"level must be non-negative, got {m}")
+        if len(exponents) != p:
+            raise ValueError(f"table over Z_{p} needs {p} values, got {len(exponents)}")
+        return canonical_table(p, m, exponents)
 
     def __call__(self, q: int) -> Phase:
-        return self.values[q % self.p]
+        return reduced_phase(self.p, self.m, self.exps[q % self.p])
 
     def __mul__(self, other: PhaseFunction) -> PhaseFunction:
         if not isinstance(other, PhaseFunction):
             return NotImplemented
         if self.p != other.p:
             raise PrimeMismatchError("pointwise product needs matching primes")
-        return PhaseFunction([a * b for a, b in zip(self.values, other.values)])
+        return product_table(self.p, self.m, self.exps, other.m, other.exps)
 
     def __pow__(self, k: int) -> PhaseFunction:
-        return PhaseFunction([v**k for v in self.values])
+        return canonical_table(self.p, self.m, [e * k for e in self.exps])
 
     def inverse(self) -> PhaseFunction:
         return self**-1
 
     def shift(self, b: int) -> PhaseFunction:
         """The translate (b . xi)(q) = xi(q - b)."""
-        return PhaseFunction([self.values[(q - b) % self.p] for q in range(self.p)])
+        return _table(self.p, self.m, rotate(self.exps, -b))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseFunction):
             return NotImplemented
-        return self.values == other.values
+        return self.p == other.p and self.m == other.m and self.exps == other.exps
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        return hash((self.m, self.exps))
 
     def det(self) -> Phase:
         """The product of all table values (the gate determinant)."""
-        out = Phase.one(self.p)
-        for v in self.values:
-            out = out * v
-        return out
+        return reduced_phase(self.p, self.m, sum(self.exps))
 
     def in_special_torus(self) -> bool:
-        return self.det().is_one()
+        return sum(self.exps) % self.p**self.m == 0
 
     def value_level(self) -> int:
         """Smallest m with xi(q)^(p^m) == 1 for every q."""
-        return max(v.M for v in self.values)
+        return self.m
 
     def level(self) -> int:
         """Torsion level within the special torus; requires det == 1."""
         if not self.in_special_torus():
             raise TorusMembershipError("table is outside the special torus (det != 1)")
-        return self.value_level()
+        return self.m
 
     def decompose(self, m: int) -> LevelCoefficients:
         """The unique per-level polynomial expansion at level m.
@@ -199,17 +284,12 @@ class PhaseFunction:
         of y_q from the most significant level downward; the digit row of
         level j is interpolated over Z_p to give the coefficients of f_j.
         """
-        if self.value_level() > m:
-            raise LevelError(
-                f"table has values of level {self.value_level()}, not p^{m}-th roots"
-            )
-        digits = [[0] * self.p for _ in range(m)]
-        for q, v in enumerate(self.values):
-            y = v.exponent_at_level(m)
-            for j in range(m, 0, -1):
-                digits[j - 1][q] = y % self.p
-                y //= self.p
-        return LevelCoefficients(self.p, tuple(lagrange_coeffs(row, self.p) for row in digits))
+        if self.m > m:
+            raise LevelError(f"table has values of level {self.m}, not p^{m}-th roots")
+        p = self.p
+        ys = at_level(self, m)
+        rows = [[y // p ** (m - j) % p for y in ys] for j in range(1, m + 1)]
+        return LevelCoefficients(p, tuple(lagrange_coeffs(row, p) for row in rows))
 
     def to_json(self) -> dict:
         return {"p": self.p, "values": [v.to_json() for v in self.values]}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -102,7 +102,13 @@ def _report(suite: str, config: dict, checks: Sequence[CheckResult], seed=None) 
 
 
 class KGroupTable:
-    """Integer index tables for one enumerated single-site group."""
+    """Integer index tables for one enumerated single-site group.
+
+    An element's key is its stored representation (table level, exponent
+    tuple, shift), so looking up the index of an object-API element costs
+    one dict lookup.  The per-element arrays are computed on first use and
+    kept; the Cayley table ``mul`` is built lazily too.
+    """
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -116,14 +122,14 @@ class KGroupTable:
         self._pow: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def key(self, e: KElement) -> tuple:
-        table = tuple(v.exponent_at_level(self.m) for v in e.xi.values)
-        return (table, e.b)
+    @staticmethod
+    def key(e: KElement) -> tuple:
+        return (e.xi.m, e.xi.exps, e.b)
 
     def idx(self, e: KElement) -> int:
         return self.index[self.key(e)]
 
-    @property
+    @cached_property
     def b(self) -> np.ndarray:
         return np.array([e.b for e in self.elements], dtype=np.int16)
 
@@ -132,17 +138,17 @@ class KGroupTable:
         if self._mul is None:
             n = self.n
             table = np.empty((n, n), dtype=np.int32)
+            index, key = self.index, self.key
             for i, a in enumerate(self.elements):
-                for j, c in enumerate(self.elements):
-                    table[i, j] = self.idx(a * c)
+                table[i] = [index[key(a * c)] for c in self.elements]
             self._mul = table
         return self._mul
 
-    @property
+    @cached_property
     def inv(self) -> np.ndarray:
         return np.array([self.idx(e.inverse()) for e in self.elements], dtype=np.int32)
 
-    @property
+    @cached_property
     def scal(self) -> np.ndarray:
         """omega exponent when the element is a central scalar, else -1."""
         out = np.full(self.n, -1, dtype=np.int16)
@@ -154,7 +160,7 @@ class KGroupTable:
                     out[i] = w
         return out
 
-    @property
+    @cached_property
     def identity_index(self) -> int:
         return self.idx(KElement.identity(self.p))
 
@@ -169,13 +175,13 @@ class KGroupTable:
             self._pow = out
         return self._pow[: max_power + 1]
 
-    @property
+    @cached_property
     def ppow(self) -> np.ndarray:
         """t with element^p = omega^t * 1 when that power is central, else -1."""
         powers = self.power_indices(self.p)[self.p]
         return self.scal[powers]
 
-    @property
+    @cached_property
     def torsion(self) -> np.ndarray:
         return self.power_indices(self.p)[self.p] == self.identity_index
 
