@@ -42,6 +42,21 @@ def test_verify_command(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["passed"] is True
     assert data["suite"] == "decomposition"
+    assert data["config"]["samples"] == 50
+    randomized = [c for c in data["checks"] if c["name"].startswith("randomized")]
+    assert [c["count"] for c in randomized] == [50]
+
+
+def test_verify_zero_samples_is_not_the_default(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code = run(
+        ["verify", "phi", "--n", "1", "--samples", "0", "--out", str(out_file)]
+    )
+    assert code == 0
+    data = json.loads(out_file.read_text())
+    assert data["config"]["samples"] == 0
+    randomized = [c for c in data["checks"] if c["name"].startswith("randomized")]
+    assert [c["count"] for c in randomized] == [0]
 
 
 def test_verify_even_prime(capsys):

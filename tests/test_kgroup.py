@@ -187,10 +187,14 @@ def test_enumeration_budget():
 
 def test_group_axioms_against_matrix_oracle():
     rng = random.Random(11)
-    for p in (2, 3):
-        for _ in range(250):
-            a = random_k_element(rng, p, 2)
-            b = random_k_element(rng, p, 2)
+    cases = (
+        (2, 2, 250), (3, 2, 250),
+        (2, 3, 100), (3, 3, 100), (5, 2, 100), (5, 3, 100), (7, 2, 60), (7, 3, 60),
+    )
+    for p, level, trials in cases:
+        for _ in range(trials):
+            a = random_k_element(rng, p, level)
+            b = random_k_element(rng, p, level)
             ma = MonomialMatrix.from_k_element(a)
             mb = MonomialMatrix.from_k_element(b)
             assert MonomialMatrix.from_k_element(a * b) == ma * mb

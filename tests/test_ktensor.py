@@ -48,29 +48,45 @@ def test_equality_distinguishes_distinct_operators():
 
 def test_equality_matches_dense_kronecker_oracle():
     rng = random.Random(3)
+
+    def random_site(p, kind):
+        # level-1, identity and central sites change level when rescaled by
+        # omega, the edge case of the normal form behind tensor equality
+        if kind == "level2":
+            return random_k_element(rng, p, 2)
+        if kind == "level1":
+            return random_k_element(rng, p, 1)
+        if kind == "identity":
+            return KElement.identity(p)
+        return KElement.central(p, rng.randrange(p))
+
+    def random_tensor(p, n_sites, kinds):
+        return TensorElement(
+            Phase.omega(p, rng.randrange(p)),
+            [random_site(p, rng.choice(kinds)) for _ in range(n_sites)],
+        )
+
+    all_kinds = ("level2", "level1", "identity", "central")
+    cases = ((3, 2, ("level2",), 400), (3, 2, all_kinds, 200), (5, 3, all_kinds, 100))
     pairs = 0
     equal_found = 0
-    for _ in range(400):
-        a = TensorElement(
-            Phase.omega(3, rng.randrange(3)),
-            [random_k_element(rng, 3, 2) for _ in range(2)],
-        )
-        scal = rng.randrange(3)
-        b = TensorElement(
-            a.global_phase * Phase.omega(3, -2 * scal),
-            [KElement.central(3, scal) * a.sites[0], KElement.central(3, scal) * a.sites[1]],
-        )
-        c = TensorElement(
-            Phase.omega(3, rng.randrange(3)),
-            [random_k_element(rng, 3, 2) for _ in range(2)],
-        )
-        for other in (b, c):
-            pairs += 1
-            same_op = MonomialMatrix.from_tensor(a) == MonomialMatrix.from_tensor(other)
-            assert (a == other) == same_op
-            if same_op:
-                equal_found += 1
-    assert pairs == 800 and equal_found >= 400
+    for p, n_sites, kinds, trials in cases:
+        for _ in range(trials):
+            a = random_tensor(p, n_sites, kinds)
+            scal = [rng.randrange(p) for _ in range(n_sites)]
+            b = TensorElement(
+                a.global_phase * Phase.omega(p, -sum(scal)),
+                [KElement.central(p, s) * site for s, site in zip(scal, a.sites)],
+            )
+            c = random_tensor(p, n_sites, kinds)
+            for other in (b, c):
+                pairs += 1
+                same_op = MonomialMatrix.from_tensor(a) == MonomialMatrix.from_tensor(other)
+                assert (a == other) == same_op
+                assert (hash(a) == hash(other)) or not same_op
+                if same_op:
+                    equal_found += 1
+    assert pairs == 1400 and equal_found >= 700
 
 
 def test_shape_and_prime_guards():
