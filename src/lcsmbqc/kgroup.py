@@ -5,6 +5,10 @@ Elements are pairs (xi, b) standing for the monomial operator S_xi X^b with
 S_xi|q> = xi(q)|q> and X|q> = |q+1>.  The group law is the semidirect
 product  (xi, b)(xi', b') = (xi * shift_b(xi'), b + b'),  and powers follow
 the closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).
+
+The table xi is a ``PhaseFunction`` of integer exponents, so the group law
+is a rotation plus an addition mod p^m.  Only the public constructor checks
+det == 1; the closed operations build their results without that check.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     PrimeMismatchError,
     TorusMembershipError,
 )
-from .phase_fn import PhaseFunction, at_level, canonical_table, modinv, product_table, rotate
+from .phase_fn import PhaseFunction, at_level, canonical_table, modinv, rotate
 
 _new = object.__new__
 _set = object.__setattr__
@@ -83,7 +87,7 @@ class KElement:
     @classmethod
     def shift(cls, p: int) -> KElement:
         """The generalised Pauli X."""
-        return _element(PhaseFunction.one(p), 1 % p)
+        return _element(PhaseFunction.one(p), 1)
 
     @classmethod
     def clock(cls, p: int) -> KElement:
@@ -101,33 +105,28 @@ class KElement:
     def __mul__(self, other: KElement) -> KElement:
         if not isinstance(other, KElement):
             return NotImplemented
-        xi, eta = self.xi, other.xi
-        p = xi.p
-        if p != eta.p:
+        if self.p != other.p:
             raise PrimeMismatchError("product needs matching primes")
-        b = self.b
-        table = product_table(p, xi.m, xi.exps, eta.m, rotate(eta.exps, -b))
-        return _element(table, (b + other.b) % p)
+        return _element(self.xi * other.xi.shift(self.b), (self.b + other.b) % self.p)
 
     def inverse(self) -> KElement:
         return _element(self.xi.inverse().shift(-self.b), -self.b % self.xi.p)
 
     def __pow__(self, n: int) -> KElement:
         """Closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).  For b != 0
-        the shifts run through all of Z_p every p factors, so the product is
-        (n // p) copies of the full sum plus the first n % p shifts."""
+        every p consecutive shifts run through all of Z_p, so each full cycle
+        contributes the constant det(xi) and only the first n % p shifts are
+        multiplied out."""
         if n < 0:
             return self.inverse() ** (-n)
         xi, b = self.xi, self.b
-        p = xi.p
         if b == 0:
             return _element(xi**n, 0)
-        full, rest = divmod(n, p)
-        exps = xi.exps
-        acc = [full * sum(exps)] * p
+        full, rest = divmod(n, self.p)
+        table = PhaseFunction.constant(xi.det() ** full)
         for i in range(rest):
-            acc = [a + e for a, e in zip(acc, rotate(exps, -i * b))]
-        return _element(canonical_table(p, xi.m, acc), n * b % p)
+            table = table * xi.shift(i * b)
+        return _element(table, n * b % self.p)
 
     def commutator(self, other: KElement) -> KElement:
         """[self, other] = M N M^-1 N^-1; always diagonal, with table

@@ -292,10 +292,10 @@ def commute_on_ghz(e1: TensorElement, e2: TensorElement) -> bool:
     p = e1.p
     level = max(site.xi.m for site in e1.sites + e2.sites)
     diff = [0] * p
-    for m, n in zip(e1.sites, e2.sites):
-        x = at_level(m.xi, level)
-        y = at_level(n.xi, level)
-        b, c = m.b, n.b
+    for s1, s2 in zip(e1.sites, e2.sites):
+        x = at_level(s1.xi, level)
+        y = at_level(s2.xi, level)
+        b, c = s1.b, s2.b
         diff = [
             d + y1 + x1 - x2 - y2
             for d, y1, x1, x2, y2 in zip(

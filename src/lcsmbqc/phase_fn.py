@@ -160,21 +160,6 @@ def at_level(table: PhaseFunction, level: int) -> tuple[int, ...]:
     return tuple(e * scale for e in table.exps)
 
 
-def product_table(p: int, m1: int, e1: Sequence[int], m2: int, e2: Sequence[int]) -> PhaseFunction:
-    """The pointwise product of two canonical exponent tables over p."""
-    if m1 == m2:
-        # equal levels can cancel down to a lower level
-        return canonical_table(p, m1, [a + b for a, b in zip(e1, e2)])
-    if m1 < m2:
-        m1, e1, m2, e2 = m2, e2, m1, e1
-    # a value of level m1 keeps its last digit, so the level stays m1
-    if m1 > max_level():
-        raise LevelError(f"phase level {m1} exceeds the configured cap {max_level()}")
-    pm = p**m1
-    scale = p ** (m1 - m2)
-    return _table(p, m1, tuple((a + b * scale) % pm for a, b in zip(e1, e2)))
-
-
 class PhaseFunction:
     """A length-p table of p-power roots of unity over a common prime,
     stored as integer exponents ``exps`` at the canonical level ``m``."""
@@ -238,9 +223,12 @@ class PhaseFunction:
     def __mul__(self, other: PhaseFunction) -> PhaseFunction:
         if not isinstance(other, PhaseFunction):
             return NotImplemented
-        if self.p != other.p:
+        p = self.p
+        if p != other.p:
             raise PrimeMismatchError("pointwise product needs matching primes")
-        return product_table(self.p, self.m, self.exps, other.m, other.exps)
+        high, low = (self, other) if self.m >= other.m else (other, self)
+        scale = p ** (high.m - low.m)
+        return canonical_table(p, high.m, [a + b * scale for a, b in zip(high.exps, low.exps)])
 
     def __pow__(self, k: int) -> PhaseFunction:
         return canonical_table(self.p, self.m, [e * k for e in self.exps])
