@@ -69,9 +69,9 @@ def _canonical(p: int, M: int, e: int) -> tuple[int, int]:
 
 
 def reduced_phase(p: int, M: int, e: int) -> Phase:
-    """The Phase exp(2*pi*i * e / p^M) for a prime ``p`` that is already
-    known to be prime; canonicalises and enforces the level cap like the
-    constructor, without re-testing primality."""
+    """The Phase exp(2*pi*i * e / p^M) over a ``p`` already known to be
+    prime; canonicalises and enforces the level cap like the constructor,
+    without re-testing primality."""
     M, e = _canonical(p, M, e)
     out = _new(Phase)
     _set(out, "p", p)

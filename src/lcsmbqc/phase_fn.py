@@ -34,11 +34,11 @@ def modinv(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _lagrange_basis(p: int) -> tuple[tuple[int, ...], ...]:
     """The inverse of the Vandermonde matrix (q^a) over Z_p: row a holds the
     x^a coefficients of the Lagrange basis polynomials L_0, ..., L_{p-1}.
-    Computed once per prime."""
+    Computed once per prime (p^2 entries, so the memo keeps a few primes)."""
     columns = []
     for q in range(p):
         # L_q(x) = prod_{r != q} (x - r) / (q - r)
@@ -132,9 +132,9 @@ def _table(p: int, m: int, exps: tuple[int, ...]) -> PhaseFunction:
 
 
 def canonical_table(p: int, m: int, exps: Sequence[int]) -> PhaseFunction:
-    """The table exp(2*pi*i * exps[q] / p^m) for a prime ``p`` already known
-    to be prime, brought to its canonical level.  Raises ``LevelError`` when
-    that level is above the cap, like the Phase constructor."""
+    """The table exp(2*pi*i * exps[q] / p^m) over a ``p`` already known to be
+    prime, brought to its canonical level.  Raises ``LevelError`` when that
+    level is above the cap, like the Phase constructor."""
     pm = p**m
     exps = [e % pm for e in exps]
     while m and not any(e % p for e in exps):

@@ -47,7 +47,7 @@ def test_verify_command(tmp_path, capsys):
     assert [c["count"] for c in randomized] == [50]
 
 
-def test_verify_zero_samples_is_not_the_default(tmp_path, capsys):
+def test_verify_zero_counts_are_not_the_default(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = run(
         ["verify", "phi", "--n", "1", "--samples", "0", "--out", str(out_file)]
@@ -57,6 +57,8 @@ def test_verify_zero_samples_is_not_the_default(tmp_path, capsys):
     assert data["config"]["samples"] == 0
     randomized = [c for c in data["checks"] if c["name"].startswith("randomized")]
     assert [c["count"] for c in randomized] == [0]
+    # a zero budget admits no enumeration at all
+    assert run(["verify", "subgroups", "--p", "3", "--m", "1", "--budget", "0"]) == 2
 
 
 def test_verify_even_prime(capsys):
