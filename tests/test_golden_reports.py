@@ -1,10 +1,13 @@
-"""Golden digests of suite reports and of one demo report.
+"""Golden digests of suite reports and of CLI report files.
 
-Every refactor must reproduce these bytes exactly: the digests were made
-from the object-per-phase implementation that preceded the integer-exponent
-representation, so a change of representation that alters any verdict,
-count, detail string or JSON field shows up here.  Each case runs at a small
-configuration so that the whole file stays fast.
+Every refactor must reproduce these bytes exactly, so a change that alters
+any verdict, count, detail string or JSON field shows up here.  The suite
+digests for torsion through phi and the qudit-star demo digest were made by
+the object-per-phase implementation that preceded the integer-exponent
+representation; the lemma1 and subgroups digests and the mermin-square and
+``lcs`` command digests were made before the row reduction, the
+solution-condition checker and the index-table keys were merged.  Each case
+runs at a small configuration so that the whole file stays fast.
 """
 
 import contextlib
@@ -14,7 +17,17 @@ import json
 
 import pytest
 
-from lcsmbqc import cli, verify
+from lcsmbqc import (
+    GeneratorAssignment,
+    KElement,
+    LCS,
+    Phase,
+    PhaseFunction,
+    TensorElement,
+    cli,
+    mermin_fixtures,
+    verify,
+)
 
 SUITE_DIGESTS = {
     "torsion": (
@@ -45,6 +58,18 @@ SUITE_DIGESTS = {
         lambda: verify.suite_phi(n=1, samples=200),
         "de99f266fb0e833411b3a8371718085a34ebd07897214a421dd044b074f70669",
     ),
+    "lemma1": (
+        lambda: verify.suite_lemma1(3, 2, max_power=4),
+        "51d22d62e60b4d3e154553455f3efe39c1a748eaa5510b4ca060e1e80d8c644d",
+    ),
+    "subgroups-3-1": (
+        lambda: verify.suite_subgroups(3, 1),
+        "925270ba38f103f65650ad963a350b860da534d89901d2beca6287fa70b5318c",
+    ),
+    "subgroups-2-2": (
+        lambda: verify.suite_subgroups(2, 2),
+        "fc5bbcd23185c1985341b3d9f2197932c60994fe63e31db1b08d961a6ceb6dd6",
+    ),
 }
 
 QUDIT_STAR_P5_DIGEST = "fb933639bd59391284f5849855a49dcc6d10bcb14eb57433e60ec06a3446d99f"
@@ -68,3 +93,94 @@ def test_qudit_star_demo_report_matches_golden_digest(tmp_path):
         code = cli.main(["demo", "qudit-star", "--p", "5", "--out", str(out)])
     assert code == 0
     assert _sha256(out.read_bytes()) == QUDIT_STAR_P5_DIGEST
+
+
+def _reduce_instance() -> tuple[LCS, GeneratorAssignment]:
+    """A p = 3 quantum solution: powers of one two-site torsion tensor (shifts
+    1 and 2, so the projection recurses once) against the center."""
+    base = TensorElement(
+        Phase.omega(3, 1),
+        [
+            KElement(PhaseFunction.from_exponents(3, 2, (1, 4, 4)), 1),
+            KElement(PhaseFunction.from_exponents(3, 2, (2, 0, 7)), 2),
+        ],
+    )
+    omega = TensorElement.scalar(Phase.omega(3, 1), 2)
+    generators = (base, omega * base**2, omega**2)
+    system = LCS(3, ((1, 1, 0), (0, 0, 1), (2, 2, 1)), (1, 2, 1))
+    return system, GeneratorAssignment.with_default_j(generators)
+
+
+def _cli_out_bytes(tmp_path, args, files):
+    """Write ``files`` (name -> JSON object) into ``tmp_path``, run the CLI
+    with ``{name}`` placeholders replaced by their paths, and return the exit
+    code and the bytes written to ``--out``."""
+    paths = {}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    out = tmp_path / "out.json"
+    argv = [a.format(**paths) for a in args] + ["--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.read_bytes()
+
+
+def _square_files(swap=None):
+    """The Mermin square and its operator solution; ``swap`` exchanges two
+    generators, which breaks commutativity and the row constraints."""
+    fixtures = mermin_fixtures()
+    assignment = fixtures.square_assignment.to_json()
+    if swap is not None:
+        gens = assignment["generators"]
+        i, j = swap
+        gens[i], gens[j] = gens[j], gens[i]
+    return {"lcs": fixtures.square.to_json(), "assignment": assignment}
+
+
+def _reduce_files():
+    system, assignment = _reduce_instance()
+    return {"lcs": system.to_json(), "assignment": assignment.to_json()}
+
+
+CLI_DIGESTS = {
+    "demo-mermin-square": (
+        ["demo", "mermin-square"],
+        dict,
+        0,
+        "6959bb9de7c083081a774a0c7cda0ce5bba00a8dc1c899b37bc763b7b250be30",
+    ),
+    "lcs-check-square": (
+        ["lcs", "check", "--lcs", "{lcs}", "--assignment", "{assignment}"],
+        _square_files,
+        0,
+        "edd3c5a80a3c5b04d98a2c8e8f7961509e16aa500943bc3b1f984b846d579229",
+    ),
+    "lcs-check-square-swapped": (
+        ["lcs", "check", "--lcs", "{lcs}", "--assignment", "{assignment}"],
+        lambda: _square_files(swap=(0, 4)),
+        1,
+        "b67691dff3ac21d2e12fbf6a0fc0a20f01826025cc3138a503484f6796007eee",
+    ),
+    "lcs-solve-free-variable": (
+        ["lcs", "solve", "--lcs", "{lcs}"],
+        lambda: {"lcs": {"d": 5, "A": [[1, 2, 0, 3], [0, 0, 1, 4]], "b": [3, 2]}},
+        0,
+        "7c70af9ece3e16824ad8795e65d168b1e673ea8d22fedf2eff76e94436fc06d6",
+    ),
+    "lcs-reduce-p3": (
+        ["lcs", "reduce", "--lcs", "{lcs}", "--assignment", "{assignment}"],
+        _reduce_files,
+        0,
+        "9d078f08a958da8114816b4404c6e4adb65f4e48cc70c05ec81cde27e509a49e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
+def test_cli_report_matches_golden_digest(tmp_path, case):
+    args, files, expected_code, expected = CLI_DIGESTS[case]
+    code, data = _cli_out_bytes(tmp_path, args, files())
+    assert code == expected_code
+    assert _sha256(data) == expected
