@@ -3,19 +3,23 @@ and constraint-system utilities.
 
 Reports are JSON (sorted keys, no timestamps) so identical configurations
 produce identical bytes; tables are CSV.  Exit codes: 0 all verdicts hold,
-1 a property or expected verdict failed, 2 usage errors.
+1 a property or expected verdict failed, 2 usage errors and bad input
+(unreadable or malformed files, invalid values, exhausted budgets), each
+reported on one stderr line.  ``verify`` forwards every flag that is given
+and that the suite's signature accepts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import verify
-from .errors import BudgetExceededError, EvenPrimeError
+from .errors import BudgetExceededError
 from .kgroup import maximal_p_torsion_abelian
 from .lcs import (
     GeneratorAssignment,
@@ -136,46 +140,39 @@ def cmd_demo(args) -> int:
         _emit(summary, args.out)
         return EXIT_OK if ok else EXIT_FAIL
 
-    if name == "qudit-star":
-        p = args.p or 3
-        try:
-            spec = qudit_star_spec(p)
-        except (EvenPrimeError, ValueError) as exc:
-            print(f"qudit star requires an odd prime: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        table = output_table(spec)
-        witness = contextuality_witness(table)
-        family = measurement_family_report(spec, table)
-        summary = {
-            "demo": name,
-            "p": p,
-            "outputs": list(table.outputs),
-            "matches_closed_form": table.outputs == expected_star_outputs(p),
-            "degree": witness.degree,
-            "contextual": witness.contextual,
-            "family": {
-                "all_torsion": family.all_torsion,
-                "ghz_rows_match_outputs": family.ghz_rows_match_outputs,
-                "all_pairs_commute_on_ghz": family.all_pairs_commute_on_ghz,
-                "exact_commutativity": family.exact_commutativity,
-                "noncommuting_pair": family.noncommuting_pair,
-            },
-        }
-        ok = (
-            summary["matches_closed_form"]
-            and witness.contextual
-            and family.all_torsion
-            and family.ghz_rows_match_outputs
-            and family.all_pairs_commute_on_ghz
-            and not family.exact_commutativity
-        )
-        print(f"p={p}: degree {witness.degree} -> "
-              f"{'contextual' if witness.contextual else 'not contextual'}")
-        _emit(summary, args.out)
-        return EXIT_OK if ok else EXIT_FAIL
-
-    print(f"unknown demo {name!r}", file=sys.stderr)
-    return EXIT_USAGE
+    # qudit-star
+    p = 3 if args.p is None else args.p
+    spec = qudit_star_spec(p)
+    table = output_table(spec)
+    witness = contextuality_witness(table)
+    family = measurement_family_report(spec, table)
+    summary = {
+        "demo": name,
+        "p": p,
+        "outputs": list(table.outputs),
+        "matches_closed_form": table.outputs == expected_star_outputs(p),
+        "degree": witness.degree,
+        "contextual": witness.contextual,
+        "family": {
+            "all_torsion": family.all_torsion,
+            "ghz_rows_match_outputs": family.ghz_rows_match_outputs,
+            "all_pairs_commute_on_ghz": family.all_pairs_commute_on_ghz,
+            "exact_commutativity": family.exact_commutativity,
+            "noncommuting_pair": family.noncommuting_pair,
+        },
+    }
+    ok = (
+        summary["matches_closed_form"]
+        and witness.contextual
+        and family.all_torsion
+        and family.ghz_rows_match_outputs
+        and family.all_pairs_commute_on_ghz
+        and not family.exact_commutativity
+    )
+    print(f"p={p}: degree {witness.degree} -> "
+          f"{'contextual' if witness.contextual else 'not contextual'}")
+    _emit(summary, args.out)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -184,33 +181,13 @@ def cmd_demo(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("lemma1", "torsion", "commuting-pairs", "decomposition",
-                      "phi", "symplectic"):
-        if args.p:
-            kwargs["p"] = args.p
-        if args.m:
-            kwargs["m"] = args.m
-    if args.suite == "subgroups":
-        kwargs["p"] = args.p or 3
-        kwargs["m"] = args.m or 2
-        if args.budget is not None:
-            kwargs["budget"] = args.budget
-    if args.suite == "phi":
-        if args.n:
-            kwargs["n"] = args.n
-        kwargs["variant"] = args.variant
-    if args.suite in ("phi", "symplectic", "decomposition", "pipeline"):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    if args.suite in ("phi", "symplectic", "decomposition"):
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-
-    suite_fn = verify.SUITES.get(args.suite)
-    if suite_fn is None:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
+    suite_fn = verify.SUITES[args.suite]
+    accepted = inspect.signature(suite_fn).parameters
+    kwargs = {
+        name: value
+        for name, value in vars(args).items()
+        if name in accepted and value is not None
+    }
     report = suite_fn(**kwargs)
     _emit(report.to_json(), args.out)
     for check in report.checks:
@@ -227,20 +204,10 @@ def cmd_verify(args) -> int:
 def cmd_mbqc(args) -> int:
     if args.mbqc_command == "run":
         spec = MbqcSpec.from_json(_load_json(args.spec))
-    elif args.mbqc_command == "demo":
-        if args.name == "qudit-star":
-            try:
-                spec = qudit_star_spec(args.p or 3)
-            except (EvenPrimeError, ValueError) as exc:
-                print(f"qudit star requires an odd prime: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        elif args.name == "qubit-star":
-            spec = qubit_star_spec()
-        else:
-            print(f"unknown computation demo {args.name!r}", file=sys.stderr)
-            return EXIT_USAGE
+    elif args.name == "qudit-star":
+        spec = qudit_star_spec(3 if args.p is None else args.p)
     else:
-        return EXIT_USAGE
+        spec = qubit_star_spec()
     table = output_table(spec)
     _write_table_csv(table, args.out)
     return EXIT_OK if table.is_fully_deterministic else EXIT_FAIL
@@ -288,17 +255,15 @@ def cmd_lcs(args) -> int:
         )
         return EXIT_OK if report.is_quantum_solution else EXIT_FAIL
 
-    if args.lcs_command == "reduce":
-        assignment = _load_assignment(args.assignment)
-        try:
-            x = reduce_to_classical(system, assignment, args.variant)
-        except (EvenPrimeError, ValueError) as exc:
-            print(f"reduction failed: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        _emit({"solution": list(x), "verified": check_classical(system, x)}, args.out)
-        return EXIT_OK
-
-    return EXIT_USAGE
+    # reduce
+    assignment = _load_assignment(args.assignment)
+    try:
+        x = reduce_to_classical(system, assignment, args.variant)
+    except ValueError as exc:
+        print(f"reduction failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    _emit({"solution": list(x), "verified": check_classical(system, x)}, args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +393,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, KeyError, TypeError) as exc:
+        # bad input: the errors.py types, malformed JSON, missing keys and
+        # values of the wrong type
+        print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,5 +1,7 @@
-"""Linear constraint systems over Z_d: classical solving, the three
-operator-solution conditions, the reduction of operator assignments to
+"""Linear constraint systems over Z_d: classical solving through one
+Gauss-Jordan routine (``row_reduce``, shared with ``null_space``), one
+checker of the three operator-solution conditions for tensor and
+Heisenberg-Weyl assignments, the reduction of operator assignments to
 classical solutions, and the standard two-qubit fixtures.
 """
 
@@ -71,37 +73,53 @@ def check_classical(system: LCS, x: Sequence[int]) -> bool:
     return True
 
 
-def solve_classical(system: LCS) -> Optional[tuple[int, ...]]:
-    """One solution of A x = b mod d by Gaussian elimination over the field
-    Z_d (d prime), or None when the system is inconsistent."""
-    d = system.d
-    if not is_prime(d):
-        raise UnsupportedModulusError(f"solving needs a prime modulus, got {d}")
-    rows = [list(row) + [rhs] for row, rhs in zip(system.A, system.b)]
-    n = system.n_cols
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % d), None)
+def row_reduce(matrix: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination over the field Z_p, p prime: the reduced row
+    echelon form, nonzero rows first, and the pivot column of each of them."""
+    rows = [list(row) for row in matrix]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = modinv(rows[r][col], d)
-        rows[r] = [v * inv % d for v in rows[r]]
+        inv = modinv(rows[r][col], p)
+        rows[r] = [v * inv % p for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][col] % d:
+            if i != r and rows[i][col] % p:
                 factor = rows[i][col]
-                rows[i] = [(v - factor * w) % d for v, w in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][-1] % d:
-            return None
+                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def null_space(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """Basis of the right null space over Z_p, one vector per free column."""
+    rows, pivots = row_reduce(matrix, p)
+    n = len(rows[0]) if rows else 0
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[free] = 1
+        for row, col in zip(rows, pivots):
+            vec[col] = (-row[free]) % p
+        basis.append(vec)
+    return basis
+
+
+def solve_classical(system: LCS) -> Optional[tuple[int, ...]]:
+    """One solution of A x = b mod d (d prime) with every free variable 0, or
+    None when the system is inconsistent (a pivot in the right-hand side)."""
+    d, n = system.d, system.n_cols
+    if not is_prime(d):
+        raise UnsupportedModulusError(f"solving needs a prime modulus, got {d}")
+    rows, pivots = row_reduce([[*row, rhs] for row, rhs in zip(system.A, system.b)], d)
+    if n in pivots:
+        return None
     x = [0] * n
-    for row_idx, col in pivots:
-        x[col] = rows[row_idx][-1]
+    for row, col in zip(rows, pivots):
+        x[col] = row[-1]
     return tuple(x)
 
 
@@ -115,11 +133,14 @@ def brute_force_solve(system: LCS) -> Optional[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class GeneratorAssignment:
-    """Tensor operators for the generators x_1..x_n, plus the central element
-    J realising the constraint scalar (omega * identity by default)."""
+    """Operators for the generators x_1..x_n, plus the central element J
+    realising the constraint scalar (omega * identity by default): tensors,
+    or their Heisenberg-Weyl images under the projection.  The checker uses
+    only ``identity``, ``*``, ``**``, ``==``, ``commutes_with`` and
+    ``is_p_torsion``; the JSON and lifting helpers are for tensors."""
 
-    generators: tuple[TensorElement, ...]
-    j: TensorElement
+    generators: tuple[TensorElement | HWElement, ...]
+    j: TensorElement | HWElement
 
     def __post_init__(self):
         ps = {g.p for g in self.generators} | {self.j.p}
@@ -198,9 +219,10 @@ def _co_row_pairs(system: LCS) -> set[tuple[int, int]]:
 def check_solution_conditions(
     system: LCS, assignment: GeneratorAssignment
 ) -> SolutionConditionReport:
-    """Evaluate the three conditions exactly.  Row products are taken in
-    ascending generator index; on valid inputs co-row generators commute, so
-    the fixed order only pins down diagnostics for invalid ones."""
+    """Evaluate the three conditions exactly, for tensor and Heisenberg-Weyl
+    assignments alike.  Row products are taken in ascending generator index;
+    on valid inputs co-row generators commute, so the fixed order only pins
+    down diagnostics for invalid ones."""
     if system.d != assignment.p:
         raise PrimeMismatchError(
             f"system modulus {system.d} differs from assignment prime {assignment.p}"
@@ -209,7 +231,6 @@ def check_solution_conditions(
         raise ShapeMismatchError(
             f"system has {system.n_cols} generators, assignment has {len(assignment.generators)}"
         )
-    p, n_sites = assignment.p, assignment.n_sites
 
     torsion_failures = [
         f"g{k + 1}" for k, g in enumerate(assignment.generators) if not g.is_p_torsion()
@@ -227,48 +248,13 @@ def check_solution_conditions(
 
     constraint_failures = []
     for i, (row, rhs) in enumerate(zip(system.A, system.b)):
-        product = TensorElement.identity(p, n_sites)
+        product = type(assignment.j).identity(assignment.p, assignment.n_sites)
         for k, exponent in enumerate(row):
             if exponent:
                 product = product * assignment.generators[k] ** exponent
         if product != assignment.j**rhs:
             constraint_failures.append(i)
 
-    return SolutionConditionReport(
-        torsion=not torsion_failures,
-        commutativity=not commuting_failures,
-        constraints=not constraint_failures,
-        torsion_failures=tuple(torsion_failures),
-        commuting_failures=tuple(commuting_failures),
-        constraint_failures=tuple(constraint_failures),
-    )
-
-
-def check_solution_conditions_hw(
-    system: LCS, generators: Sequence[HWElement], j: HWElement
-) -> SolutionConditionReport:
-    """The same three conditions for Heisenberg-Weyl assignments."""
-    p = j.p
-    identity = HWElement.identity(p, j.n_sites)
-    torsion_failures = [
-        f"g{k + 1}" for k, g in enumerate(generators) if g**p != identity
-    ]
-    if j**p != identity:
-        torsion_failures.append("J")
-    commuting_failures = [
-        (-1, k) for k, g in enumerate(generators) if not j.commutes_with(g)
-    ]
-    for a, b in sorted(_co_row_pairs(system)):
-        if not generators[a].commutes_with(generators[b]):
-            commuting_failures.append((a, b))
-    constraint_failures = []
-    for i, (row, rhs) in enumerate(zip(system.A, system.b)):
-        product = identity
-        for k, exponent in enumerate(row):
-            if exponent:
-                product = product * generators[k] ** exponent
-        if product != j**rhs:
-            constraint_failures.append(i)
     return SolutionConditionReport(
         torsion=not torsion_failures,
         commutativity=not commuting_failures,
@@ -329,14 +315,15 @@ def reduce_to_classical(
     report = check_solution_conditions(system, assignment)
     if not report.is_quantum_solution:
         raise ValueError(f"assignment is not a quantum solution: {report}")
-    hw_gens = [phi(g, variant) for g in assignment.generators]
-    hw_j = phi(assignment.j, variant)
-    hw_report = check_solution_conditions_hw(system, hw_gens, hw_j)
+    projected = GeneratorAssignment(
+        tuple(phi(g, variant) for g in assignment.generators), phi(assignment.j, variant)
+    )
+    hw_report = check_solution_conditions(system, projected)
     if not hw_report.is_quantum_solution:
         raise ValueError(
             f"projected assignment fails the solution conditions: {hw_report}"
         )
-    x = tuple(value_map_nu(g) for g in hw_gens)
+    x = tuple(value_map_nu(g) for g in projected.generators)
     if not check_classical(system, x):
         raise ValueError("value map did not produce a classical solution")
     return x

@@ -140,13 +140,6 @@ def ghz_branch_exponents(element: TensorElement) -> tuple[int, list[int]]:
     return level, [y % pl for y in ys]
 
 
-def ghz_image_coefficients(element: TensorElement) -> tuple[Phase, ...]:
-    """Coefficient attached to the image of each GHZ branch |q>^(x)N; the
-    branch maps to that multiple of |q + b_1> (x) ... (x) |q + b_N>."""
-    level, ys = ghz_branch_exponents(element)
-    return tuple(reduced_phase(element.p, level, y) for y in ys)
-
-
 def ghz_evaluate(element: TensorElement) -> Optional[Phase]:
     """The eigenvalue of the tensor on the N-site GHZ state, or None when the
     state is not an eigenstate (unequal shifts, or a non-constant branch
@@ -177,9 +170,6 @@ class OutputTable:
 
     def inputs(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(self.p), repeat=self.n_inputs)
-
-    def as_dict(self) -> dict[tuple[int, ...], Optional[int]]:
-        return dict(zip(self.inputs(), self.outputs))
 
 
 def output_table(spec: MbqcSpec) -> OutputTable:

@@ -125,6 +125,9 @@ class HWElement:
     def commutes_with(self, other: HWElement) -> bool:
         return self.commutator_exponent(other) == 0
 
+    def is_p_torsion(self) -> bool:
+        return self**self.p == HWElement.identity(self.p, self.n_sites)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, HWElement):
             return NotImplemented
@@ -188,6 +191,15 @@ def p_map(xi: PhaseFunction) -> HWElement:
     )
 
 
+def _unit_site(element: KElement, variant: str) -> HWElement:
+    """Image of a site with shift 0 or 1: ``r_map`` of a diagonal, ``p_map``
+    of a unit shift with the shift kept."""
+    if element.b == 0:
+        return r_map(element.xi, variant)
+    affine = p_map(element.xi)
+    return HWElement(affine.c, affine.a, (1,))
+
+
 def phi_local(element: KElement, variant: str = PROOF) -> HWElement:
     """Single-site projection of a p-torsion element, p odd.
 
@@ -201,13 +213,10 @@ def phi_local(element: KElement, variant: str = PROOF) -> HWElement:
         raise EvenPrimeError("single-site projection is defined for odd primes")
     if not element.is_p_torsion():
         raise NonTorsionError("projection of a single site needs a p-torsion element")
-    if element.b == 0:
-        return r_map(element.xi, variant)
-    if element.b == 1:
-        affine = p_map(element.xi)
-        return HWElement(affine.c, affine.a, (1,))
-    y = modinv(element.b, p)
-    return phi_local(element**y, variant) ** element.b
+    if element.b > 1:
+        y = modinv(element.b, p)
+        return phi_local(element**y, variant) ** element.b
+    return _unit_site(element, variant)
 
 
 def phi(element: TensorElement, variant: str = PROOF) -> HWElement:
@@ -266,19 +275,6 @@ class EvenPrimeReport:
     homomorphism_fails: bool
 
 
-def _phi2(element: KElement) -> HWElement:
-    """The affine-truncation analogue of the projection at p = 2."""
-    if element.b == 0:
-        coeffs = element.xi.decompose(max(2, element.xi.value_level()))
-        return HWElement(
-            Phase.omega(2, coeffs.coefficient(1, 0) + coeffs.coefficient(2, 0)),
-            (coeffs.coefficient(1, 1),),
-            (0,),
-        )
-    affine = p_map(element.xi)
-    return HWElement(affine.c, affine.a, (1,))
-
-
 def even_prime_counterexample() -> EvenPrimeReport:
     """Construct the order-4-diagonal pair M = S_{xi1}X, N = S_{xi2}X with
     xi1(q) = (-1)^(1+q) i and xi2(q) = (-1)^q i, and exhibit that the p = 2
@@ -297,9 +293,11 @@ def even_prime_counterexample() -> EvenPrimeReport:
     product = m1 * m2
     product_is_minus = product == minus_identity
 
-    phi_m1 = _phi2(m1)
-    phi_m2 = _phi2(m2)
-    phi_of_product = _phi2(product)
+    # every shift is 0 or 1 at p = 2; the displayed scalar is the affine
+    # truncation omega^(theta_{1,0} + theta_{2,0})
+    phi_m1 = _unit_site(m1, DISPLAYED)
+    phi_m2 = _unit_site(m2, DISPLAYED)
+    phi_of_product = _unit_site(product, DISPLAYED)
     phi_images = phi_m1 * phi_m2
     return EvenPrimeReport(
         m1=m1,

@@ -40,6 +40,7 @@ from .lcs import (
     check_classical,
     check_solution_conditions,
     mermin_fixtures,
+    null_space,
     reduce_to_classical,
     solve_classical,
 )
@@ -104,10 +105,11 @@ def _report(suite: str, config: dict, checks: Sequence[CheckResult], seed=None) 
 class KGroupTable:
     """Integer index tables for one enumerated single-site group.
 
-    An element's key is its stored representation (table level, exponent
-    tuple, shift), so looking up the index of an object-API element costs
-    one dict lookup.  The per-element arrays are computed on first use and
-    kept; the Cayley table ``mul`` is built lazily too.
+    Elements are keyed by themselves (equality and hashing read the stored
+    table level, exponent tuple and shift), so looking up the index of an
+    object-API element costs one dict lookup.  The per-element arrays are
+    computed on first use and kept; the Cayley table ``mul`` is built lazily
+    too.
     """
 
     def __init__(self, p: int, m: int):
@@ -116,18 +118,14 @@ class KGroupTable:
         self.pm = p**m
         self.elements = enumerate_kgroup(p, m)
         self.n = len(self.elements)
-        self.index = {self.key(e): i for i, e in enumerate(self.elements)}
+        self.index = {e: i for i, e in enumerate(self.elements)}
         self._mul: Optional[np.ndarray] = None
         self._commutant: Optional[np.ndarray] = None
         self._pow: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    @staticmethod
-    def key(e: KElement) -> tuple:
-        return (e.xi.m, e.xi.exps, e.b)
-
     def idx(self, e: KElement) -> int:
-        return self.index[self.key(e)]
+        return self.index[e]
 
     @cached_property
     def b(self) -> np.ndarray:
@@ -138,9 +136,9 @@ class KGroupTable:
         if self._mul is None:
             n = self.n
             table = np.empty((n, n), dtype=np.int32)
-            index, key = self.index, self.key
+            index = self.index
             for i, a in enumerate(self.elements):
-                table[i] = [index[key(a * c)] for c in self.elements]
+                table[i] = [index[a * c] for c in self.elements]
             self._mul = table
         return self._mul
 
@@ -541,7 +539,7 @@ def suite_commuting_pairs(p: int = 3, m: int = 2) -> SuiteReport:
     return _report("commuting-pairs", {"p": p, "m": m}, checks)
 
 
-def suite_subgroups(p: int, m: int, budget: Optional[int] = None) -> SuiteReport:
+def suite_subgroups(p: int = 3, m: int = 2, budget: Optional[int] = None) -> SuiteReport:
     """Maximal p-torsion abelian classification; dihedral structure at p=2."""
     checks = []
     if p == 2:
@@ -732,6 +730,10 @@ def _phi_check_quadruples(
     return failures, witness
 
 
+# quadruples per numpy batch of the two-site sweep, which bounds its memory
+PHI_CHUNK = 1 << 20
+
+
 def suite_phi(
     p: int = 3,
     m: int = 2,
@@ -739,7 +741,6 @@ def suite_phi(
     variant: str = PROOF,
     samples: int = 10000,
     seed: int = 23,
-    chunk: int = 1 << 20,
 ) -> SuiteReport:
     """The homomorphism law on commuting torsion pairs: exhaustive at p=3 for
     one and two sites, randomized at p=5 up to three sites, plus torsion,
@@ -786,8 +787,8 @@ def suite_phi(
                 if c2 != key2_c or (ta + tc) % p or (tb + td) % p:
                     continue
                 n1, n2 = len(pairs1), len(pairs2)
-                for start in range(0, n1 * n2, chunk):
-                    stop = min(start + chunk, n1 * n2)
+                for start in range(0, n1 * n2, PHI_CHUNK):
+                    stop = min(start + PHI_CHUNK, n1 * n2)
                     idx = np.arange(start, stop)
                     q1 = pairs1[idx // n2]
                     q2 = pairs2[idx % n2]
@@ -988,36 +989,6 @@ def suite_symplectic(
     )
 
 
-def _null_space(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right null space of a matrix over Z_p."""
-    rows = [list(r) for r in matrix]
-    n = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = modinv(rows[r][col], p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for f_col in free:
-        vec = [0] * n
-        vec[f_col] = 1
-        for row_idx, col in enumerate(pivots):
-            vec[col] = (-rows[row_idx][f_col]) % p
-        basis.append(vec)
-    return basis
-
-
 def _random_combination(rng: random.Random, basis: list[list[int]], p: int) -> list[int]:
     out = [0] * len(basis[0])
     for vec in basis:
@@ -1061,7 +1032,7 @@ def _random_solution_instance(
                 )
                 for k in range(n_gens)
             ]
-            null = _null_space([list(col) for col in zip(*slopes)], p)
+            null = null_space([list(col) for col in zip(*slopes)], p)
             if not null:
                 continue
             rows = [_random_combination(rng, null, p) for _ in range(3)]
@@ -1078,7 +1049,7 @@ def _random_solution_instance(
             TensorElement.scalar(Phase.omega(p, a), n_sites) * base**e
             for a, e in zip(consts, exps)
         ]
-        null = _null_space([exps], p)
+        null = null_space([exps], p)
         if not null:
             continue
         rows = [_random_combination(rng, null, p) for _ in range(3)]

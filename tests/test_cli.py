@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lcsmbqc import TensorElement, mermin_fixtures, qudit_star_spec
+from lcsmbqc import KElement, PhaseFunction, TensorElement, mermin_fixtures, qudit_star_spec
 from lcsmbqc.cli import main
 
 
@@ -197,3 +197,37 @@ def test_check_requires_candidate_or_assignment(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["lcs", "check", "--lcs", str(system_file)])
     assert exc.value.code == 2
+
+
+def _non_torsion_tensor():
+    site = KElement(PhaseFunction.from_exponents(3, 2, (1, 4, 4)), 0)
+    return TensorElement.of_sites([site]).to_json()
+
+
+@pytest.mark.parametrize(
+    "args, content",
+    [
+        (["lcs", "solve", "--lcs", "{f}"], '{"d": 4, "A": [[1]], "b": [1]}'),
+        (["lcs", "solve", "--lcs", "{f}"], '{"d": 3, "A": [[1]]'),
+        (["lcs", "solve", "--lcs", "{f}"], '{"d": 3, "A": [[1]]}'),
+        (["verify", "phi", "--p", "2", "--n", "1", "--samples", "0"], None),
+        (["verify", "torsion", "--p", "0"], None),
+        (["phi", "--tensor", "{f}"], _non_torsion_tensor),
+    ],
+    ids=[
+        "composite-modulus",
+        "malformed-json",
+        "missing-key",
+        "phi-even-prime",
+        "torsion-p0",
+        "phi-non-torsion",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content()))
+    assert run([a.format(f=path) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

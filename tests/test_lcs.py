@@ -28,9 +28,9 @@ from lcsmbqc.errors import (
     ShapeMismatchError,
     UnsupportedModulusError,
 )
-from lcsmbqc.lcs import brute_force_solve
+from lcsmbqc.lcs import brute_force_solve, null_space
 from lcsmbqc.mbqc import MbqcSpec, SiteSpec
-from lcsmbqc.projection import phi, value_map_nu
+from lcsmbqc.projection import HWElement, phi, value_map_nu
 
 
 def test_lcs_entries_reduced():
@@ -74,6 +74,34 @@ def test_solver_agrees_with_brute_force():
         assert (got is None) == (brute is None)
         if got is not None:
             assert check_classical(system, got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_null_space_against_brute_force(p):
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        n = rng.randrange(1, 5 if p == 5 else 6)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(1, 5))]
+        basis = null_space(rows, p)
+        for vec in basis:
+            assert all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows)
+        kernel = sum(
+            1
+            for vec in itertools.product(range(p), repeat=n)
+            if all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows)
+        )
+        assert p ** len(basis) == kernel
+        # independent, so the basis spans the kernel
+        combos = {
+            tuple(sum(c * vec[k] for c, vec in zip(coefs, basis)) % p for k in range(n))
+            for coefs in itertools.product(range(p), repeat=len(basis))
+        }
+        assert len(combos) == kernel
+
+
+def test_solver_sets_free_variables_to_zero():
+    assert solve_classical(LCS(3, ((1, 1),), (2,))) == (2, 0)
+    assert solve_classical(LCS(5, ((1, 2, 0, 3), (0, 0, 1, 4)), (3, 2))) == (3, 0, 2, 0)
 
 
 def test_solver_rejects_composite_modulus():
@@ -121,6 +149,29 @@ def test_condition_report_names_failures():
     assert "g1" in report.torsion_failures
     assert not report.constraints
     assert report.constraint_failures == (0,)
+
+    # the same checker on Heisenberg-Weyl assignments, with the failure
+    # tuples of the former HW-only checker
+    z = HWElement(Phase.one(3), (1,), (0,))
+    x = HWElement(Phase.one(3), (0,), (1,))
+    omega = HWElement.scalar(Phase.omega(3), 1)
+    root = HWElement.scalar(Phase(3, 2, 1), 1)
+    cases = [
+        # a non-commuting co-row pair
+        (LCS(3, ((1, 1),), (0,)), (z, x), omega, (), ((0, 1),), (0,)),
+        # J does not commute with a generator
+        (LCS(3, ((1,),), (1,)), (z,), x, (), ((-1, 0),), (0,)),
+        # commuting and torsion, but the second row fails
+        (LCS(3, ((1, 1), (1, 0)), (0, 1)), (z, z**2), omega, (), (), (1,)),
+        # a generator that is not 3-torsion
+        (LCS(3, ((1, 1),), (1,)), (root, omega), omega, ("g1",), (), (0,)),
+    ]
+    for system, gens, j, torsion, commuting, constraints in cases:
+        report = check_solution_conditions(system, GeneratorAssignment(gens, j))
+        assert report.torsion_failures == torsion
+        assert report.commuting_failures == commuting
+        assert report.constraint_failures == constraints
+        assert not report.is_quantum_solution
 
 
 def test_star_family_operator_but_not_quantum():
