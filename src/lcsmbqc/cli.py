@@ -80,7 +80,9 @@ def _load_json(path: str) -> dict:
 
 def _load_assignment(path: str) -> GeneratorAssignment:
     data = _load_json(path)
-    if isinstance(data, dict) and "generators" in data:
+    if not isinstance(data, dict):
+        raise TypeError(f"an assignment file holds a JSON object, not {type(data).__name__}")
+    if "generators" in data:
         return GeneratorAssignment.from_json(data)
     # also accept a plain {index: tensor} map with J defaulted
     items = sorted(data.items(), key=lambda kv: int(kv[0]))

@@ -73,12 +73,16 @@ def check_classical(system: LCS, x: Sequence[int]) -> bool:
     return True
 
 
-def row_reduce(matrix: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+def row_reduce(
+    matrix: Sequence[Sequence[int]], p: int, n_cols: int
+) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination over the field Z_p, p prime: the reduced row
-    echelon form, nonzero rows first, and the pivot column of each of them."""
+    echelon form, nonzero rows first, and the pivot column of each of them.
+    Pivots are taken in the first ``n_cols`` columns; later columns, such as
+    a right-hand side, are carried along."""
     rows = [list(row) for row in matrix]
     pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
+    for col in range(n_cols):
         r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
         if pivot is None:
@@ -96,8 +100,8 @@ def row_reduce(matrix: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]]
 
 def null_space(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Basis of the right null space over Z_p, one vector per free column."""
-    rows, pivots = row_reduce(matrix, p)
-    n = len(rows[0]) if rows else 0
+    n = len(matrix[0]) if matrix else 0
+    rows, pivots = row_reduce(matrix, p, n)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         vec = [0] * n
@@ -110,12 +114,12 @@ def null_space(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
 
 def solve_classical(system: LCS) -> Optional[tuple[int, ...]]:
     """One solution of A x = b mod d (d prime) with every free variable 0, or
-    None when the system is inconsistent (a pivot in the right-hand side)."""
+    None when the system is inconsistent."""
     d, n = system.d, system.n_cols
     if not is_prime(d):
         raise UnsupportedModulusError(f"solving needs a prime modulus, got {d}")
-    rows, pivots = row_reduce([[*row, rhs] for row, rhs in zip(system.A, system.b)], d)
-    if n in pivots:
+    rows, pivots = row_reduce([[*row, rhs] for row, rhs in zip(system.A, system.b)], d, n)
+    if any(row[-1] % d for row in rows[len(pivots):]):
         return None
     x = [0] * n
     for row, col in zip(rows, pivots):

@@ -117,11 +117,6 @@ class HWElement:
             - sum(x * y for x, y in zip(other.a, self.b))
         ) % self.p
 
-    def commutator(self, other: HWElement) -> HWElement:
-        return HWElement.scalar(
-            Phase.omega(self.p, self.commutator_exponent(other)), self.n_sites
-        )
-
     def commutes_with(self, other: HWElement) -> bool:
         return self.commutator_exponent(other) == 0
 

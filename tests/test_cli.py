@@ -213,6 +213,7 @@ def _non_torsion_tensor():
         (["verify", "phi", "--p", "2", "--n", "1", "--samples", "0"], None),
         (["verify", "torsion", "--p", "0"], None),
         (["phi", "--tensor", "{f}"], _non_torsion_tensor),
+        (["lcs", "check", "--lcs", "{s}", "--assignment", "{f}"], "[1, 2]"),
     ],
     ids=[
         "composite-modulus",
@@ -221,13 +222,16 @@ def _non_torsion_tensor():
         "phi-even-prime",
         "torsion-p0",
         "phi-non-torsion",
+        "assignment-not-an-object",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content()))
-    assert run([a.format(f=path) for a in args]) == 2
+    system = tmp_path / "system.json"
+    system.write_text('{"d": 3, "A": [[1]], "b": [1]}')
+    assert run([a.format(f=path, s=system) for a in args]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
