@@ -22,6 +22,7 @@ from .cyclo import Phase, is_prime
 from .errors import (
     BudgetExceededError,
     EvenPrimeError,
+    LevelError,
     PrimeMismatchError,
     TorusMembershipError,
 )
@@ -277,6 +278,8 @@ def enumerate_kgroup(p: int, m: int, budget: Optional[int] = None) -> list[KElem
     """All elements of the level-m group; its order is p^(m(p-1)+1)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if m < 1:
+        raise LevelError(f"the group contains the omega scalars, so m >= 1; got {m}")
     count = p ** (m * (p - 1) + 1)
     if count > resolve_budget(budget):
         raise BudgetExceededError(f"|K| = {count} exceeds the enumeration budget")

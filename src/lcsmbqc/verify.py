@@ -469,7 +469,7 @@ def suite_torsion(p: int = 3, m: int = 2) -> SuiteReport:
         if e.b != 0:
             capable[i] = True
             continue
-        coeffs = e.xi.decompose(m)
+        coeffs = e.xi.decompose(max(m, 2))
         if all(coeffs.coefficient(2, a) == 0 for a in range(1, p)):
             capable[i] = True
             theta20[i] = coeffs.coefficient(2, 0)

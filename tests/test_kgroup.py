@@ -12,7 +12,7 @@ from lcsmbqc import (
     maximal_p_torsion_abelian,
     structural_p_torsion,
 )
-from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, TorusMembershipError
+from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError, TorusMembershipError
 from lcsmbqc.verify import random_k_element
 
 from exact_matrix import MonomialMatrix
@@ -178,6 +178,8 @@ def test_enumeration_counts():
     assert len(enumerate_kgroup(3, 1)) == 27
     assert len(enumerate_kgroup(3, 2)) == 243
     assert len(enumerate_kgroup(2, 2)) == 8
+    with pytest.raises(LevelError):
+        enumerate_kgroup(3, 0)
 
 
 def test_enumeration_budget():

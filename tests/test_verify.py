@@ -24,6 +24,8 @@ def test_lemma1_suite_passes():
 
 def test_torsion_suite_passes():
     assert verify.suite_torsion(3, 2).passed
+    # level 1 has no level-2 coefficients to read
+    assert verify.suite_torsion(3, 1).passed
 
 
 def test_commuting_pairs_suite_passes():
