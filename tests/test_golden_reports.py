@@ -6,8 +6,12 @@ digests for torsion through phi and the qudit-star demo digest were made by
 the object-per-phase implementation that preceded the integer-exponent
 representation; the lemma1 and subgroups digests and the mermin-square and
 ``lcs`` command digests were made before the row reduction, the
-solution-condition checker and the index-table keys were merged.  Each case
-runs at a small configuration so that the whole file stays fast.
+solution-condition checker and the index-table keys were merged; the
+two-site ``phi`` digests were made by the sweep that decided every
+quadruple on its own, before failures were counted from per-site defect
+histograms.  Each case runs at a small configuration so that the whole file
+stays fast, except the exhaustive level-2 two-site sweep, which is the case
+those digests exist for.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ import json
 import pytest
 
 from lcsmbqc import (
+    DISPLAYED,
     GeneratorAssignment,
     KElement,
     LCS,
@@ -70,7 +75,17 @@ SUITE_DIGESTS = {
         lambda: verify.suite_subgroups(2, 2),
         "fc5bbcd23185c1985341b3d9f2197932c60994fe63e31db1b08d961a6ceb6dd6",
     ),
+    "phi-two-site-3-2": (
+        lambda: verify.suite_phi(3, 2, n=2, samples=0),
+        "a8d4ce22fde4918d61df882f1c8cdb73d471e1672bcc276f10fbd4a6645949ef",
+    ),
+    "phi-two-site-3-1": (
+        lambda: verify.suite_phi(3, 1, n=2, samples=0),
+        "eb50b6af01a38a2125d28ded696e7c71647cf7c393f13f4298edb33ebee98a2b",
+    ),
 }
+
+DISPLAYED_TWO_SITE_DIGEST = "96c5f79fc7808d06fca04891d1ccecf440e66369c117664786dd0339a9eab648"
 
 QUDIT_STAR_P5_DIGEST = "fb933639bd59391284f5849855a49dcc6d10bcb14eb57433e60ec06a3446d99f"
 
@@ -85,6 +100,19 @@ def test_suite_report_matches_golden_digest(suite):
     report = run()
     assert report.passed
     assert _sha256(json.dumps(report.to_json(), sort_keys=True).encode()) == expected
+
+
+def test_displayed_two_site_report_matches_golden_digest():
+    """The affine truncation fails the exhaustive level-2 two-site sweep; the
+    digest pins the failure count and the first counterexample."""
+    report = verify.suite_phi(3, 2, n=2, samples=0, variant=DISPLAYED)
+    two_site = report.checks[1]
+    assert not two_site.passed
+    assert two_site.count == 11_711_385
+    assert two_site.detail.startswith("26244 failures, e.g. E = (KElement(")
+    assert _sha256(json.dumps(report.to_json(), sort_keys=True).encode()) == (
+        DISPLAYED_TWO_SITE_DIGEST
+    )
 
 
 def test_qudit_star_demo_report_matches_golden_digest(tmp_path):
