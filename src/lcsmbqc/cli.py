@@ -6,7 +6,7 @@ produce identical bytes; tables are CSV.  Exit codes: 0 all verdicts hold,
 1 a property or expected verdict failed, 2 usage errors and bad input
 (unreadable or malformed files, invalid values, exhausted budgets), each
 reported on one stderr line.  ``verify`` forwards every flag that is given
-and that the suite's signature accepts.
+to the suite and refuses a flag that the suite's signature does not accept.
 """
 
 from __future__ import annotations
@@ -73,9 +73,18 @@ def _write_table_csv(table, path_or_stdout: Optional[str]) -> None:
         writer.writerows(rows)
 
 
+def _reject_non_integer(text: str):
+    raise ValueError(f"JSON numbers must be integers, got {text}")
+
+
+def _parse_json(fh) -> dict:
+    """JSON from an open file; every number in the input must be an integer."""
+    return json.load(fh, parse_float=_reject_non_integer, parse_constant=_reject_non_integer)
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh)
 
 
 def _load_assignment(path: str) -> GeneratorAssignment:
@@ -185,12 +194,17 @@ def cmd_demo(args) -> int:
 def cmd_verify(args) -> int:
     suite_fn = verify.SUITES[args.suite]
     accepted = inspect.signature(suite_fn).parameters
-    kwargs = {
+    given = {
         name: value
         for name, value in vars(args).items()
-        if name in accepted and value is not None
+        if value is not None and name not in ("command", "func", "suite", "out")
     }
-    report = suite_fn(**kwargs)
+    unknown = [name for name in given if name not in accepted]
+    if unknown:
+        flags = ", ".join(f"--{name}" for name in unknown)
+        print(f"verify {args.suite} does not take {flags}", file=sys.stderr)
+        return EXIT_USAGE
+    report = suite_fn(**given)
     _emit(report.to_json(), args.out)
     for check in report.checks:
         mark = "PASS" if check.passed else "FAIL"
@@ -274,7 +288,7 @@ def cmd_lcs(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    data = _load_json(args.tensor) if args.tensor else json.load(sys.stdin)
+    data = _load_json(args.tensor) if args.tensor else _parse_json(sys.stdin)
     element = TensorElement.from_json(data)
     image = phi(element, args.variant)
     _emit(image.to_json(), args.out)
@@ -321,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--p", type=int, default=None)
     ver.add_argument("--m", type=int, default=None)
     ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--variant", choices=VARIANTS, default=PROOF)
+    ver.add_argument("--variant", choices=VARIANTS, default=None)
     ver.add_argument("--samples", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--budget", type=int, default=None)

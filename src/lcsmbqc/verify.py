@@ -1,11 +1,15 @@
 """Exhaustive and randomized verification suites.
 
 Exhaustive sweeps over the level-2 qutrit group run on integer index tables
-(Cayley table, scalar-commutant table, per-element projection data) derived
-once from the object API; the quadratic and quartic pair sweeps then reduce
-to numpy array arithmetic.  Randomized suites exercise the object API
-directly with a seeded generator, so re-running a suite with the same
-configuration reproduces it bit for bit.
+(Cayley table, scalar-commutant table, per-element projection data).  The
+Cayley table is built from the elements' exponent arrays; the per-element
+data come once from the object API.  The quadratic pair sweeps then reduce
+to numpy array arithmetic.  The two-site homomorphism test separates by
+site, so the quartic sweep over commuting torsion quadruples is decided
+from per-site defect histograms: every quadruple is counted, and none is
+materialised.  Randomized suites exercise the object API directly with a
+seeded generator, so re-running a suite with the same configuration
+reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,18 +18,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .cyclo import Phase
-from .errors import EvenPrimeError, LevelError
+from .errors import BudgetExceededError, EvenPrimeError, LevelError
 from .kgroup import (
     KElement,
     classify_commuting_pair,
     dihedral_check,
     enumerate_kgroup,
     maximal_p_torsion_abelian,
+    resolve_budget,
     structural_p_torsion,
 )
 from .ktensor import (
@@ -44,7 +49,7 @@ from .lcs import (
     reduce_to_classical,
     solve_classical,
 )
-from .phase_fn import LevelCoefficients, PhaseFunction, modinv
+from .phase_fn import LevelCoefficients, PhaseFunction, at_level, modinv
 from .projection import (
     DISPLAYED,
     PROOF,
@@ -108,8 +113,9 @@ class KGroupTable:
     Elements are keyed by themselves (equality and hashing read the stored
     table level, exponent tuple and shift), so looking up the index of an
     object-API element costs one dict lookup.  The per-element arrays are
-    computed on first use and kept; the Cayley table ``mul`` is built lazily
-    too.
+    computed on first use and kept.  The Cayley table ``mul`` is built
+    lazily, within the enumeration budget, from the level-m exponent arrays
+    and shifts of the elements with no object-API product.
     """
 
     def __init__(self, p: int, m: int):
@@ -133,12 +139,34 @@ class KGroupTable:
 
     @property
     def mul(self) -> np.ndarray:
+        """The Cayley table, built from the exponent arrays: the product
+        (xi, b)(xi', b') has exponents xi[q] + xi'[q - b] mod p^m and shift
+        b + b', and its index is found by searching the sorted integer keys
+        of the elements, one block of left factors per shift value."""
         if self._mul is None:
-            n = self.n
+            n, p, pm = self.n, self.p, self.pm
+            if n * n > resolve_budget():
+                raise BudgetExceededError(
+                    f"the {n}x{n} Cayley table exceeds the enumeration budget"
+                )
+            if pm**p * p > np.iinfo(np.int64).max:
+                raise BudgetExceededError(f"element keys at p={p}, m={self.m} overflow int64")
+            exps = np.array([at_level(e.xi, self.m) for e in self.elements], dtype=np.int64)
+            weights = pm ** np.arange(p, dtype=np.int64)
+            keys = exps @ weights * p + self.b
+            order = np.argsort(keys)
+            sorted_keys = keys[order]
             table = np.empty((n, n), dtype=np.int32)
-            index = self.index
-            for i, a in enumerate(self.elements):
-                table[i] = [index[a * c] for c in self.elements]
+            for shift in range(p):
+                rows = np.flatnonzero(self.b == shift)
+                packed = np.zeros((len(rows), n), dtype=np.int64)
+                for q in range(p):
+                    packed += (exps[rows, q, None] + exps[:, (q - shift) % p]) % pm * weights[q]
+                prod_keys = packed * p + (shift + self.b) % p
+                pos = np.searchsorted(sorted_keys, prod_keys).clip(max=n - 1)
+                if not (sorted_keys[pos] == prod_keys).all():
+                    raise AssertionError("a product left the enumerated group")
+                table[rows] = order[pos]
             self._mul = table
         return self._mul
 
@@ -369,6 +397,7 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
     exhaustively over the enumerated group."""
     table = group_table(p, m)
     elements = table.elements
+    mul = table.mul  # first, so an over-budget table is refused before the sweeps
     checks = []
 
     closed_ok = 0
@@ -391,7 +420,6 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
         )
     )
 
-    mul = table.mul
     diag = [i for i, e in enumerate(elements) if e.b == 0]
     pow_idx = table.power_indices(max_power)
     shift_of = {}
@@ -667,71 +695,88 @@ def suite_decomposition(p: int = 3, m: int = 2, samples: int = 1000, seed: int =
     )
 
 
-def _phi_pair_arrays(table: KGroupTable, variant: str):
-    """Site-pair index arrays grouped by (commutant, t, t'), restricted to
-    projection-capable elements."""
+class _PairGroup(NamedTuple):
+    """Site pairs (i, j) of one (commutant, t, t') group with the per-site
+    part of the homomorphism test: ``closed`` when every product lies in the
+    projection domain, ``good`` where phi(ij) has the clock and shift parts
+    of phi(i) phi(j), and the level-2 scalar ``defect`` mod p^2."""
+
+    pairs: np.ndarray
+    closed: bool
+    good: np.ndarray
+    defect: np.ndarray
+
+
+def _phi_pair_groups(table: KGroupTable, variant: str) -> dict[tuple[int, int, int], _PairGroup]:
+    """Scalar-commuting pairs of projection-capable elements grouped by
+    (commutant, t, t'), in order of first appearance in row-major order."""
+    p = table.p
+    ok, s2, a, b = table.phi_data(variant)
     commutant = table.commutant
-    ppow = table.ppow
-    ok = table.phi_data(variant)[0]
-    groups: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for i in range(table.n):
-        if not ok[i]:
-            continue
-        for j in range(table.n):
-            if not ok[j]:
-                continue
-            c = commutant[i, j]
-            if c < 0:
-                continue
-            groups.setdefault((int(c), int(ppow[i]), int(ppow[j])), []).append((i, j))
-    return {
-        key: np.array(pairs, dtype=np.int32) for key, pairs in groups.items()
-    }
+    first, second = np.nonzero(ok[:, None] & ok[None, :] & (commutant >= 0))
+    keys = np.stack([commutant[first, second], table.ppow[first], table.ppow[second]], axis=1)
+    distinct, first_seen, labels = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    labels = labels.ravel()
+    groups = {}
+    for g in np.argsort(first_seen):
+        rows = np.flatnonzero(labels == g)
+        i, j = first[rows], second[rows]
+        prod = table.mul[i, j]
+        good = (a[prod] == (a[i] + a[j]) % p) & (b[prod] == (b[i] + b[j]) % p)
+        defect = (
+            s2[prod].astype(np.int64) - s2[i] - s2[j] + p * a[j].astype(np.int64) * b[i]
+        ) % (p * p)
+        key = tuple(int(v) for v in distinct[g])
+        groups[key] = _PairGroup(np.stack([i, j], axis=1), bool(ok[prod].all()), good, defect)
+    return groups
 
 
 def _phi_check_quadruples(
-    table: KGroupTable,
-    variant: str,
-    i1: np.ndarray,
-    j1: np.ndarray,
-    i2: np.ndarray,
-    j2: np.ndarray,
+    table: KGroupTable, first: _PairGroup, second: _PairGroup
 ) -> tuple[int, str]:
-    """Count homomorphism failures phi(EE') != phi(E)phi(E') over quadruple
-    index arrays describing pairs E = (i1, i2), E' = (j1, j2); returns the
-    failure count and a dump of the first counterexample."""
-    p = table.p
-    p2 = p * p
-    mul = table.mul
-    ok, s2, a, b = table.phi_data(variant)
-    prod1 = mul[i1, j1]
-    prod2 = mul[i2, j2]
-    if not (ok[prod1].all() and ok[prod2].all()):
+    """Count homomorphism failures phi(EE') != phi(E)phi(E') over every
+    quadruple E = (i1, i2), E' = (j1, j2) with (i1, j1) in ``first`` and
+    (i2, j2) in ``second``; returns the failure count and a dump of the first
+    counterexample in row-major order.
+
+    A quadruple passes when both site pairs are good and their defects sum to
+    0 mod p^2, so the passing count is a histogram lookup per first pair."""
+    if not (first.closed and second.closed):
         raise AssertionError("product of commuting torsion tensors left the domain")
-    lhs_s2 = (s2[prod1] + s2[prod2]) % p2
-    rhs_s2 = (
-        s2[i1] + s2[i2] + s2[j1] + s2[j2]
-        - p * (a[j1].astype(np.int32) * b[i1] + a[j2].astype(np.int32) * b[i2])
-    ) % p2
-    bad = lhs_s2 != rhs_s2
-    bad |= a[prod1] != (a[i1] + a[j1]) % p
-    bad |= a[prod2] != (a[i2] + a[j2]) % p
-    bad |= b[prod1] != (b[i1] + b[j1]) % p
-    bad |= b[prod2] != (b[i2] + b[j2]) % p
-    failures = int(bad.sum())
+    p2 = table.p**2
+    hist = np.bincount(second.defect[second.good], minlength=p2)
+    passing = np.where(first.good, hist[-first.defect % p2], 0)
+    n2 = len(second.pairs)
+    failures = len(first.pairs) * n2 - int(passing.sum())
     witness = ""
     if failures:
-        k = int(np.argmax(bad))
+        r1 = int(np.argmax(passing < n2))
+        passes = first.good[r1] & second.good & ((first.defect[r1] + second.defect) % p2 == 0)
+        r2 = int(np.argmax(~passes))
+        (i1, j1), (i2, j2) = first.pairs[r1], second.pairs[r2]
         els = table.elements
-        witness = (
-            f"E = ({els[i1[k]]!r}, {els[i2[k]]!r}), "
-            f"E' = ({els[j1[k]]!r}, {els[j2[k]]!r})"
-        )
+        witness = f"E = ({els[i1]!r}, {els[i2]!r}), E' = ({els[j1]!r}, {els[j2]!r})"
     return failures, witness
 
 
-# quadruples per numpy batch of the two-site sweep, which bounds its memory
-PHI_CHUNK = 1 << 20
+def _phi_two_site(table: KGroupTable, variant: str) -> tuple[int, int, str]:
+    """The exhaustive two-site homomorphism check: the number of quadruples
+    decided, the failures among them and the first counterexample."""
+    p = table.p
+    groups = _phi_pair_groups(table, variant)
+    total = failures = 0
+    first_witness = ""
+    for (c, t1, t2), first in groups.items():
+        second = groups.get((-c % p, -t1 % p, -t2 % p))
+        if second is None:
+            continue
+        count, witness = _phi_check_quadruples(table, first, second)
+        failures += count
+        first_witness = first_witness or witness
+        total += len(first.pairs) * len(second.pairs)
+    return total, failures, first_witness
 
 
 def suite_phi(
@@ -777,28 +822,7 @@ def suite_phi(
     )
 
     if n >= 2:
-        groups = _phi_pair_arrays(table, variant)
-        total = 0
-        failures = 0
-        first_witness = ""
-        for (c1, ta, tb), pairs1 in groups.items():
-            key2_c = (-c1) % p
-            for (c2, tc, td), pairs2 in groups.items():
-                if c2 != key2_c or (ta + tc) % p or (tb + td) % p:
-                    continue
-                n1, n2 = len(pairs1), len(pairs2)
-                for start in range(0, n1 * n2, PHI_CHUNK):
-                    stop = min(start + PHI_CHUNK, n1 * n2)
-                    idx = np.arange(start, stop)
-                    q1 = pairs1[idx // n2]
-                    q2 = pairs2[idx % n2]
-                    count, witness = _phi_check_quadruples(
-                        table, variant, q1[:, 0], q1[:, 1], q2[:, 0], q2[:, 1]
-                    )
-                    failures += count
-                    if witness and not first_witness:
-                        first_witness = witness
-                    total += stop - start
+        total, failures, first_witness = _phi_two_site(table, variant)
         checks.append(
             CheckResult(
                 "two-site homomorphism on all commuting torsion pairs",

@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from lcsmbqc import KElement, PhaseFunction, TensorElement, mermin_fixtures, qudit_star_spec
+from lcsmbqc import (
+    KElement,
+    PhaseFunction,
+    TensorElement,
+    mermin_fixtures,
+    qudit_star_spec,
+    verify,
+)
 from lcsmbqc.cli import main
 
 
@@ -215,6 +222,10 @@ def _non_torsion_tensor():
         (["verify", "subgroups", "--m", "0"], None),
         (["phi", "--tensor", "{f}"], _non_torsion_tensor),
         (["lcs", "check", "--lcs", "{s}", "--assignment", "{f}"], "[1, 2]"),
+        (["lcs", "solve", "--lcs", "{f}"], '{"d": 3, "A": [[1]], "b": [1.5]}'),
+        (["lcs", "solve", "--lcs", "{f}"], '{"d": 3.5, "A": [[1]], "b": [1]}'),
+        (["verify", "even-prime", "--samples", "5"], None),
+        (["verify", "pipeline", "--p", "7"], None),
     ],
     ids=[
         "composite-modulus",
@@ -225,6 +236,10 @@ def _non_torsion_tensor():
         "subgroups-m0",
         "phi-non-torsion",
         "assignment-not-an-object",
+        "non-integer-rhs",
+        "non-integer-modulus",
+        "even-prime-samples",
+        "pipeline-p",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
@@ -237,3 +252,22 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_names_the_flags_a_suite_does_not_take(capsys):
+    assert run(["verify", "even-prime", "--samples", "5", "--p", "7"]) == 2
+    assert capsys.readouterr().err.strip() == "verify even-prime does not take --p, --samples"
+
+
+def test_cayley_table_over_budget_exits_2(monkeypatch, capsys):
+    """The 27 elements of the level-1 qutrit group fit a budget of 100, its
+    27 x 27 Cayley table does not."""
+    monkeypatch.setenv("LCSMBQC_BUDGET", "100")
+    verify.group_table.cache_clear()
+    try:
+        assert run(["verify", "lemma1", "--p", "3", "--m", "1"]) == 2
+    finally:
+        verify.group_table.cache_clear()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("budget exceeded: the 27x27 Cayley table")

@@ -1,6 +1,9 @@
 import json
 
-from lcsmbqc import verify
+import numpy as np
+import pytest
+
+from lcsmbqc import DISPLAYED, PROOF, KElement, verify
 
 
 def test_suite_registry_names():
@@ -105,3 +108,141 @@ def test_group_table_matches_object_api():
         comm = table.commutant[i, j]
         expected = a.scalar_commutant(b)
         assert (comm < 0 and expected is None) or comm == expected
+
+
+def _listed_pairs(table, variant):
+    """Scalar-commuting pairs of projection-capable elements grouped by
+    (commutant, t, t'), listed in row-major order."""
+    ok = table.phi_data(variant)[0]
+    groups = {}
+    for i in range(table.n):
+        for j in range(table.n):
+            c = table.commutant[i, j]
+            if ok[i] and ok[j] and c >= 0:
+                key = (int(c), int(table.ppow[i]), int(table.ppow[j]))
+                groups.setdefault(key, []).append((i, j))
+    return {key: np.array(pairs) for key, pairs in groups.items()}
+
+
+def _chunked_two_site(table, variant, chunk=1 << 16):
+    """The two-site sweep that decides every quadruple on its own, in chunks
+    of quadruple index arrays: the reference for ``verify._phi_two_site``.
+    Returns the quadruple count, the failure count and the first witness."""
+    p = table.p
+    mul = table.mul
+    ok, s2, a, b = table.phi_data(variant)
+    groups = _listed_pairs(table, variant)
+    total = failures = 0
+    first_witness = ""
+    for (c1, ta, tb), pairs1 in groups.items():
+        for (c2, tc, td), pairs2 in groups.items():
+            if (c1 + c2) % p or (ta + tc) % p or (tb + td) % p:
+                continue
+            n1, n2 = len(pairs1), len(pairs2)
+            for start in range(0, n1 * n2, chunk):
+                idx = np.arange(start, min(start + chunk, n1 * n2))
+                (i1, j1), (i2, j2) = pairs1[idx // n2].T, pairs2[idx % n2].T
+                prod1, prod2 = mul[i1, j1], mul[i2, j2]
+                assert ok[prod1].all() and ok[prod2].all()
+                lhs_s2 = (s2[prod1] + s2[prod2]) % (p * p)
+                rhs_s2 = (
+                    s2[i1] + s2[i2] + s2[j1] + s2[j2]
+                    - p * (a[j1].astype(np.int64) * b[i1] + a[j2].astype(np.int64) * b[i2])
+                ) % (p * p)
+                bad = lhs_s2 != rhs_s2
+                bad |= a[prod1] != (a[i1] + a[j1]) % p
+                bad |= a[prod2] != (a[i2] + a[j2]) % p
+                bad |= b[prod1] != (b[i1] + b[j1]) % p
+                bad |= b[prod2] != (b[i2] + b[j2]) % p
+                failures += int(bad.sum())
+                total += len(idx)
+                if bad.any() and not first_witness:
+                    k = int(np.argmax(bad))
+                    els = table.elements
+                    first_witness = (
+                        f"E = ({els[i1[k]]!r}, {els[i2[k]]!r}), "
+                        f"E' = ({els[j1[k]]!r}, {els[j2[k]]!r})"
+                    )
+    return total, failures, first_witness
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+def test_two_site_histogram_count_equals_per_quadruple_sweep(variant):
+    table = verify.KGroupTable(3, 1)
+    expected = _chunked_two_site(table, variant)
+    assert expected[0] == 181_521
+    assert verify._phi_two_site(table, variant) == expected
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
+def test_pair_groups_follow_the_row_major_listing(p, m):
+    table = verify.group_table(p, m)
+    listed = _listed_pairs(table, PROOF)
+    groups = verify._phi_pair_groups(table, PROOF)
+    assert list(groups) == list(listed)
+    for key, pairs in listed.items():
+        assert groups[key].pairs.tolist() == pairs.tolist()
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+def test_two_site_planted_fault_matches_per_quadruple_sweep(monkeypatch, variant):
+    """A wrong level-2 scalar on one site and a wrong clock part on another
+    give failures; both sweeps count them alike and report the same first
+    counterexample."""
+    table = verify.KGroupTable(3, 1)
+    ok, s2, a, b = table.phi_data(variant)
+    capable = np.flatnonzero(ok)
+    s2, a = s2.copy(), a.copy()
+    s2[capable[-3]] = (s2[capable[-3]] + 1) % 9
+    a[capable[len(capable) // 2]] = (a[capable[len(capable) // 2]] + 1) % 3
+    monkeypatch.setitem(table._phi, variant, (ok, s2, a, b))
+    expected = _chunked_two_site(table, variant)
+    assert expected[1] > 0 and expected[2]
+    assert verify._phi_two_site(table, variant) == expected
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1), (3, 2)])
+def test_cayley_table_equals_object_api_products(p, m):
+    table = verify.KGroupTable(p, m)
+    expected = [[table.index[a * c] for c in table.elements] for a in table.elements]
+    assert table.mul.tolist() == expected
+
+
+def test_cayley_table_and_two_site_check_make_no_object_products(monkeypatch):
+    calls = []
+    product = KElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(KElement, "__mul__", counted)
+    verify.group_table.cache_clear()
+    table = verify.group_table(3, 2)
+    table.mul
+    verify._phi_two_site(table, PROOF)
+    assert calls == []
+
+
+def test_first_witness_row_after_passing_rows():
+    """When the second group is all good with one defect, the first failing
+    quadruple sits on a later row of the first group; the count and the
+    witness equal those of a quadruple-by-quadruple loop."""
+    table = verify.group_table(3, 1)
+    pairs1 = np.array([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)])
+    pairs2 = np.array([(12, 13), (14, 15), (16, 17)])
+    first = verify._PairGroup(
+        pairs1, True, np.array([1, 1, 1, 1, 0, 1], bool), np.array([5, 5, 5, 6, 5, 5])
+    )
+    second = verify._PairGroup(pairs2, True, np.ones(3, bool), np.array([4, 4, 4]))
+    bad = [
+        (r1, r2)
+        for r1 in range(len(pairs1))
+        for r2 in range(len(pairs2))
+        if not (first.good[r1] and second.good[r2] and (first.defect[r1] + second.defect[r2]) % 9 == 0)
+    ]
+    (i1, j1), (i2, j2) = pairs1[bad[0][0]], pairs2[bad[0][1]]
+    els = table.elements
+    witness = f"E = ({els[i1]!r}, {els[i2]!r}), E' = ({els[j1]!r}, {els[j2]!r})"
+    assert bad[0] == (3, 0)
+    assert verify._phi_check_quadruples(table, first, second) == (len(bad), witness)
