@@ -19,27 +19,11 @@ from typing import Optional
 
 from .errors import LevelError, PrimeMismatchError
 
-DEFAULT_MAX_LEVEL = 4
-
-_max_level = DEFAULT_MAX_LEVEL
+# cap on the canonical exponent level M of any Phase or phase table
+MAX_LEVEL = 4
 
 _new = object.__new__
 _set = object.__setattr__
-
-
-def max_level() -> int:
-    """Current cap on the exponent level M of any constructed Phase."""
-    return _max_level
-
-
-def set_max_level(m: int) -> int:
-    """Set the level cap for subsequent Phase construction; returns the old cap."""
-    global _max_level
-    if m < 0:
-        raise ValueError("max level must be non-negative")
-    old = _max_level
-    _max_level = m
-    return old
 
 
 def is_prime(n: int) -> bool:
@@ -63,8 +47,8 @@ def _canonical(p: int, M: int, e: int) -> tuple[int, int]:
         M -= 1
     if e == 0:
         M = 0
-    if M > _max_level:
-        raise LevelError(f"phase level {M} exceeds the configured cap {_max_level}")
+    if M > MAX_LEVEL:
+        raise LevelError(f"phase level {M} exceeds the cap {MAX_LEVEL}")
     return M, e
 
 

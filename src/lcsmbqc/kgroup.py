@@ -274,13 +274,18 @@ def enumerate_torus(p: int, m: int, budget: Optional[int] = None) -> list[PhaseF
     return tables
 
 
-def enumerate_kgroup(p: int, m: int, budget: Optional[int] = None) -> list[KElement]:
-    """All elements of the level-m group; its order is p^(m(p-1)+1)."""
+def kgroup_order(p: int, m: int) -> int:
+    """The order p^(m(p-1)+1) of the level-m group, for a prime p and m >= 1."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if m < 1:
         raise LevelError(f"the group contains the omega scalars, so m >= 1; got {m}")
-    count = p ** (m * (p - 1) + 1)
+    return p ** (m * (p - 1) + 1)
+
+
+def enumerate_kgroup(p: int, m: int, budget: Optional[int] = None) -> list[KElement]:
+    """All elements of the level-m group."""
+    count = kgroup_order(p, m)
     if count > resolve_budget(budget):
         raise BudgetExceededError(f"|K| = {count} exceeds the enumeration budget")
     torus = enumerate_torus(p, m, budget)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cyclo import Phase, is_prime, max_level, reduced_phase
+from .cyclo import MAX_LEVEL, Phase, is_prime, reduced_phase
 from .errors import LevelError, PrimeMismatchError, TorusMembershipError
 
 _new = object.__new__
@@ -140,8 +140,8 @@ def canonical_table(p: int, m: int, exps: Sequence[int]) -> PhaseFunction:
     while m and not any(e % p for e in exps):
         exps = [e // p for e in exps]
         m -= 1
-    if m > max_level():
-        raise LevelError(f"phase level {m} exceeds the configured cap {max_level()}")
+    if m > MAX_LEVEL:
+        raise LevelError(f"phase level {m} exceeds the cap {MAX_LEVEL}")
     return _table(p, m, tuple(exps))
 
 

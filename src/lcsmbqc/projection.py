@@ -13,6 +13,11 @@ Two variants of that scalar are implemented:
                  torsion tensors the site exponents sum to 0 mod p, so this
                  collapses to the plain affine truncation and fails the
                  homomorphism law exactly where the carries matter.
+
+Normal forms are integers: the scalar as its exponent mod p^2 (the carry
+level of ``proof``), the Z and X exponents mod p.  A ``Phase`` is built
+only where the scalar is read.  One routine gives the image of a site with
+shift 0 or 1 from a single ``decompose``; larger shifts go through a power.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cyclo import Phase
+from .cyclo import Phase, reduced_phase
 from .errors import (
     EvenPrimeError,
     LevelError,
@@ -28,7 +33,7 @@ from .errors import (
     PrimeMismatchError,
     ShapeMismatchError,
 )
-from .kgroup import KElement
+from .kgroup import KElement, structural_p_torsion
 from .ktensor import TensorElement
 from .phase_fn import PhaseFunction, modinv
 
@@ -36,15 +41,29 @@ PROOF = "proof"
 DISPLAYED = "displayed"
 VARIANTS = (PROOF, DISPLAYED)
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _hw(p: int, e: int, a: tuple[int, ...], b: tuple[int, ...]) -> HWElement:
+    """A normal form from e reduced mod p^2 and a, b reduced mod p, unchecked."""
+    out = _new(HWElement)
+    _set(out, "p", p)
+    _set(out, "e", e)
+    _set(out, "a", a)
+    _set(out, "b", b)
+    return out
+
 
 class HWElement:
     """Normal form c * (Z^a1 X^b1 (x) ... (x) Z^an X^bn), Z before X.
 
-    The scalar c is usually a power of omega; a p^2-root can appear while
-    per-site factors of the projection are being accumulated.
+    The scalar c = exp(2*pi*i * e / p^2) is stored as ``e`` mod p^2: usually
+    a power of omega (p divides e); a p^2-root appears while per-site factors
+    of the projection are accumulated.  ``c`` builds the ``Phase`` on read.
     """
 
-    __slots__ = ("c", "a", "b")
+    __slots__ = ("p", "e", "a", "b")
 
     def __init__(self, c: Phase, a: Iterable[int], b: Iterable[int]):
         p = c.p
@@ -52,16 +71,17 @@ class HWElement:
         b = tuple(x % p for x in b)
         if len(a) != len(b) or not a:
             raise ShapeMismatchError("Z- and X-exponent vectors must match and be non-empty")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set(self, "p", p)
+        _set(self, "e", c.exponent_at_level(2))  # LevelError above level 2
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __setattr__(self, name, value):
         raise AttributeError("HWElement is immutable")
 
     @property
-    def p(self) -> int:
-        return self.c.p
+    def c(self) -> Phase:
+        return reduced_phase(self.p, 2, self.e)
 
     @property
     def n_sites(self) -> int:
@@ -85,29 +105,30 @@ class HWElement:
         if not isinstance(other, HWElement):
             return NotImplemented
         self._check_shape(other)
+        p = self.p
         # X^b Z^a' = omega^{-a'b} Z^a' X^b per site
         cross = sum(ai * bi for ai, bi in zip(other.a, self.b))
-        return HWElement(
-            self.c * other.c * Phase.omega(self.p, -cross),
-            [x + y for x, y in zip(self.a, other.a)],
-            [x + y for x, y in zip(self.b, other.b)],
+        return _hw(
+            p,
+            (self.e + other.e - p * cross) % (p * p),
+            tuple((x + y) % p for x, y in zip(self.a, other.a)),
+            tuple((x + y) % p for x, y in zip(self.b, other.b)),
         )
 
     def inverse(self) -> HWElement:
-        cross = sum(ai * bi for ai, bi in zip(self.a, self.b))
-        return HWElement(
-            self.c.inverse() * Phase.omega(self.p, -cross),
-            [-x for x in self.a],
-            [-x for x in self.b],
-        )
+        return self**-1
 
     def __pow__(self, n: int) -> HWElement:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = HWElement.identity(self.p, self.n_sites)
-        for _ in range(n):
-            out = out * self
-        return out
+        """Closed form (c Z^a X^b)^n = c^n omega^{-a.b n(n-1)/2} Z^{na} X^{nb},
+        for every integer n."""
+        p = self.p
+        dot = sum(x * y for x, y in zip(self.a, self.b))
+        return _hw(
+            p,
+            (n * self.e - p * dot * (n * (n - 1) // 2)) % (p * p),
+            tuple(n * x % p for x in self.a),
+            tuple(n * x % p for x in self.b),
+        )
 
     def commutator_exponent(self, other: HWElement) -> int:
         """[self, other] = omega^(a.b' - a'.b)."""
@@ -121,15 +142,16 @@ class HWElement:
         return self.commutator_exponent(other) == 0
 
     def is_p_torsion(self) -> bool:
-        return self**self.p == HWElement.identity(self.p, self.n_sites)
+        # the p-th power has a = b = 0, so only its scalar can differ from 1
+        return (self**self.p).e == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HWElement):
             return NotImplemented
-        return (self.c, self.a, self.b) == (other.c, other.a, other.b)
+        return (self.p, self.e, self.a, self.b) == (other.p, other.e, other.a, other.b)
 
     def __hash__(self) -> int:
-        return hash((self.c, self.a, self.b))
+        return hash((self.p, self.e, self.a, self.b))
 
     def to_json(self) -> dict:
         return {"p": self.p, "c": self.c.to_json(), "a": list(self.a), "b": list(self.b)}
@@ -147,71 +169,51 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def r_map(xi: PhaseFunction, variant: str = PROOF) -> HWElement:
-    """Image of a diagonal site: the affine level-1 part as a Z power, plus
-    the level-2 constant as a scalar factor (see the module docstring for the
-    two treatments of that factor).
-
-    Requires all level >= 2 coefficients except the level-2 constant to
-    vanish, which is exactly the diagonal shape occurring inside torsion
-    tensors.
-    """
-    _check_variant(variant)
+def _site_image(xi: PhaseFunction, b: int, variant: str) -> HWElement:
+    """Image of a site (xi, b), b in {0, 1}: omega^{theta_{1,0}} Z^{theta_{1,1}}
+    X^b, times the level-2 constant of a diagonal in the variant's treatment.
+    A diagonal may have no other level >= 2 coefficient: that is the shape
+    of the diagonals inside torsion tensors."""
     p = xi.p
-    m = max(2, xi.value_level())
-    coeffs = xi.decompose(m)
-    for j in range(2, m + 1):
-        for a in range(p):
-            if coeffs.coefficient(j, a) and not (j == 2 and a == 0):
-                raise LevelError(
-                    "diagonal table has coefficients outside the affine-plus-"
-                    "level-2-constant shape"
-                )
+    coeffs = xi.decompose(max(2, xi.m))
     theta10 = coeffs.coefficient(1, 0)
     theta11 = coeffs.coefficient(1, 1)
-    theta20 = coeffs.coefficient(2, 0)
-    if variant == PROOF:
-        scalar = Phase(p, 2, p * theta10 + theta20)
-    else:
-        scalar = Phase.omega(p, theta10 + theta20)
-    return HWElement(scalar, (theta11,), (0,))
+    if b:
+        return _hw(p, p * theta10, (theta11,), (1,))
+    theta20, *rest = coeffs.theta[1]
+    if any(rest) or any(any(row) for row in coeffs.theta[2:]):
+        raise LevelError(
+            "diagonal table has coefficients outside the affine-plus-"
+            "level-2-constant shape"
+        )
+    e = p * theta10 + theta20 if variant == PROOF else p * ((theta10 + theta20) % p)
+    return _hw(p, e, (theta11,), (0,))
 
 
-def p_map(xi: PhaseFunction) -> HWElement:
-    """The affine level-1 part only: omega^{theta_{1,0}} Z^{theta_{1,1}}."""
-    m = max(1, xi.value_level())
-    coeffs = xi.decompose(m)
-    return HWElement(
-        Phase.omega(xi.p, coeffs.coefficient(1, 0)), (coeffs.coefficient(1, 1),), (0,)
-    )
-
-
-def _unit_site(element: KElement, variant: str) -> HWElement:
-    """Image of a site with shift 0 or 1: ``r_map`` of a diagonal, ``p_map``
-    of a unit shift with the shift kept."""
-    if element.b == 0:
-        return r_map(element.xi, variant)
-    affine = p_map(element.xi)
-    return HWElement(affine.c, affine.a, (1,))
+def r_map(xi: PhaseFunction, variant: str = PROOF) -> HWElement:
+    """Image of a diagonal site: the affine level-1 part as a Z power, plus
+    the level-2 constant as a scalar factor.  Raises ``LevelError`` for any
+    other level >= 2 coefficient."""
+    _check_variant(variant)
+    return _site_image(xi, 0, variant)
 
 
 def phi_local(element: KElement, variant: str = PROOF) -> HWElement:
     """Single-site projection of a p-torsion element, p odd.
 
-    Diagonal sites map through ``r_map``; a unit shift maps through ``p_map``
-    with the shift preserved; larger shifts b reduce to the unit-shift case
-    via the b-th power of the image of the b^-1-th power.
+    Diagonal and unit-shift sites map through the site image; larger shifts
+    b reduce to the unit-shift case via the b-th power of the image of the
+    b^-1-th power.
     """
     _check_variant(variant)
     p = element.p
     if p == 2:
         raise EvenPrimeError("single-site projection is defined for odd primes")
-    if not element.is_p_torsion():
+    if not structural_p_torsion(element):
         raise NonTorsionError("projection of a single site needs a p-torsion element")
     if element.b > 1:
-        y = modinv(element.b, p)
-        return phi_local(element**y, variant) ** element.b
-    return _unit_site(element, variant)
+        return phi_local(element ** modinv(element.b, p), variant) ** element.b
+    return _site_image(element.xi, element.b, variant)
 
 
 def phi(element: TensorElement, variant: str = PROOF) -> HWElement:
@@ -226,18 +228,16 @@ def phi(element: TensorElement, variant: str = PROOF) -> HWElement:
         raise EvenPrimeError("the projection pipeline is defined for odd primes")
     if not element.is_p_torsion():
         raise NonTorsionError("projection needs a p-torsion tensor")
-    c = element.global_phase
+    e = 0
     a_vec = []
     b_vec = []
     for site in element.sites:
-        if site.b == 0:
-            local = r_map(site.xi, variant)
-        else:
-            local = phi_local(site, variant)
-        c = c * local.c
+        local = _site_image(site.xi, 0, variant) if site.b == 0 else phi_local(site, variant)
+        e += local.e
         a_vec.append(local.a[0])
         b_vec.append(local.b[0])
-    return HWElement(c, a_vec, b_vec)
+    e += element.global_phase.exponent_at_level(2)
+    return _hw(p, e % (p * p), tuple(a_vec), tuple(b_vec))
 
 
 def value_map_nu(h: HWElement) -> int:
@@ -246,11 +246,10 @@ def value_map_nu(h: HWElement) -> int:
     central elements; defined for odd p and omega-power scalars."""
     if h.p == 2:
         raise EvenPrimeError("the value map is defined for odd primes")
-    c = h.c.as_omega_power()
-    if c is None:
+    if h.e % h.p:
         raise ValueError("value map needs an omega-power scalar")
     half = modinv(2, h.p)
-    return (c + half * sum(x * y for x, y in zip(h.a, h.b))) % h.p
+    return (h.e // h.p + half * sum(x * y for x, y in zip(h.a, h.b))) % h.p
 
 
 @dataclass(frozen=True)
@@ -290,9 +289,9 @@ def even_prime_counterexample() -> EvenPrimeReport:
 
     # every shift is 0 or 1 at p = 2; the displayed scalar is the affine
     # truncation omega^(theta_{1,0} + theta_{2,0})
-    phi_m1 = _unit_site(m1, DISPLAYED)
-    phi_m2 = _unit_site(m2, DISPLAYED)
-    phi_of_product = _unit_site(product, DISPLAYED)
+    phi_m1 = _site_image(m1.xi, m1.b, DISPLAYED)
+    phi_m2 = _site_image(m2.xi, m2.b, DISPLAYED)
+    phi_of_product = _site_image(product.xi, product.b, DISPLAYED)
     phi_images = phi_m1 * phi_m2
     return EvenPrimeReport(
         m1=m1,

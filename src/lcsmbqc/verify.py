@@ -29,6 +29,7 @@ from .kgroup import (
     classify_commuting_pair,
     dihedral_check,
     enumerate_kgroup,
+    kgroup_order,
     maximal_p_torsion_abelian,
     resolve_budget,
     structural_p_torsion,
@@ -114,24 +115,25 @@ class KGroupTable:
     table level, exponent tuple and shift), so looking up the index of an
     object-API element costs one dict lookup.  The per-element arrays are
     computed on first use and kept.  The Cayley table ``mul`` is built
-    lazily, within the enumeration budget, from the level-m exponent arrays
-    and shifts of the elements with no object-API product.
+    lazily from the level-m exponent arrays and shifts of the elements with
+    no object-API product; a group whose n x n table exceeds the enumeration
+    budget is refused before it is enumerated.
     """
 
     def __init__(self, p: int, m: int):
+        n = kgroup_order(p, m)
+        if n * n > resolve_budget():
+            raise BudgetExceededError(f"the {n}x{n} Cayley table exceeds the enumeration budget")
         self.p = p
         self.m = m
         self.pm = p**m
         self.elements = enumerate_kgroup(p, m)
-        self.n = len(self.elements)
+        self.n = n
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._mul: Optional[np.ndarray] = None
         self._commutant: Optional[np.ndarray] = None
         self._pow: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def idx(self, e: KElement) -> int:
-        return self.index[e]
 
     @cached_property
     def b(self) -> np.ndarray:
@@ -145,10 +147,6 @@ class KGroupTable:
         of the elements, one block of left factors per shift value."""
         if self._mul is None:
             n, p, pm = self.n, self.p, self.pm
-            if n * n > resolve_budget():
-                raise BudgetExceededError(
-                    f"the {n}x{n} Cayley table exceeds the enumeration budget"
-                )
             if pm**p * p > np.iinfo(np.int64).max:
                 raise BudgetExceededError(f"element keys at p={p}, m={self.m} overflow int64")
             exps = np.array([at_level(e.xi, self.m) for e in self.elements], dtype=np.int64)
@@ -172,7 +170,7 @@ class KGroupTable:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        return np.array([self.idx(e.inverse()) for e in self.elements], dtype=np.int32)
+        return np.array([self.index[e.inverse()] for e in self.elements], dtype=np.int32)
 
     @cached_property
     def scal(self) -> np.ndarray:
@@ -188,7 +186,7 @@ class KGroupTable:
 
     @cached_property
     def identity_index(self) -> int:
-        return self.idx(KElement.identity(self.p))
+        return self.index[KElement.identity(self.p)]
 
     def power_indices(self, max_power: int) -> np.ndarray:
         """pow[k, i] = index of elements[i] ** k for k = 0..max_power."""
@@ -240,7 +238,7 @@ class KGroupTable:
                 if e.b == 0 and ppow[i] < 0:
                     continue
                 ok[i] = True
-                s2[i] = local.c.exponent_at_level(2)
+                s2[i] = local.e
                 a[i] = local.a[0]
                 bb[i] = local.b[0]
             self._phi[variant] = (ok, s2, a, bb)
@@ -397,10 +395,9 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
     exhaustively over the enumerated group."""
     table = group_table(p, m)
     elements = table.elements
-    mul = table.mul  # first, so an over-budget table is refused before the sweeps
+    mul = table.mul
     checks = []
 
-    closed_ok = 0
     bad = None
     for e in elements:
         acc = KElement.identity(p)
@@ -409,8 +406,6 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
                 bad = (e, n)
                 break
             acc = acc * e
-        else:
-            closed_ok += 1
     checks.append(
         CheckResult(
             "power closed form equals iterated product",
@@ -425,7 +420,7 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
     shift_of = {}
     for j in diag:
         e = elements[j]
-        shift_of[j] = [table.idx(KElement(e.xi.shift(s), 0)) for s in range(p)]
+        shift_of[j] = [table.index[KElement(e.xi.shift(s), 0)] for s in range(p)]
 
     mismatches = 0
     total = 0
@@ -877,8 +872,8 @@ def suite_phi(
     for _ in range(2000):
         m1, m2, c = random_scalar_commuting_site_pair(rng2, p, m)
         if not (
-            (m1.b != 0 or ppow[table.idx(m1)] >= 0)
-            and (m2.b != 0 or ppow[table.idx(m2)] >= 0)
+            (m1.b != 0 or ppow[table.index[m1]] >= 0)
+            and (m2.b != 0 or ppow[table.index[m2]] >= 0)
         ):
             continue
         e1, e2 = TensorElement.of_sites([m1]), TensorElement.of_sites([m2])

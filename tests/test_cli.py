@@ -271,3 +271,27 @@ def test_cayley_table_over_budget_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("budget exceeded: the 27x27 Cayley table")
+
+
+def test_over_budget_table_is_refused_before_enumeration(monkeypatch, capsys):
+    """The level-2 group at p = 5 has 5^9 elements: its Cayley table is
+    refused from the group order alone, and a bad p or m still reports its
+    own error first."""
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
+    monkeypatch.setattr(verify, "enumerate_kgroup", enumerated)
+    verify.group_table.cache_clear()
+    try:
+        assert run(["verify", "lemma1", "--p", "5", "--m", "2"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "budget exceeded: the 1953125x1953125 Cayley table exceeds the enumeration budget"
+        )
+        assert run(["verify", "lemma1", "--p", "4", "--m", "2"]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ValueError: p must be prime")
+        assert run(["verify", "lemma1", "--p", "5", "--m", "0"]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: LevelError:")
+    finally:
+        verify.group_table.cache_clear()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -11,17 +12,107 @@ from lcsmbqc import (
     Phase,
     PhaseFunction,
     TensorElement,
+    enumerate_kgroup,
     even_prime_counterexample,
-    p_map,
     phi,
     phi_local,
     r_map,
     value_map_nu,
 )
+from lcsmbqc import cyclo
 from lcsmbqc.errors import EvenPrimeError, LevelError, NonTorsionError
+from lcsmbqc.phase_fn import modinv
 from lcsmbqc.verify import _remark_pair, random_commuting_torsion_pair
 
 from exact_matrix import MonomialMatrix
+
+
+# ---------------------------------------------------------------------------
+# The projection on Phase scalars, with powers as loops of products: the
+# reference for the integer normal forms of ``lcsmbqc.projection``.  Images
+# are (c, a, b) triples with c a Phase.
+# ---------------------------------------------------------------------------
+
+
+def triple(h: HWElement) -> tuple:
+    return h.c, h.a, h.b
+
+
+def ref_mul(h: tuple, g: tuple) -> tuple:
+    (c, a, b), (d, a2, b2) = h, g
+    p = c.p
+    cross = sum(x * y for x, y in zip(a2, b))
+    return (
+        c * d * Phase.omega(p, -cross),
+        tuple((x + y) % p for x, y in zip(a, a2)),
+        tuple((x + y) % p for x, y in zip(b, b2)),
+    )
+
+
+def ref_pow(h: tuple, n: int) -> tuple:
+    """h^n for n >= 0 as n products."""
+    zeros = (0,) * len(h[1])
+    out = (Phase.one(h[0].p), zeros, zeros)
+    for _ in range(n):
+        out = ref_mul(out, h)
+    return out
+
+
+def ref_r_map(xi: PhaseFunction, variant: str) -> tuple:
+    p = xi.p
+    m = max(2, xi.value_level())
+    coeffs = xi.decompose(m)
+    for j in range(2, m + 1):
+        for a in range(p):
+            if coeffs.coefficient(j, a) and not (j == 2 and a == 0):
+                raise LevelError("diagonal table outside the level-2-constant shape")
+    theta10 = coeffs.coefficient(1, 0)
+    theta11 = coeffs.coefficient(1, 1)
+    theta20 = coeffs.coefficient(2, 0)
+    if variant == PROOF:
+        scalar = Phase(p, 2, p * theta10 + theta20)
+    else:
+        scalar = Phase.omega(p, theta10 + theta20)
+    return scalar, (theta11,), (0,)
+
+
+def ref_p_map(xi: PhaseFunction) -> tuple:
+    coeffs = xi.decompose(max(1, xi.value_level()))
+    return Phase.omega(xi.p, coeffs.coefficient(1, 0)), (coeffs.coefficient(1, 1),), (0,)
+
+
+def ref_phi_local(element: KElement, variant: str) -> tuple:
+    p = element.p
+    if p == 2:
+        raise EvenPrimeError("odd primes only")
+    if not element.is_p_torsion():
+        raise NonTorsionError("needs a p-torsion element")
+    if element.b > 1:
+        return ref_pow(ref_phi_local(element ** modinv(element.b, p), variant), element.b)
+    if element.b == 0:
+        return ref_r_map(element.xi, variant)
+    c, a, _ = ref_p_map(element.xi)
+    return c, a, (1,)
+
+
+def ref_phi(element: TensorElement, variant: str) -> tuple:
+    if not element.is_p_torsion():
+        raise NonTorsionError("needs a p-torsion tensor")
+    c, a_vec, b_vec = element.global_phase, [], []
+    for site in element.sites:
+        local = ref_r_map(site.xi, variant) if site.b == 0 else ref_phi_local(site, variant)
+        c = c * local[0]
+        a_vec.append(local[1][0])
+        b_vec.append(local[2][0])
+    return c, tuple(a_vec), tuple(b_vec)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
 
 
 def hw_to_matrix(h: HWElement) -> MonomialMatrix:
@@ -60,13 +151,17 @@ def test_r_map_rejects_nonconstant_level2():
         r_map(bad)
 
 
-def test_p_map_examples():
-    assert p_map(PhaseFunction.one(3)) == HWElement.identity(3, 1)
-    affine = p_map(PhaseFunction.omega_poly(3, (1, 2)))
-    assert affine == HWElement(Phase.omega(3), (2,), (0,))
+def test_unit_shift_keeps_the_affine_part():
+    assert ref_p_map(PhaseFunction.one(3)) == triple(HWElement.identity(3, 1))
+    affine = PhaseFunction.omega_poly(3, (1, 2))
+    assert ref_p_map(affine) == triple(HWElement(Phase.omega(3), (2,), (0,)))
+    assert phi_local(KElement(affine, 1)) == HWElement(Phase.omega(3), (2,), (1,))
     # degree >= 2 terms are dropped (tables need not sit in the torus here)
-    quad = p_map(PhaseFunction.omega_poly(3, (0, 0, 1)))
-    assert quad == HWElement.identity(3, 1)
+    quad = ref_p_map(PhaseFunction.omega_poly(3, (0, 0, 1)))
+    assert quad == triple(HWElement.identity(3, 1))
+    # a det-1 quadratic table exists at p = 5 (the squares sum to 0 there)
+    quad5 = KElement(PhaseFunction.omega_poly(5, (1, 2, 3)), 1)
+    assert phi_local(quad5) == HWElement(Phase.omega(5), (2,), (1,))
 
 
 def test_phi_local_shift():
@@ -227,3 +322,92 @@ def test_phi_torsion_preservation_sampled():
 def test_hw_json_round_trip():
     h = HWElement(Phase.omega(3, 2), (1, 0), (2, 1))
     assert HWElement.from_json(h.to_json()) == h
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 1)])
+def test_site_images_equal_the_phase_reference(p, m, variant):
+    for e in enumerate_kgroup(p, m):
+        expected = outcome(ref_phi_local, e, variant)
+        assert outcome(lambda: triple(phi_local(e, variant))) == expected
+        if e.b == 0:
+            expected = outcome(ref_r_map, e.xi, variant)
+            assert outcome(lambda: triple(r_map(e.xi, variant))) == expected
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+def test_tensor_images_equal_the_phase_reference(variant):
+    rng = random.Random(53)
+    for _ in range(100):
+        e1, e2 = random_commuting_torsion_pair(rng, 5, 2, rng.randrange(1, 4))
+        for e in (e1, e2, e1 * e2):
+            assert triple(phi(e, variant)) == ref_phi(e, variant)
+
+
+def _normal_forms(p: int, rng: random.Random):
+    """Normal forms on 1-3 sites with scalars of canonical level 0, 1 and 2."""
+    for sites in (1, 2, 3):
+        for level in (0, 1, 2):
+            for _ in range(3):
+                e = rng.choice([k for k in range(p**level) if k % p]) if level else 0
+                yield HWElement(
+                    Phase(p, level, e),
+                    [rng.randrange(p) for _ in range(sites)],
+                    [rng.randrange(p) for _ in range(sites)],
+                )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_form_power_equals_products_and_matrix_oracle(p):
+    rng = random.Random(59 + p)
+    for h in _normal_forms(p, rng):
+        identity = HWElement.identity(p, h.n_sites)
+        inv = h.inverse()
+        assert h * inv == inv * h == identity
+        assert hw_to_matrix(inv) == hw_to_matrix(h).inverse()
+        matrix = hw_to_matrix(h)
+        for base in (h, inv):
+            acc, ref, dense = identity, triple(identity), hw_to_matrix(identity)
+            for k in range(p * p + 1):
+                n = k if base is h else -k
+                assert h**n == acc
+                assert triple(h**n) == ref
+                assert hw_to_matrix(h**n) == dense
+                acc, ref = acc * base, ref_mul(ref, triple(base))
+                dense = dense * (matrix if base is h else matrix.inverse())
+
+
+def test_normal_form_scalar_above_level_2_is_refused():
+    with pytest.raises(LevelError):
+        HWElement(Phase(3, 3, 1), (0,), (0,))
+
+
+def test_normal_form_arithmetic_builds_no_phase(monkeypatch):
+    """``*``, ``**``, ``inverse``, ``==`` and the torsion check are integer
+    arithmetic: no Phase is built, by the constructor or by the internal
+    ``reduced_phase`` under any module's binding."""
+    rng = random.Random(61)
+    forms = list(_normal_forms(5, rng))
+    built = []
+    init = Phase.__init__
+    reduced = cyclo.reduced_phase
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_reduced(*args):
+        built.append(args)
+        return reduced(*args)
+
+    monkeypatch.setattr(Phase, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lcsmbqc") and getattr(module, "reduced_phase", None) is reduced:
+            monkeypatch.setattr(module, "reduced_phase", counted_reduced)
+    for h, g in zip(forms, forms[1:]):
+        if h.n_sites == g.n_sites:
+            assert (h * g) ** -3 == (h * g).inverse() ** 3
+        h.is_p_torsion()
+    assert built == []
+    forms[0].to_json()  # the JSON edge does build the scalar, and is counted
+    assert built
