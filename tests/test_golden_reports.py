@@ -9,9 +9,12 @@ representation; the lemma1 and subgroups digests and the mermin-square and
 solution-condition checker and the index-table keys were merged; the
 two-site ``phi`` digests were made by the sweep that decided every
 quadruple on its own, before failures were counted from per-site defect
-histograms.  Each case runs at a small configuration so that the whole file
-stays fast, except the exhaustive level-2 two-site sweep, which is the case
-those digests exist for.
+histograms; the level-3 two-site ``phi`` digest was made by the suite that
+found its commuting single-site pairs through object-API commutators and
+re-checked tensor torsion with p-th powers.  Each case runs at a small
+configuration so that the whole file stays fast, except the exhaustive
+two-site sweeps at levels 2 and 3, which are the cases those digests exist
+for.
 """
 
 import contextlib
@@ -82,6 +85,10 @@ SUITE_DIGESTS = {
     "phi-two-site-3-1": (
         lambda: verify.suite_phi(3, 1, n=2, samples=0),
         "eb50b6af01a38a2125d28ded696e7c71647cf7c393f13f4298edb33ebee98a2b",
+    ),
+    "phi-two-site-3-3": (
+        lambda: verify.suite_phi(3, 3, n=2, samples=0),
+        "510d7e92d8c9276790474df4c70cf4756a790d71c17aa0313ead4f86591ac7b3",
     ),
 }
 
