@@ -22,6 +22,7 @@ from lcsmbqc import (
 from lcsmbqc import cyclo
 from lcsmbqc.errors import EvenPrimeError, LevelError, NonTorsionError
 from lcsmbqc.phase_fn import modinv
+from lcsmbqc.projection import _is_p_torsion
 from lcsmbqc.verify import _remark_pair, random_commuting_torsion_pair
 
 from exact_matrix import MonomialMatrix
@@ -207,6 +208,35 @@ def test_phi_rejects_nontorsion_and_even_prime():
         phi(bad)
     with pytest.raises(EvenPrimeError):
         phi(TensorElement.of_sites([KElement.shift(2)]))
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (5, 1)])
+def test_integer_torsion_equals_the_power_check_on_single_sites(p, m):
+    elements = enumerate_kgroup(p, m)
+    for k in range(p * p):
+        for e in elements:
+            tensor = TensorElement(Phase(p, 2, k), [e])
+            assert _is_p_torsion(tensor) == tensor.is_p_torsion()
+
+
+def test_integer_torsion_equals_the_power_check_on_two_sites():
+    elements = enumerate_kgroup(3, 2)
+    torsion = 0
+    for a in elements:
+        for b in elements:
+            tensor = TensorElement.of_sites([a, b])
+            expected = tensor.is_p_torsion()
+            assert _is_p_torsion(tensor) == expected
+            torsion += expected
+    assert 0 < torsion < len(elements) ** 2
+
+
+def test_phi_rejects_a_nontorsion_level3_diagonal_as_nontorsion():
+    site = KElement(PhaseFunction.from_exponents(3, 3, (1, 0, 26)), 0)
+    tensor = TensorElement.of_sites([site, KElement.shift(3)])
+    assert not tensor.is_p_torsion()
+    with pytest.raises(NonTorsionError):
+        phi(tensor)
 
 
 def test_phi_homomorphism_on_balanced_pair_proof_variant():

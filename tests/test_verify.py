@@ -110,6 +110,30 @@ def test_group_table_matches_object_api():
         assert (comm < 0 and expected is None) or comm == expected
 
 
+def _assert_commutant_zero_is_commuting(table, rows):
+    identity = KElement.identity(table.p)
+    for i in rows:
+        a = table.elements[i]
+        expected = [a.commutator(b) == identity for b in table.elements]
+        assert (table.commutant[i] == 0).tolist() == expected
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 1), (3, 2)])
+def test_commutant_zero_selects_the_commuting_pairs(p, m):
+    """``suite_phi`` takes its commuting single-site pairs from the
+    commutant table; on every pair that table agrees with the object API."""
+    table = verify.KGroupTable(p, m)
+    _assert_commutant_zero_is_commuting(table, range(table.n))
+
+
+def test_commutant_zero_selects_the_commuting_pairs_sampled_at_p5():
+    import random
+
+    table = verify.KGroupTable(5, 1)
+    rows = random.Random(71).sample(range(table.n), 12)
+    _assert_commutant_zero_is_commuting(table, rows)
+
+
 def _listed_pairs(table, variant):
     """Scalar-commuting pairs of projection-capable elements grouped by
     (commutant, t, t'), listed in row-major order."""
