@@ -8,12 +8,11 @@ to numpy array arithmetic.  The single-site homomorphism test takes its
 commuting torsion pairs from the commutant table and keeps the object API
 as its oracle: each product is projected and compared with the product of
 the factors' images, which are projected once per element.  The two-site
-homomorphism test separates by
-site, so the quartic sweep over commuting torsion quadruples is decided
-from per-site defect histograms: every quadruple is counted, and none is
-materialised.  Randomized suites exercise the object API directly with a
-seeded generator, so re-running a suite with the same configuration
-reproduces it bit for bit.
+homomorphism test separates by site, so the quartic sweep over commuting
+torsion quadruples is decided from per-site defect histograms: every
+quadruple is counted, and none is materialised.  Randomized suites
+exercise the object API directly with a seeded generator, so re-running a
+suite with the same configuration reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -800,15 +799,15 @@ def suite_phi(
     table = group_table(p, m)
     elements = table.elements
     torsion_idx = np.flatnonzero(table.torsion)
-    tensors = {int(i): TensorElement.of_sites([elements[i]]) for i in torsion_idx}
+    tensors = {i: TensorElement.of_sites([elements[i]]) for i in torsion_idx.tolist()}
     images = {i: phi(e, variant) for i, e in tensors.items()}
 
-    # n = 1 exhaustive: the commuting pairs from the commutant table, each
-    # product projected through the object API
-    rows, cols = np.nonzero(table.commutant[np.ix_(torsion_idx, torsion_idx)] == 0)
+    # n = 1 exhaustive
+    commuting = table.commutant[np.ix_(torsion_idx, torsion_idx)] == 0
+    pairs = torsion_idx[np.argwhere(commuting)].tolist()
     bad = 0
     witness = ""
-    for i, j in zip(torsion_idx[rows].tolist(), torsion_idx[cols].tolist()):
+    for i, j in pairs:
         if phi(tensors[i] * tensors[j], variant) != images[i] * images[j]:
             bad += 1
             if not witness:
@@ -817,7 +816,7 @@ def suite_phi(
         CheckResult(
             "single-site homomorphism on all commuting torsion pairs",
             bad == 0,
-            count=len(rows),
+            count=len(pairs),
             detail=f"{bad} failures, e.g. {witness}" if bad else "",
         )
     )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lcsmbqc import DISPLAYED, PROOF, KElement, verify
+from lcsmbqc import DISPLAYED, PROOF, HWElement, KElement, Phase, TensorElement, verify
 
 
 def test_suite_registry_names():
@@ -132,6 +132,40 @@ def test_commutant_zero_selects_the_commuting_pairs_sampled_at_p5():
     table = verify.KGroupTable(5, 1)
     rows = random.Random(71).sample(range(table.n), 12)
     _assert_commutant_zero_is_commuting(table, rows)
+
+
+def test_single_site_failures_and_witness_follow_the_object_api_loop(monkeypatch):
+    """With a planted fault (an extra omega on the image of one element z),
+    the single-site check counts the same pairs and failures, and names the
+    same first counterexample, as a row-major loop over object-API
+    commutators; that counterexample is not symmetric, so the order counts."""
+    true_phi = verify.phi
+    omega = HWElement.scalar(Phase.omega(3), 1)
+    elements = verify.group_table(3, 1).elements
+    z = elements[-1]
+
+    def planted(e, variant=PROOF):
+        image = true_phi(e, variant)
+        return image * omega if e.sites[0] == z else image
+
+    monkeypatch.setattr(verify, "phi", planted)
+    identity = KElement.identity(3)
+    torsion = [e for e in elements if e.is_p_torsion()]
+    count = bad = 0
+    first = None
+    for a in torsion:
+        for b in torsion:
+            if a.commutator(b) != identity:
+                continue
+            count += 1
+            e1, e2 = TensorElement.of_sites([a]), TensorElement.of_sites([b])
+            if planted(e1 * e2) != planted(e1) * planted(e2):
+                bad += 1
+                first = first or (a, b)
+    check = verify.suite_phi(3, 1, n=1, samples=0).checks[0]
+    assert bad and first[0] != first[1]
+    witness = f"{first[0]!r} vs {first[1]!r}"
+    assert (check.count, check.detail) == (count, f"{bad} failures, e.g. {witness}")
 
 
 def _listed_pairs(table, variant):
