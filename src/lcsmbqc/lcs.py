@@ -7,21 +7,23 @@ classical solutions, and the standard two-qubit fixtures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cyclo import Phase, is_prime
 from .errors import (
+    BudgetExceededError,
     EvenPrimeError,
     NondeterministicTableError,
     PrimeMismatchError,
     ShapeMismatchError,
     UnsupportedModulusError,
 )
-from .kgroup import KElement
+from .kgroup import KElement, resolve_budget
 from .ktensor import TensorElement
-from .mbqc import MbqcSpec, OutputTable, ghz_evaluate
+from .mbqc import MbqcSpec, OutputTable, _row_sums
 from .phase_fn import PhaseFunction, at_level, modinv, rotate
 from .projection import HWElement, PROOF, phi, value_map_nu
 
@@ -276,7 +278,9 @@ def commute_on_ghz(e1: TensorElement, e2: TensorElement) -> bool:
     Both products send the branch |q>^(x)N to the same basis state; per site
     with E = S_xi X^b and E' = S_eta X^c, E E' picks up eta(q + c) xi(q + b + c)
     and E' E picks up xi(q + b) eta(q + b + c), and the global phases agree.
-    So the products are compared as exponent sums at one common level."""
+    So the products are compared as exponent sums at one common level.  With
+    every shift 1 the difference is H(E') - H(E) for the signature H(E)[q] =
+    sum_s xi_s(q + 1) - xi_s(q + 2): equal signatures mod p^level."""
     if e1.p != e2.p or e1.n_sites != e2.n_sites:
         raise ShapeMismatchError("operands must share prime and site count")
     p = e1.p
@@ -347,27 +351,33 @@ class MeasurementFamilyReport:
 
 
 def measurement_family_report(spec: MbqcSpec, table: OutputTable) -> MeasurementFamilyReport:
+    """The flags read from the row exponents, every shift being 1: a row is
+    torsion iff its determinants multiply to 1, matches o iff its site sum is
+    the constant omega^o, and all pairs commute on GHZ iff the p^n signatures
+    H[q] = sum_s e_s(q + 1) - e_s(q + 2) agree mod p^L (see ``commute_on_ghz``).
+    The witness is the first pair in ``itertools.combinations`` order that
+    fails exact commutation on the object API; its p^{2n}/2 pairs are
+    refused over the enumeration budget beforehand."""
+    import numpy as np  # on first use, like ``mbqc._row_sums``
+    n_rows = spec.p**spec.n_inputs
+    if (table.p, table.n_inputs, len(table.outputs)) != (spec.p, spec.n_inputs, n_rows):
+        raise ShapeMismatchError("table does not match the computation spec")
+    n_pairs = n_rows * (n_rows - 1) // 2
+    if n_pairs > resolve_budget():
+        raise BudgetExceededError(f"the {n_pairs} row-operator pairs exceed the budget")
+    level, sums = _row_sums(spec)
+    p, pl = spec.p, spec.p**level
+    outs = np.array([-1 if o is None else o % p for o in table.outputs], dtype=np.int64)
+    rows_ok = (sums == sums[:, :1]).all(axis=1) & (sums[:, 0] * p == outs * pl)
+    signature = (np.roll(sums, -1, axis=1) - np.roll(sums, -2, axis=1)) % pl
     inputs = list(spec.inputs())
-    operators = [spec.row_operator(i) for i in inputs]
-    all_torsion = all(op.is_p_torsion() for op in operators)
-    rows_ok = True
-    for op, out in zip(operators, table.outputs):
-        eig = ghz_evaluate(op)
-        if eig is None or out is None or eig != Phase.omega(spec.p, out):
-            rows_ok = False
-            break
-    ghz_commute = all(
-        commute_on_ghz(a, b) for a, b in itertools.combinations(operators, 2)
-    )
-    witness = None
-    for (ia, a), (ib, b) in itertools.combinations(zip(inputs, operators), 2):
-        if not a.commutes_with(b):
-            witness = (ia, ib)
-            break
+    row = functools.cache(lambda k: spec.row_operator(inputs[k]))
+    witness = next(((inputs[a], inputs[b]) for a, b in itertools.combinations(range(n_rows), 2)
+                    if not row(a).commutes_with(row(b))), None)
     return MeasurementFamilyReport(
-        all_torsion=all_torsion,
-        ghz_rows_match_outputs=rows_ok,
-        all_pairs_commute_on_ghz=ghz_commute,
+        all_torsion=not (sums.sum(axis=1) % pl).any(),
+        ghz_rows_match_outputs=bool(rows_ok.all()),
+        all_pairs_commute_on_ghz=bool((signature == signature[0]).all()),
         exact_commutativity=witness is None,
         noncommuting_pair=witness,
     )

@@ -2,7 +2,9 @@
 
 States never appear as amplitude vectors: all operators are monomial, so a
 GHZ evaluation reduces to checking that a length-p product table is constant.
-The cost per input is O(number_of_sites * p), exactly.
+The cost per input is O(number_of_sites * p), exactly: ``output_table`` and
+the family report in ``lcs`` read all p^n inputs from one int64 product of
+p^n * sites * p exponents, refused over the enumeration budget beforehand.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from typing import Iterator, Optional, Sequence
 
 from .cyclo import Phase, is_prime, reduced_phase
 from .errors import (
+    BudgetExceededError,
     EvenPrimeError,
     NondeterministicTableError,
     PrimeMismatchError,
     ShapeMismatchError,
+    TorusMembershipError,
 )
-from .kgroup import KElement
+from .kgroup import KElement, resolve_budget
 from .ktensor import TensorElement
 from .phase_fn import PhaseFunction, at_level, lagrange_coeffs, rotate
 
@@ -62,6 +66,8 @@ class MbqcSpec:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
+        if not self.sites:
+            raise ShapeMismatchError("a computation needs at least one site")
         for k, site in enumerate(self.sites):
             if site.xi.p != self.p:
                 raise PrimeMismatchError(f"site {k} is over p={site.xi.p}, spec has p={self.p}")
@@ -172,19 +178,43 @@ class OutputTable:
         return itertools.product(range(self.p), repeat=self.n_inputs)
 
 
+def _row_sums(spec: MbqcSpec):
+    """(L, Y) with L the largest site level and Y[i, q] the site sum of the
+    i-th row operator's level-L exponents, sum_s settings[i, s] *
+    at_level(xi_s, L)[q] mod p^L, an int64 array with inputs in lexicographic
+    order; every row has shift 1 at every site.  Raises
+    ``TorusMembershipError`` like the ``KElement`` constructor when some site
+    has det != 1 at some input.  numpy is imported on first use: the package
+    loads it only through ``verify``, after its own modules are compiled."""
+    import numpy as np
+
+    p, n, sites = spec.p, spec.n_inputs, spec.n_sites
+    level = max(site.xi.m for site in spec.sites)
+    if p**n * sites * p > resolve_budget():
+        raise BudgetExceededError(f"the {p**n}x{sites}x{p} row exponents exceed the budget")
+    if max(p ** (level + 1) * sites, (n + 1) * p * p) > np.iinfo(np.int64).max:
+        raise BudgetExceededError(f"row exponents at p={p}, level {level} overflow int64")
+    pl = p**level
+    digits = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    coeffs = np.array([[c % p for c in site.coeffs] for site in spec.sites], dtype=np.int64)
+    settings = (digits @ coeffs[:, 1:].T + coeffs[:, 0]) % p
+    xi = np.array([at_level(site.xi, level) for site in spec.sites], dtype=np.int64)
+    if (settings * (xi.sum(axis=1) % pl) % pl).any():
+        raise TorusMembershipError("diagonal part must have det == 1")
+    return level, settings @ xi % pl
+
+
 def output_table(spec: MbqcSpec) -> OutputTable:
-    """Evaluate every input on the GHZ state and collect omega exponents."""
-    outputs = []
-    flags = []
-    for inputs in spec.inputs():
-        eig = ghz_evaluate(spec.row_operator(inputs))
-        if eig is None:
-            outputs.append(None)
-            flags.append(False)
-        else:
-            outputs.append(eig.as_omega_power())
-            flags.append(True)
-    return OutputTable(spec.p, spec.n_inputs, tuple(outputs), tuple(flags))
+    """Evaluate every input on the GHZ state and collect omega exponents.  A
+    row's branch q carries its site sum at q + 1 (shift 1), so the row is
+    deterministic when that sum is constant, with that value."""
+    level, sums = _row_sums(spec)
+    flags = (sums == sums[:, :1]).all(axis=1).tolist()
+    outputs = tuple(
+        reduced_phase(spec.p, level, y).as_omega_power() if flag else None
+        for y, flag in zip(sums[:, 0].tolist(), flags)
+    )
+    return OutputTable(spec.p, spec.n_inputs, outputs, tuple(flags))
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,33 @@ def test_criterion_03_qudit_star_reproduction():
                  "0/1/2 closed form, degree >= p", p7_elapsed)
 
 
+def test_star_dichotomy_at_every_odd_prime_up_to_31():
+    """Criteria 3 and 12 for every odd prime up to 31: the closed form,
+    degree >= p, torsion and row-wise outputs on GHZ, commutation on GHZ,
+    and a named pair whose row operators do not commute."""
+    start = time.perf_counter()
+    results = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        spec = qudit_star_spec(p)
+        table = output_table(spec)
+        family = measurement_family_report(spec, table)
+        pair = family.noncommuting_pair
+        results.append(
+            table.outputs == expected_star_outputs(p)
+            and contextuality_witness(table).degree >= p
+            and family.all_torsion
+            and family.ghz_rows_match_outputs
+            and family.all_pairs_commute_on_ghz
+            and pair is not None
+            and not spec.row_operator(pair[0]).commutes_with(spec.row_operator(pair[1]))
+        )
+    elapsed = time.perf_counter() - start
+    ok = all(results) and elapsed <= 5.0
+    _line(13, ok, "qudit star at every odd prime up to 31: closed form, "
+                  "degree >= p, state-dependent commutation with a named "
+                  "non-commuting pair", elapsed)
+
+
 def test_criterion_04_power_and_shift_formulas():
     start = time.perf_counter()
     report = verify.suite_lemma1(3, 2, max_power=9)

@@ -92,6 +92,21 @@ def test_mbqc_run_from_spec_file(tmp_path):
     assert out_file.exists()
 
 
+def test_mbqc_run_over_budget_exits_2(tmp_path, monkeypatch, capsys):
+    """The p=3 star's 9x3x3 row exponents are refused at a budget of 50,
+    and the p=11 demo's 7,260 row pairs at a budget of 5,000."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(qudit_star_spec(3).to_json()))
+    monkeypatch.setenv("LCSMBQC_BUDGET", "50")
+    assert run(["mbqc", "run", "--spec", str(spec_file)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("budget exceeded: the 9x3x3 row exponents")
+    monkeypatch.setenv("LCSMBQC_BUDGET", "5000")
+    assert run(["demo", "qudit-star", "--p", "11"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["budget exceeded: the 7260 row-operator pairs exceed the budget"]
+
+
 def test_lcs_solve_and_check(tmp_path, capsys):
     system_file = tmp_path / "system.json"
     system_file.write_text(json.dumps({"d": 3, "A": [[1, 0], [0, 1]], "b": [2, 1]}))
@@ -226,6 +241,7 @@ def _non_torsion_tensor():
         (["lcs", "solve", "--lcs", "{f}"], '{"d": 3.5, "A": [[1]], "b": [1]}'),
         (["verify", "even-prime", "--samples", "5"], None),
         (["verify", "pipeline", "--p", "7"], None),
+        (["mbqc", "run", "--spec", "{f}"], '{"p": 3, "n_inputs": 1, "sites": []}'),
     ],
     ids=[
         "composite-modulus",
@@ -240,6 +256,7 @@ def _non_torsion_tensor():
         "non-integer-modulus",
         "even-prime-samples",
         "pipeline-p",
+        "mbqc-no-sites",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):

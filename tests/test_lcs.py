@@ -23,14 +23,18 @@ from lcsmbqc import (
     solve_classical,
 )
 from lcsmbqc.errors import (
+    BudgetExceededError,
     EvenPrimeError,
     NondeterministicTableError,
     ShapeMismatchError,
     UnsupportedModulusError,
 )
-from lcsmbqc.lcs import brute_force_solve, null_space
-from lcsmbqc.mbqc import MbqcSpec, SiteSpec
+from lcsmbqc import lcs, mbqc
+from lcsmbqc.lcs import MeasurementFamilyReport, brute_force_solve, null_space
+from lcsmbqc.mbqc import MbqcSpec, OutputTable, SiteSpec, ghz_evaluate
 from lcsmbqc.projection import HWElement, phi, value_map_nu
+
+from random_specs import random_specs
 
 
 def test_lcs_entries_reduced():
@@ -183,6 +187,95 @@ def test_star_family_operator_but_not_quantum():
     assert family.all_pairs_commute_on_ghz
     assert not family.exact_commutativity
     assert family.noncommuting_pair is not None
+
+
+def _family_oracle(spec, table):
+    """The family report from the object API: every row operator, its
+    torsion and GHZ eigenvalue, and all pairs through ``commute_on_ghz``."""
+    inputs = list(spec.inputs())
+    ops = [spec.row_operator(i) for i in inputs]
+    eigs = [ghz_evaluate(op) for op in ops]
+    rows_ok = all(
+        eig is not None and out is not None and eig == Phase.omega(spec.p, out)
+        for eig, out in zip(eigs, table.outputs)
+    )
+    pairs = list(itertools.combinations(range(len(ops)), 2))
+    witness = next(
+        ((inputs[a], inputs[b]) for a, b in pairs if not ops[a].commutes_with(ops[b])), None
+    )
+    return MeasurementFamilyReport(
+        all_torsion=all(op.is_p_torsion() for op in ops),
+        ghz_rows_match_outputs=rows_ok,
+        all_pairs_commute_on_ghz=all(commute_on_ghz(ops[a], ops[b]) for a, b in pairs),
+        exact_commutativity=witness is None,
+        noncommuting_pair=witness,
+    )
+
+
+ORACLE_SPECS = [qubit_star_spec()] + [qudit_star_spec(p) for p in (3, 5, 7)] + random_specs(
+    2026, 240
+)
+
+
+def test_family_report_equals_the_object_api_oracle():
+    """Each spec against its own table, the same outputs plus p (the same
+    omega powers), and the outputs plus 1 (a mismatch on every defined row)."""
+    flags, witnesses = set(), set()
+    for spec in ORACLE_SPECS:
+        table = output_table(spec)
+        for offset in (0, spec.p, 1):
+            outputs = tuple(None if o is None else o + offset for o in table.outputs)
+            variant = OutputTable(spec.p, spec.n_inputs, outputs, table.deterministic)
+            report = measurement_family_report(spec, variant)
+            assert report == _family_oracle(spec, variant)
+            flags.add((report.ghz_rows_match_outputs, report.all_pairs_commute_on_ghz))
+        witnesses.add(report.exact_commutativity)
+    # deterministic rows have constant site sums, so equal (zero) signatures
+    assert flags == {(True, True), (False, True), (False, False)}
+    assert witnesses == {True, False}
+
+
+def test_family_report_rejects_a_table_of_another_shape():
+    spec = qudit_star_spec(5)
+    table = output_table(spec)
+    truncated = OutputTable(5, 2, table.outputs[:3], table.deterministic[:3])
+    for other in (truncated, output_table(qudit_star_spec(3)), output_table(qubit_star_spec())):
+        with pytest.raises(ShapeMismatchError):
+            measurement_family_report(spec, other)
+
+
+def test_tables_and_family_reports_make_no_object_api_ghz_calls(monkeypatch):
+    """``output_table`` and ``measurement_family_report`` read the row
+    exponents only; ``ghz_evaluate`` and ``commute_on_ghz`` are their
+    oracles."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapped
+
+    for module in (mbqc, lcs):
+        for name in ("ghz_evaluate", "commute_on_ghz"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    for spec in [qudit_star_spec(5), qubit_star_spec()] + random_specs(7, 30):
+        measurement_family_report(spec, output_table(spec))
+    assert calls == []
+
+
+def test_family_report_pairs_are_refused_over_budget(monkeypatch):
+    """At p = 11 the star's 121x3x11 row exponents (3,993) fit a
+    budget of 5,000; its 7,260 row pairs do not."""
+    monkeypatch.setenv("LCSMBQC_BUDGET", "5000")
+    spec = qudit_star_spec(11)
+    table = output_table(spec)
+    with pytest.raises(BudgetExceededError, match="the 7260 row-operator pairs"):
+        measurement_family_report(spec, table)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "7260")
+    assert measurement_family_report(spec, table).all_pairs_commute_on_ghz
 
 
 def test_commute_on_ghz_examples():

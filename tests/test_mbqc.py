@@ -19,9 +19,17 @@ from lcsmbqc import (
     qudit_star_spec,
     star_measurement_op,
 )
-from lcsmbqc.errors import EvenPrimeError, NondeterministicTableError
+from lcsmbqc.errors import (
+    BudgetExceededError,
+    EvenPrimeError,
+    NondeterministicTableError,
+    ShapeMismatchError,
+    TorusMembershipError,
+)
+from lcsmbqc.mbqc import OutputTable, star_base_function
 
 from exact_matrix import MonomialMatrix
+from random_specs import random_specs
 
 
 def test_measurement_op_zero_setting_is_shift():
@@ -290,3 +298,70 @@ def test_star_phase_cancellation_per_term():
 def test_spec_json_round_trip():
     spec = qudit_star_spec(3)
     assert MbqcSpec.from_json(spec.to_json()) == spec
+
+
+ORACLE_SPECS = [qubit_star_spec()] + [qudit_star_spec(p) for p in (3, 5, 7)] + random_specs(
+    2026, 240
+)
+
+
+def _row_by_row_table(spec):
+    """The object-API table: one tensor and one GHZ evaluation per input."""
+    outputs, flags = [], []
+    for inputs in spec.inputs():
+        eig = ghz_evaluate(spec.row_operator(inputs))
+        outputs.append(None if eig is None else eig.as_omega_power())
+        flags.append(eig is not None)
+    return OutputTable(spec.p, spec.n_inputs, tuple(outputs), tuple(flags))
+
+
+def test_output_table_equals_the_row_by_row_oracle():
+    nondeterministic = deterministic = 0
+    for spec in ORACLE_SPECS:
+        table = output_table(spec)
+        assert table == _row_by_row_table(spec)
+        nondeterministic += not all(table.deterministic)
+        deterministic += table.is_fully_deterministic
+    assert nondeterministic >= 100 and deterministic >= 50
+
+
+def _off_torus_spec():
+    """Site 2 has det != 1 at every nonzero setting; input (0, 1) is the
+    first in lexicographic order to reach one."""
+    bad = PhaseFunction.from_exponents(3, 2, (1, 0, 0))
+    return MbqcSpec(3, 2, (SiteSpec(star_base_function(3), (0, 1, 0)), SiteSpec(bad, (0, 0, 1))))
+
+
+def test_off_torus_setting_raises_like_the_object_api():
+    from lcsmbqc import measurement_family_report
+
+    spec = _off_torus_spec()
+    with pytest.raises(TorusMembershipError) as expected:
+        [spec.row_operator(inputs) for inputs in spec.inputs()]
+    table = OutputTable(3, 2, (0,) * 9, (True,) * 9)
+    for run in (output_table, lambda s: measurement_family_report(s, table)):
+        with pytest.raises(TorusMembershipError) as raised:
+            run(spec)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_row_exponents_are_refused_over_budget(monkeypatch):
+    """The p=3 star sums 9x3x3 row exponents: 81."""
+    monkeypatch.setenv("LCSMBQC_BUDGET", "80")
+    with pytest.raises(BudgetExceededError, match="the 9x3x3 row exponents"):
+        output_table(qudit_star_spec(3))
+    monkeypatch.setenv("LCSMBQC_BUDGET", "81")
+    assert output_table(qudit_star_spec(3)).outputs == expected_star_outputs(3)
+
+
+def test_row_exponents_beyond_int64_are_refused():
+    """A level-4 table at p = 6211 has exponents up to p^5 > 2^63."""
+    p = 6211
+    xi = PhaseFunction.from_exponents(p, 4, [1] + [0] * (p - 2) + [-1])
+    with pytest.raises(BudgetExceededError, match="overflow int64"):
+        output_table(MbqcSpec(p, 0, (SiteSpec(xi, (1,)),)))
+
+
+def test_spec_needs_a_site():
+    with pytest.raises(ShapeMismatchError):
+        MbqcSpec(3, 1, ())
