@@ -329,9 +329,13 @@ class SubgroupReport:
 
 def maximal_p_torsion_abelian(p: int, m: int, budget: Optional[int] = None) -> SubgroupReport:
     """Enumerate all p-torsion elements, extract the maximal abelian
-    subgroups among them, and classify each one."""
+    subgroups among them, and classify each one.  The |torsion|^2
+    commutator checks are refused over the budget before they start."""
     elements = enumerate_kgroup(p, m, budget)
     torsion = [e for e in elements if e.is_p_torsion()]
+    pairs = len(torsion) ** 2
+    if pairs > resolve_budget(budget):
+        raise BudgetExceededError(f"the {pairs} torsion-pair commutator checks exceed the budget")
     identity = KElement.identity(p)
     center = frozenset(KElement.central(p, c) for c in range(p))
 

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 from .cyclo import Phase, reduced_phase
 from .errors import LevelError, PrimeMismatchError, ShapeMismatchError
 from .kgroup import KElement
-from .phase_fn import at_level, canonical_table, modinv
+from .phase_fn import at_level, canonical_table, digit_row, modinv, row_coefficient
 
 
 class TensorElement:
@@ -130,7 +130,8 @@ class TensorElement:
         return acc.is_one()
 
     def symplectic_vector(self) -> SymplecticVector:
-        """(fbar, bbar) with fbar[i] the linear level-1 coefficient of site i.
+        """(fbar, bbar) with fbar[i] the linear level-1 coefficient of site i,
+        read as one Lagrange row of the level-1 digit row.
 
         Shifted sites are routed through their unit-shift representative
         (M^(1/b), scaled back by b): the shift action moves the linear
@@ -138,17 +139,17 @@ class TensorElement:
         own table would break the commutator law for shift parts >= 2.  For
         diagonals and unit shifts the two readings coincide.
         """
+        p = self.p
         fbar = []
         for site in self.sites:
             if site.b in (0, 1):
                 rep = site
                 scale = 1
             else:
-                rep = site ** modinv(site.b, self.p)
+                rep = site ** modinv(site.b, p)
                 scale = site.b
-            level = max(1, rep.xi.value_level())
-            fbar.append(scale * rep.xi.decompose(level).coefficient(1, 1))
-        return SymplecticVector(self.p, tuple(fbar), self.b_vector)
+            fbar.append(scale * row_coefficient(digit_row(rep.xi, 1), p, 1))
+        return SymplecticVector(p, tuple(fbar), self.b_vector)
 
     def canonical_key(self) -> tuple:
         """A representative of the operator-equality class.  A det-1 site
@@ -244,9 +245,10 @@ def is_isotropic(vectors: Sequence[SymplecticVector]) -> bool:
 
 def structural_tensor_p_torsion(element: TensorElement) -> bool:
     """Torsion via the per-site description at level <= 2: shifted sites are
-    unrestricted; diagonal sites must carry no non-constant level-2 part; and
-    the level-2 constants, together with global^p, must multiply to 1 (for a
-    trivial global: sum of the constants = 0 mod p)."""
+    unrestricted; diagonal sites must carry no non-constant level-2 part
+    (their level-2 digit row is constant); and the level-2 constants,
+    together with global^p, must multiply to 1 (for a trivial global: sum of
+    the constants = 0 mod p)."""
     p = element.p
     theta_sum = 0
     for site in element.sites:
@@ -254,9 +256,9 @@ def structural_tensor_p_torsion(element: TensorElement) -> bool:
             continue
         if site.xi.value_level() > 2:
             raise LevelError("structural torsion test is stated for level <= 2")
-        coeffs = site.xi.decompose(2)
-        if any(coeffs.coefficient(2, a) for a in range(1, p)):
+        row = digit_row(site.xi, 2)
+        if len(set(row)) > 1:
             return False
-        theta_sum += coeffs.coefficient(2, 0)
+        theta_sum += row[0]
     residual = element.global_phase**p * Phase.omega(p, theta_sum)
     return residual.is_one()

@@ -130,7 +130,11 @@ def solve_classical(system: LCS) -> Optional[tuple[int, ...]]:
 
 
 def brute_force_solve(system: LCS) -> Optional[tuple[int, ...]]:
-    """Exhaustive search over Z_d^n; the independent oracle for the solver."""
+    """Exhaustive search over Z_d^n; the independent oracle for the solver.
+    Its d^n candidates are refused over the budget before the search."""
+    count = system.d**system.n_cols
+    if count > resolve_budget():
+        raise BudgetExceededError(f"the {count} candidate solutions exceed the budget")
     for candidate in itertools.product(range(system.d), repeat=system.n_cols):
         if check_classical(system, candidate):
             return candidate

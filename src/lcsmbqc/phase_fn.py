@@ -15,6 +15,8 @@ Every table whose values are p^m-th roots of unity factors uniquely as
 with each f_j a polynomial of degree <= p-1 over Z_p.  The expansion is
 computed by reading off base-p digits of the exponents (most significant
 digit = level 1) and interpolating each digit row; see ``decompose``.
+``digit_row`` and ``row_coefficient`` read one row or one coefficient of
+it without the full expansion.
 """
 
 from __future__ import annotations
@@ -67,6 +69,12 @@ def lagrange_coeffs(values: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(
         sum(c * v for c, v in zip(row, values)) % p for row in _lagrange_basis(p)
     )
+
+
+def row_coefficient(row: Sequence[int], p: int, a: int) -> int:
+    """The x^a coefficient of the polynomial over Z_p taking row[q] at q:
+    one entry of ``lagrange_coeffs``, from one row of the memoised basis."""
+    return sum(c * v for c, v in zip(_lagrange_basis(p)[a], row)) % p
 
 
 def eval_poly(coeffs: Sequence[int], q: int, p: int) -> int:
@@ -149,6 +157,17 @@ def rotate(exps: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The exponent tuple read from index k on: out[q] = exps[(q + k) % p]."""
     k %= len(exps)
     return exps[k:] + exps[:k] if k else exps
+
+
+def digit_row(table: PhaseFunction, j: int) -> tuple[int, ...]:
+    """The level-j base-p digits of the exponents: the row that ``decompose``
+    interpolates into f_j.  It is the same at every reading level >= the
+    table's own, and zero for j above it."""
+    p, m = table.p, table.m
+    if j > m:
+        return (0,) * p
+    top = p ** (m - j)
+    return tuple(e // top % p for e in table.exps)
 
 
 def at_level(table: PhaseFunction, level: int) -> tuple[int, ...]:

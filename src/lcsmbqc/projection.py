@@ -17,9 +17,9 @@ Two variants of that scalar are implemented:
 Normal forms are integers: the scalar as its exponent mod p^2 (the carry
 level of ``proof``), the Z and X exponents mod p.  A ``Phase`` is built
 only where the scalar is read.  One routine gives the image of a site with
-shift 0 or 1 from a single ``decompose``; larger shifts go through a power.
-The torsion test of ``phi`` reads the sites' integer exponents at every
-level; ``TensorElement.is_p_torsion`` stays the direct p-th-power check.
+shift 0 or 1 from base-p digits (no ``decompose``); larger shifts go through
+a power.  The torsion test of ``phi`` reads the sites' integer exponents at
+every level; ``TensorElement.is_p_torsion`` stays the direct p-th-power check.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .kgroup import KElement, structural_p_torsion
 from .ktensor import TensorElement
-from .phase_fn import PhaseFunction, modinv
+from .phase_fn import PhaseFunction, at_level, digit_row, modinv, row_coefficient
 
 PROOF = "proof"
 DISPLAYED = "displayed"
@@ -174,16 +174,19 @@ def _check_variant(variant: str) -> None:
 def _site_image(xi: PhaseFunction, b: int, variant: str) -> HWElement:
     """Image of a site (xi, b), b in {0, 1}: omega^{theta_{1,0}} Z^{theta_{1,1}}
     X^b, times the level-2 constant of a diagonal in the variant's treatment.
-    A diagonal may have no other level >= 2 coefficient: that is the shape
-    of the diagonals inside torsion tensors."""
+    A diagonal may have no other level >= 2 coefficient (the shape of the
+    diagonals inside torsion tensors): read at level L = max(2, m), all its
+    exponents leave one remainder mod p^(L-1), theta_{2,0} times p^(L-2)."""
     p = xi.p
-    coeffs = xi.decompose(max(2, xi.m))
-    theta10 = coeffs.coefficient(1, 0)
-    theta11 = coeffs.coefficient(1, 1)
+    level1 = digit_row(xi, 1)
+    theta10, theta11 = level1[0], row_coefficient(level1, p, 1)
     if b:
         return _hw(p, p * theta10, (theta11,), (1,))
-    theta20, *rest = coeffs.theta[1]
-    if any(rest) or any(any(row) for row in coeffs.theta[2:]):
+    level = max(2, xi.m)
+    ys = at_level(xi, level)
+    low = p ** (level - 1)
+    theta20, rest = divmod(ys[0] % low, p ** (level - 2))
+    if rest or any((y - ys[0]) % low for y in ys):
         raise LevelError(
             "diagonal table has coefficients outside the affine-plus-"
             "level-2-constant shape"

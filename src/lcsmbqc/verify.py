@@ -53,7 +53,7 @@ from .lcs import (
     reduce_to_classical,
     solve_classical,
 )
-from .phase_fn import LevelCoefficients, PhaseFunction, at_level, modinv
+from .phase_fn import LevelCoefficients, PhaseFunction, at_level, digit_row, modinv
 from .projection import (
     DISPLAYED,
     PROOF,
@@ -492,13 +492,10 @@ def suite_torsion(p: int = 3, m: int = 2) -> SuiteReport:
     capable = np.zeros(table.n, dtype=bool)
     theta20 = np.zeros(table.n, dtype=np.int16)
     for i, e in enumerate(elements):
-        if e.b != 0:
+        row = (0,) if e.b else digit_row(e.xi, 2)
+        if len(set(row)) == 1:
             capable[i] = True
-            continue
-        coeffs = e.xi.decompose(max(m, 2))
-        if all(coeffs.coefficient(2, a) == 0 for a in range(1, p)):
-            capable[i] = True
-            theta20[i] = coeffs.coefficient(2, 0)
+            theta20[i] = row[0]
     structural = capable[:, None] & capable[None, :]
     structural &= (theta20[:, None] + theta20[None, :]) % p == 0
     direct = (ppow[:, None] >= 0) & (ppow[None, :] >= 0)

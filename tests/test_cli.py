@@ -209,6 +209,17 @@ def test_subgroups_command(capsys):
     assert "4 maximal p-torsion abelian subgroups" in out
 
 
+def test_subgroups_over_budget_exits_2(capsys):
+    """The 27 elements of the level-1 qutrit group fit a budget of 100, the
+    729 commutator checks of its torsion pairs do not."""
+    assert run(["subgroups", "--p", "3", "--m", "1", "--budget", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "budget exceeded: the 729 torsion-pair commutator checks exceed the budget"
+    ]
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["lcs", "solve", "--lcs", "/nonexistent.json"]) == 2
 

@@ -1,8 +1,11 @@
-"""Import hygiene: every public name resolves, and no module imports a name
-it never uses."""
+"""Import hygiene: every public name resolves, no module imports a name it
+never uses, and importing the package does not load numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +42,18 @@ def test_unused_import_detection():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_imported_name(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_import_does_not_load_numpy():
+    """numpy loads on first use: compiling and importing the package with it
+    loaded costs start-up time and peak memory on every command."""
+    code = "import sys, lcsmbqc; print('numpy' in sys.modules)"
+    src = pathlib.Path(lcsmbqc.__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.strip() == "False"

@@ -241,6 +241,13 @@ def test_subgroup_classification_heisenberg_weyl():
     assert report.intersections_equal_center
 
 
+def test_subgroup_pairs_are_refused_over_budget():
+    """All 27 level-1 qutrit elements are torsion: 729 commutator checks."""
+    with pytest.raises(BudgetExceededError, match="the 729 torsion-pair"):
+        maximal_p_torsion_abelian(3, 1, budget=728)
+    assert len(maximal_p_torsion_abelian(3, 1, budget=729).subgroups) == 4
+
+
 def test_subgroup_classification_even_prime():
     report = maximal_p_torsion_abelian(2, 2)
     assert len(report.subgroups) == 2

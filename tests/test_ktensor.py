@@ -7,11 +7,13 @@ from lcsmbqc import (
     Phase,
     SymplecticVector,
     TensorElement,
+    enumerate_kgroup,
     is_isotropic,
     structural_tensor_p_torsion,
     symplectic_form,
 )
-from lcsmbqc.errors import PrimeMismatchError, ShapeMismatchError
+from lcsmbqc.errors import LevelError, PrimeMismatchError, ShapeMismatchError
+from lcsmbqc.phase_fn import modinv
 from lcsmbqc.verify import _remark_pair, random_k_element, random_torsion_tensor
 from lcsmbqc.mbqc import star_measurement_op
 
@@ -239,3 +241,46 @@ def test_equality_is_a_congruence():
         assert a**2 == b**2
         assert a.commutator(c) == b.commutator(c)
         assert a.is_p_torsion() == b.is_p_torsion()
+
+
+def ref_fbar(site: KElement) -> int:
+    """theta_{1,1} of the unit-shift representative, from a full decompose."""
+    p, b = site.p, site.b
+    rep, scale = (site, 1) if b in (0, 1) else (site ** modinv(b, p), b)
+    return scale * rep.xi.decompose(max(1, rep.xi.m)).coefficient(1, 1) % p
+
+
+def ref_structural_torsion(tensor: TensorElement) -> bool:
+    """The level-2 structural torsion test on full ``decompose(2)`` reads."""
+    p = tensor.p
+    theta_sum = 0
+    for site in tensor.sites:
+        if site.b:
+            continue
+        if site.xi.m > 2:
+            raise LevelError("level above 2")
+        coeffs = site.xi.decompose(2)
+        if any(coeffs.coefficient(2, a) for a in range(1, p)):
+            return False
+        theta_sum += coeffs.coefficient(2, 0)
+    return (tensor.global_phase**p * Phase.omega(p, theta_sum)).is_one()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LevelError:
+        return LevelError
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 1)])
+def test_digit_row_reads_equal_the_decompose_reads(p, m):
+    """``symplectic_vector`` and ``structural_tensor_p_torsion`` read single
+    digit rows; on every element, under global phases whose p-th powers are
+    every power of omega, they agree with the full level expansion."""
+    for e in enumerate_kgroup(p, m):
+        assert TensorElement.of_sites([e]).symplectic_vector().fbar == (ref_fbar(e),)
+        for k in range(p):
+            tensor = TensorElement(Phase(p, 2, k), [e])
+            expected = outcome(ref_structural_torsion, tensor)
+            assert outcome(structural_tensor_p_torsion, tensor) == expected

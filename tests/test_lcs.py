@@ -64,6 +64,16 @@ def test_mermin_star_has_no_classical_solution():
     assert brute_force_solve(star) is None
 
 
+def test_brute_force_is_refused_over_budget(monkeypatch):
+    """The square's 2^9 = 512 candidates fit a budget of 512, not of 511."""
+    square = mermin_fixtures().square
+    monkeypatch.setenv("LCSMBQC_BUDGET", "511")
+    with pytest.raises(BudgetExceededError, match="the 512 candidate solutions"):
+        brute_force_solve(square)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "512")
+    assert brute_force_solve(square) is None
+
+
 def test_solver_agrees_with_brute_force():
     rng = random.Random(61)
     for _ in range(120):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from lcsmbqc import LevelCoefficients, Phase, PhaseFunction, lagrange_coeffs
 from lcsmbqc.errors import LevelError, PrimeMismatchError, TorusMembershipError
-from lcsmbqc.phase_fn import eval_poly
+from lcsmbqc.phase_fn import digit_row, eval_poly, row_coefficient
 
 
 def omega_q(p):
@@ -133,6 +133,27 @@ def test_decompose_at_higher_level_keeps_low_levels():
 def test_round_trip_random_p5(exps):
     f = PhaseFunction.from_exponents(5, 2, exps)
     assert f.decompose(2).reconstruct() == f
+
+
+@given(
+    st.sampled_from([(2, 3), (3, 3), (5, 2), (7, 2)]).flatmap(
+        lambda pm: st.tuples(
+            st.just(pm),
+            st.lists(st.integers(0, pm[0] ** pm[1] - 1), min_size=pm[0], max_size=pm[0]),
+        )
+    ),
+    st.integers(min_value=0, max_value=2),
+)
+def test_digit_rows_and_coefficients_equal_decompose(case, extra):
+    """Every row and coefficient of ``decompose`` at any level above the
+    table's own is one ``digit_row`` and one ``row_coefficient`` read."""
+    (p, m), exps = case
+    f = PhaseFunction.from_exponents(p, m, exps)
+    level = max(1, f.m) + extra
+    coeffs = f.decompose(level)
+    for j in range(1, level + 1):
+        row = digit_row(f, j)
+        assert tuple(row_coefficient(row, p, a) for a in range(p)) == coeffs.theta[j - 1]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=2, max_size=2))

@@ -23,7 +23,12 @@ from lcsmbqc import cyclo
 from lcsmbqc.errors import EvenPrimeError, LevelError, NonTorsionError
 from lcsmbqc.phase_fn import modinv
 from lcsmbqc.projection import _is_p_torsion
-from lcsmbqc.verify import _remark_pair, random_commuting_torsion_pair
+from lcsmbqc.verify import (
+    _remark_pair,
+    random_capable_diagonal,
+    random_commuting_torsion_pair,
+    random_k_element,
+)
 
 from exact_matrix import MonomialMatrix
 
@@ -150,6 +155,16 @@ def test_r_map_rejects_nonconstant_level2():
     bad = PhaseFunction.from_exponents(3, 2, (0, 1, 8))
     with pytest.raises(LevelError):
         r_map(bad)
+
+
+def test_r_map_rejects_a_constant_level3_row():
+    """Outside the torus a level-3 row can be constant and non-zero; the
+    det-1 tables of the exhaustive reference never are."""
+    for exps in [(1, 1, 1), (4, 13, 22), (5, 5, 14)]:
+        bad = PhaseFunction.from_exponents(3, 3, exps)
+        assert outcome(ref_r_map, bad, PROOF) is LevelError
+        with pytest.raises(LevelError):
+            r_map(bad)
 
 
 def test_unit_shift_keeps_the_affine_part():
@@ -358,6 +373,25 @@ def test_hw_json_round_trip():
 @pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 1)])
 def test_site_images_equal_the_phase_reference(p, m, variant):
     for e in enumerate_kgroup(p, m):
+        expected = outcome(ref_phi_local, e, variant)
+        assert outcome(lambda: triple(phi_local(e, variant))) == expected
+        if e.b == 0:
+            expected = outcome(ref_r_map, e.xi, variant)
+            assert outcome(lambda: triple(r_map(e.xi, variant))) == expected
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 1), (7, 2)])
+def test_sampled_site_images_equal_the_phase_reference(p, m, variant):
+    """Groups too large to enumerate: 2,000 seeded elements each.  At level 2
+    every fourth draw is a torsion diagonal with a random level-2 constant,
+    which a uniform draw almost never gives."""
+    rng = random.Random(67 * p + m)
+    for i in range(2000):
+        if m == 2 and i % 4 == 0:
+            e = random_capable_diagonal(rng, p)
+        else:
+            e = random_k_element(rng, p, m)
         expected = outcome(ref_phi_local, e, variant)
         assert outcome(lambda: triple(phi_local(e, variant))) == expected
         if e.b == 0:
