@@ -26,16 +26,36 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+# Miller-Rabin on the first thirteen primes as bases decides every n below
+# this bound (Sorenson and Webster, 2015); a set, for the membership test
+_MR_BASES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Exact primality by deterministic Miller-Rabin.  From ``_MR_BOUND``
+    (about 3.3 * 10^24) on, the bases are not known to decide and trial
+    division would run for ages, so such n are refused with a
+    ``ValueError``."""
+    if n < 2 or n in _MR_BASES:
+        return n >= 2
+    if any(n % a == 0 for a in _MR_BASES):
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided below {_MR_BOUND}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -79,6 +99,11 @@ class Phase:
             raise ValueError(f"p must be prime, got {p}")
         if M < 0:
             raise ValueError(f"level must be non-negative, got {M}")
+        if M > MAX_LEVEL and M > MAX_LEVEL + abs(e).bit_length():
+            # e / p^M stays above the cap unless e == 0; p^M is never formed
+            if e:
+                raise LevelError(f"phase level above {MAX_LEVEL} at M = {M}, e = {e}")
+            M = 0
         M, e = _canonical(p, M, e)
         _set(self, "p", p)
         _set(self, "M", M)

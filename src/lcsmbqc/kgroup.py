@@ -44,6 +44,33 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_BUDGET
 
 
+def refuse_over_budget(work: int, what: str, budget: Optional[int] = None) -> None:
+    """Raise ``BudgetExceededError`` ("the <what> exceed the budget") when
+    ``work`` exceeds the budget, before the work starts."""
+    if work > resolve_budget(budget):
+        raise BudgetExceededError(f"the {what} exceed the budget")
+
+
+def power_over_budget(p: int, k: int, budget: Optional[int] = None) -> bool:
+    """Whether p^k, for p >= 2, exceeds the budget.  The exponent is compared
+    with that of the largest power of p within the budget, so a huge p^k is
+    never formed."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    limit = resolve_budget(budget)
+    top, power = -1, 1
+    while power <= limit:
+        top, power = top + 1, power * p
+    return k > top
+
+
+def power_text(p: int, k: int) -> str:
+    """p^k in decimal when it fits 64 bits, else as ``p^k``: the size in a
+    budget message, never converted to a decimal string of unbounded
+    length."""
+    return str(p**k) if k * p.bit_length() <= 64 else f"{p}^{k}"
+
+
 def _element(xi: PhaseFunction, b: int) -> KElement:
     """An element from a table already known to have det == 1 and a shift
     already reduced mod p: the closed products of valid elements."""
@@ -263,10 +290,11 @@ def classify_commuting_pair(m1: KElement, m2: KElement) -> CommutingPairCase:
 
 def enumerate_torus(p: int, m: int, budget: Optional[int] = None) -> list[PhaseFunction]:
     """All det-1 diagonal tables with p^m-th-root values."""
+    if power_over_budget(p, m * (p - 1), budget):
+        raise BudgetExceededError(
+            f"|torus| = {power_text(p, m * (p - 1))} exceeds the enumeration budget"
+        )
     pm = p**m
-    count = pm ** (p - 1)
-    if count > resolve_budget(budget):
-        raise BudgetExceededError(f"|torus| = {count} exceeds the enumeration budget")
     tables = []
     for head in itertools.product(range(pm), repeat=p - 1):
         last = (-sum(head)) % pm
@@ -274,20 +302,21 @@ def enumerate_torus(p: int, m: int, budget: Optional[int] = None) -> list[PhaseF
     return tables
 
 
-def kgroup_order(p: int, m: int) -> int:
-    """The order p^(m(p-1)+1) of the level-m group, for a prime p and m >= 1."""
+def kgroup_order_exponent(p: int, m: int) -> int:
+    """k with p^k the order of the level-m group: m(p-1)+1, for a prime p
+    and m >= 1."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if m < 1:
         raise LevelError(f"the group contains the omega scalars, so m >= 1; got {m}")
-    return p ** (m * (p - 1) + 1)
+    return m * (p - 1) + 1
 
 
 def enumerate_kgroup(p: int, m: int, budget: Optional[int] = None) -> list[KElement]:
     """All elements of the level-m group."""
-    count = kgroup_order(p, m)
-    if count > resolve_budget(budget):
-        raise BudgetExceededError(f"|K| = {count} exceeds the enumeration budget")
+    k = kgroup_order_exponent(p, m)
+    if power_over_budget(p, k, budget):
+        raise BudgetExceededError(f"|K| = {power_text(p, k)} exceeds the enumeration budget")
     torus = enumerate_torus(p, m, budget)
     return [_element(xi, b) for xi in torus for b in range(p)]
 
@@ -334,8 +363,7 @@ def maximal_p_torsion_abelian(p: int, m: int, budget: Optional[int] = None) -> S
     elements = enumerate_kgroup(p, m, budget)
     torsion = [e for e in elements if e.is_p_torsion()]
     pairs = len(torsion) ** 2
-    if pairs > resolve_budget(budget):
-        raise BudgetExceededError(f"the {pairs} torsion-pair commutator checks exceed the budget")
+    refuse_over_budget(pairs, f"{pairs} torsion-pair commutator checks", budget)
     identity = KElement.identity(p)
     center = frozenset(KElement.central(p, c) for c in range(p))
 

@@ -14,16 +14,15 @@ from typing import Optional, Sequence
 
 from .cyclo import Phase, is_prime
 from .errors import (
-    BudgetExceededError,
     EvenPrimeError,
     NondeterministicTableError,
     PrimeMismatchError,
     ShapeMismatchError,
     UnsupportedModulusError,
 )
-from .kgroup import KElement, resolve_budget
+from .kgroup import KElement, refuse_over_budget
 from .ktensor import TensorElement
-from .mbqc import MbqcSpec, OutputTable, _row_sums
+from .mbqc import MbqcSpec, OutputTable, _row_sums, _settings
 from .phase_fn import PhaseFunction, at_level, modinv, rotate
 from .projection import HWElement, PROOF, phi, value_map_nu
 
@@ -133,8 +132,7 @@ def brute_force_solve(system: LCS) -> Optional[tuple[int, ...]]:
     """Exhaustive search over Z_d^n; the independent oracle for the solver.
     Its d^n candidates are refused over the budget before the search."""
     count = system.d**system.n_cols
-    if count > resolve_budget():
-        raise BudgetExceededError(f"the {count} candidate solutions exceed the budget")
+    refuse_over_budget(count, f"{count} candidate solutions")
     for candidate in itertools.product(range(system.d), repeat=system.n_cols):
         if check_classical(system, candidate):
             return candidate
@@ -217,13 +215,8 @@ class SolutionConditionReport:
 
 
 def _co_row_pairs(system: LCS) -> set[tuple[int, int]]:
-    pairs = set()
-    for row in system.A:
-        support = [k for k, v in enumerate(row) if v]
-        pairs.update(
-            (j, k) for j, k in itertools.combinations(support, 2)
-        )
-    return pairs
+    supports = ([k for k, v in enumerate(row) if v] for row in system.A)
+    return {pair for support in supports for pair in itertools.combinations(support, 2)}
 
 
 def check_solution_conditions(
@@ -306,13 +299,13 @@ def commute_on_ghz(e1: TensorElement, e2: TensorElement) -> bool:
 
 def lcs_from_mbqc(spec: MbqcSpec, table: OutputTable) -> LCS:
     """One row per input in lexicographic order: coefficients l_k(i), right-
-    hand side o(i)."""
+    hand side o(i).  The rows are the settings product of ``mbqc._settings``,
+    refused over the budget before it is allocated."""
     if not table.is_fully_deterministic:
         raise NondeterministicTableError("the computation table must be deterministic")
     if (table.p, table.n_inputs) != (spec.p, spec.n_inputs):
         raise ShapeMismatchError("table does not match the computation spec")
-    rows = [spec.settings(inputs) for inputs in spec.inputs()]
-    return LCS(spec.p, tuple(rows), tuple(table.outputs))
+    return LCS(spec.p, _settings(spec).tolist(), table.outputs)
 
 
 def reduce_to_classical(
@@ -367,8 +360,7 @@ def measurement_family_report(spec: MbqcSpec, table: OutputTable) -> Measurement
     if (table.p, table.n_inputs, len(table.outputs)) != (spec.p, spec.n_inputs, n_rows):
         raise ShapeMismatchError("table does not match the computation spec")
     n_pairs = n_rows * (n_rows - 1) // 2
-    if n_pairs > resolve_budget():
-        raise BudgetExceededError(f"the {n_pairs} row-operator pairs exceed the budget")
+    refuse_over_budget(n_pairs, f"{n_pairs} row-operator pairs")
     level, sums = _row_sums(spec)
     p, pl = spec.p, spec.p**level
     outs = np.array([-1 if o is None else o % p for o in table.outputs], dtype=np.int64)

@@ -4,12 +4,15 @@ States never appear as amplitude vectors: all operators are monomial, so a
 GHZ evaluation reduces to checking that a length-p product table is constant.
 The cost per input is O(number_of_sites * p), exactly: ``output_table`` and
 the family report in ``lcs`` read all p^n inputs from one int64 product of
-p^n * sites * p exponents, refused over the enumeration budget beforehand.
+p^n * sites * p exponents, ``lcs_from_mbqc`` its rows from the settings
+product, and ``interpolate_poly`` applies one p x p matrix along each input
+axis.  Each is refused over the enumeration budget beforehand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -22,9 +25,9 @@ from .errors import (
     ShapeMismatchError,
     TorusMembershipError,
 )
-from .kgroup import KElement, resolve_budget
+from .kgroup import KElement, refuse_over_budget
 from .ktensor import TensorElement
-from .phase_fn import PhaseFunction, at_level, lagrange_coeffs, rotate
+from .phase_fn import PhaseFunction, _lagrange_basis, at_level, rotate
 
 
 @dataclass(frozen=True)
@@ -178,26 +181,39 @@ class OutputTable:
         return itertools.product(range(self.p), repeat=self.n_inputs)
 
 
+def _settings(spec: MbqcSpec):
+    """S[i, s], the setting of site s at the i-th input in lexicographic
+    order, from one int64 product of the input digits with the affine
+    coefficients mod p; its p^n * sites entries are refused over the budget.
+    numpy is imported on first use, so ``import lcsmbqc`` does not load it."""
+    import numpy as np
+
+    p, n, sites = spec.p, spec.n_inputs, spec.n_sites
+    refuse_over_budget(p**n * sites, f"{p**n}x{sites} settings")
+    if (n + 1) * p * p > np.iinfo(np.int64).max:
+        raise BudgetExceededError(f"settings at p={p} overflow int64")
+    digits = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    coeffs = np.array([[c % p for c in site.coeffs] for site in spec.sites], dtype=np.int64)
+    return (digits @ coeffs[:, 1:].T + coeffs[:, 0]) % p
+
+
 def _row_sums(spec: MbqcSpec):
     """(L, Y) with L the largest site level and Y[i, q] the site sum of the
     i-th row operator's level-L exponents, sum_s settings[i, s] *
     at_level(xi_s, L)[q] mod p^L, an int64 array with inputs in lexicographic
     order; every row has shift 1 at every site.  Raises
     ``TorusMembershipError`` like the ``KElement`` constructor when some site
-    has det != 1 at some input.  numpy is imported on first use: the package
-    loads it only through ``verify``, after its own modules are compiled."""
+    has det != 1 at some input.  The p^n * sites * p exponents are refused
+    over the budget, and beyond int64, before anything is allocated."""
     import numpy as np
 
     p, n, sites = spec.p, spec.n_inputs, spec.n_sites
     level = max(site.xi.m for site in spec.sites)
-    if p**n * sites * p > resolve_budget():
-        raise BudgetExceededError(f"the {p**n}x{sites}x{p} row exponents exceed the budget")
-    if max(p ** (level + 1) * sites, (n + 1) * p * p) > np.iinfo(np.int64).max:
+    refuse_over_budget(p**n * sites * p, f"{p**n}x{sites}x{p} row exponents")
+    if p ** (level + 1) * sites > np.iinfo(np.int64).max:
         raise BudgetExceededError(f"row exponents at p={p}, level {level} overflow int64")
     pl = p**level
-    digits = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1) % p
-    coeffs = np.array([[c % p for c in site.coeffs] for site in spec.sites], dtype=np.int64)
-    settings = (digits @ coeffs[:, 1:].T + coeffs[:, 0]) % p
+    settings = _settings(spec)
     xi = np.array([at_level(site.xi, level) for site in spec.sites], dtype=np.int64)
     if (settings * (xi.sum(axis=1) % pl) % pl).any():
         raise TorusMembershipError("diagonal part must have det == 1")
@@ -206,14 +222,14 @@ def _row_sums(spec: MbqcSpec):
 
 def output_table(spec: MbqcSpec) -> OutputTable:
     """Evaluate every input on the GHZ state and collect omega exponents.  A
-    row's branch q carries its site sum at q + 1 (shift 1), so the row is
-    deterministic when that sum is constant, with that value."""
+    row's branch q carries its site sum y at q + 1 (shift 1), so the row is
+    deterministic when that sum is constant.  Its output is the omega power
+    y p / p^L: every site has det == 1, so the p equal branch sums add up
+    to p y = 0 mod p^L, and a deterministic row is always an omega power."""
     level, sums = _row_sums(spec)
+    p, pl = spec.p, spec.p**level
     flags = (sums == sums[:, :1]).all(axis=1).tolist()
-    outputs = tuple(
-        reduced_phase(spec.p, level, y).as_omega_power() if flag else None
-        for y, flag in zip(sums[:, 0].tolist(), flags)
-    )
+    outputs = tuple(y * p // pl if flag else None for y, flag in zip(sums[:, 0].tolist(), flags))
     return OutputTable(spec.p, spec.n_inputs, outputs, tuple(flags))
 
 
@@ -227,40 +243,36 @@ class MultivariatePoly:
     coeffs: dict[tuple[int, ...], int]
 
     def evaluate(self, point: Sequence[int]) -> int:
-        acc = 0
-        for exps, c in self.coeffs.items():
-            term = c
-            for e, x in zip(exps, point):
-                term = term * pow(x % self.p, e, self.p) if e else term
-            acc = (acc + term) % self.p
-        return acc
+        p = self.p
+        return sum(
+            c * math.prod(pow(x, e, p) for x, e in zip(point, exps))
+            for exps, c in self.coeffs.items()
+        ) % p
 
     def total_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(exps) for exps in self.coeffs)
+        return max(map(sum, self.coeffs), default=0)
 
 
 def interpolate_poly(table: OutputTable) -> MultivariatePoly:
     """The unique polynomial with individual degrees <= p-1 matching the
-    table on all of Z_p^n, by iterated univariate interpolation."""
+    table on all of Z_p^n.  The outputs form a p x ... x p tensor, and the
+    inverse Vandermonde matrix of ``phase_fn._lagrange_basis`` is applied
+    along each axis in turn, mod p.  Its p^n * n * p products are refused
+    over the budget before anything is allocated."""
     if not table.is_fully_deterministic:
         raise NondeterministicTableError("interpolation needs a fully deterministic table")
     p, n = table.p, table.n_inputs
-    # dense tensor of values, axis-transformed one variable at a time
-    values = {inputs: v for inputs, v in zip(table.inputs(), table.outputs)}
-    coeffs = values
-    for axis in range(n):
-        transformed: dict[tuple[int, ...], int] = {}
-        for prefix in itertools.product(range(p), repeat=axis):
-            for suffix in itertools.product(range(p), repeat=n - axis - 1):
-                line = [coeffs[prefix + (q,) + suffix] for q in range(p)]
-                for a, c in enumerate(lagrange_coeffs(line, p)):
-                    transformed[prefix + (a,) + suffix] = c
-        coeffs = transformed
-    return MultivariatePoly(
-        p, n, {exps: c for exps, c in coeffs.items() if c % p}
-    )
+    refuse_over_budget(p**n * n * p, f"{p**n}x{n}x{p} interpolation products")
+    import numpy as np
+
+    if n and p**3 > np.iinfo(np.int64).max:
+        raise BudgetExceededError(f"interpolation products at p={p} overflow int64")
+    coeffs = np.array([o % p for o in table.outputs], dtype=np.int64).reshape((p,) * n)
+    basis = np.array(_lagrange_basis(p) if n else (), dtype=np.int64)
+    for _ in range(n):  # each step turns the last value axis into the first exponent axis
+        coeffs = np.tensordot(basis, coeffs, axes=(1, n - 1)) % p
+    exps = np.argwhere(coeffs).tolist()
+    return MultivariatePoly(p, n, dict(zip(map(tuple, exps), coeffs[coeffs != 0].tolist())))
 
 
 @dataclass(frozen=True)
@@ -283,6 +295,7 @@ def qudit_star_spec(p: int) -> MbqcSpec:
     -i1-i2 over Z_p, for odd prime p."""
     if p == 2:
         raise EvenPrimeError("the qudit star is defined for odd primes")
+    refuse_over_budget(p**3 * 3, f"{p * p}x3x{p} row exponents")
     base = star_base_function(p)
     return MbqcSpec(
         p,
@@ -313,12 +326,7 @@ def qubit_star_spec() -> MbqcSpec:
 def expected_star_outputs(p: int) -> tuple[int, ...]:
     """The closed-form star output: 0 at the zero input, 1 when the integer
     sum of the input digits is at most p, and 2 beyond."""
-    out = []
-    for i1, i2 in itertools.product(range(p), repeat=2):
-        if i1 == 0 and i2 == 0:
-            out.append(0)
-        elif i1 + i2 <= p:
-            out.append(1)
-        else:
-            out.append(2)
-    return tuple(out)
+    return tuple(
+        0 if i1 == i2 == 0 else 1 if i1 + i2 <= p else 2
+        for i1, i2 in itertools.product(range(p), repeat=2)
+    )

@@ -40,25 +40,12 @@ def modinv(a: int, p: int) -> int:
 def _lagrange_basis(p: int) -> tuple[tuple[int, ...], ...]:
     """The inverse of the Vandermonde matrix (q^a) over Z_p: row a holds the
     x^a coefficients of the Lagrange basis polynomials L_0, ..., L_{p-1}.
-    Computed once per prime (p^2 entries, so the memo keeps a few primes)."""
-    columns = []
-    for q in range(p):
-        # L_q(x) = prod_{r != q} (x - r) / (q - r)
-        basis = [1]
-        denom = 1
-        for r in range(p):
-            if r == q:
-                continue
-            # multiply basis by (x - r)
-            nxt = [0] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                nxt[i] = (nxt[i] - c * r) % p
-                nxt[i + 1] = (nxt[i + 1] + c) % p
-            basis = nxt
-            denom = denom * (q - r) % p
-        scale = modinv(denom, p)
-        columns.append([c * scale % p for c in basis])
-    return tuple(tuple(col[a] for col in columns) for a in range(p))
+    By Fermat, L_q(x) = 1 - (x - q)^(p-1); since C(p-1, a) = (-1)^a mod p,
+    the x^a coefficient of (x - q)^(p-1) is q^(p-1-a) (with 0^0 = 1), so
+    row a is [a == 0] - q^(p-1-a): p^2 modular powers, once per prime."""
+    return tuple(
+        tuple((int(a == 0) - pow(q, p - 1 - a, p)) % p for q in range(p)) for a in range(p)
+    )
 
 
 def lagrange_coeffs(values: Sequence[int], p: int) -> tuple[int, ...]:

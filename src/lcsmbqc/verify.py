@@ -32,9 +32,10 @@ from .kgroup import (
     classify_commuting_pair,
     dihedral_check,
     enumerate_kgroup,
-    kgroup_order,
+    kgroup_order_exponent,
     maximal_p_torsion_abelian,
-    resolve_budget,
+    power_over_budget,
+    power_text,
     structural_p_torsion,
 )
 from .ktensor import (
@@ -124,14 +125,17 @@ class KGroupTable:
     """
 
     def __init__(self, p: int, m: int):
-        n = kgroup_order(p, m)
-        if n * n > resolve_budget():
-            raise BudgetExceededError(f"the {n}x{n} Cayley table exceeds the enumeration budget")
+        k = kgroup_order_exponent(p, m)
+        if power_over_budget(p, 2 * k):
+            size = power_text(p, k)
+            raise BudgetExceededError(
+                f"the {size}x{size} Cayley table exceeds the enumeration budget"
+            )
         self.p = p
         self.m = m
         self.pm = p**m
         self.elements = enumerate_kgroup(p, m)
-        self.n = n
+        self.n = p**k
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._mul: Optional[np.ndarray] = None
         self._commutant: Optional[np.ndarray] = None

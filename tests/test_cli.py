@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -323,3 +324,26 @@ def test_over_budget_table_is_refused_before_enumeration(monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("invalid input: LevelError:")
     finally:
         verify.group_table.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["demo", "qudit-star", "--p", "1000003"],
+        ["verify", "phi", "--p", "1000003"],
+        ["verify", "symplectic", "--p", "1000003"],
+        ["subgroups", "--p", "1000003", "--m", "1"],
+    ],
+    ids=["demo-qudit-star", "verify-phi", "verify-symplectic", "subgroups"],
+)
+def test_runs_at_a_million_are_refused_at_once(args, capsys):
+    """Group orders and star rows at p = 1000003 are compared with the
+    budget by exponent, before any table or primality-tested phase is
+    built, and reported without a decimal of millions of digits."""
+    start = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("budget exceeded: ")

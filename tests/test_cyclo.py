@@ -134,3 +134,36 @@ def test_canonical_form_invariants(a):
         assert a.e % a.p != 0
         assert 0 <= a.e < a.p**a.M
     assert Phase(a.p, a.M, a.e) == a
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    from lcsmbqc.cyclo import is_prime
+
+    edge = [1681, 2021, 1000003, 1000033, 25326001, 3215031751]
+    for n in list(range(-3, 5000)) + edge:
+        assert is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_decides_strong_pseudoprimes_and_refuses_beyond_its_bound():
+    """3825123056546413051 passes Miller-Rabin to the bases 2..23 and
+    318665857834031151167461 to the bases 2..37; both are composite."""
+    from lcsmbqc.cyclo import is_prime
+
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    with pytest.raises(ValueError, match="primality is decided below"):
+        is_prime(2**89 - 1)
+
+
+def test_a_level_far_above_the_cap_is_refused_without_forming_p_to_the_m():
+    with pytest.raises(LevelError):
+        Phase(3, 10**12, 1)
+    with pytest.raises(LevelError):
+        Phase(3, 10**12, -(3**20))
+    assert Phase(3, 10**12, 0) == Phase.one(3)
+    assert Phase(3, 8, 3**6) == Phase(3, 2, 1)

@@ -1,0 +1,165 @@
+"""Fuzzing the computation entry points of the command line.
+
+Whatever the spec file or the prime, ``mbqc run``, ``lcs from-mbqc`` and
+``demo qudit-star`` end with exit code 0, 1 or 2, print at most one line to
+standard error and never a traceback, and finish within a wall bound.  The
+budget is small, so that no example can start a long run; an example that
+overruns the bound is stopped by an alarm and fails the test."""
+
+import json
+import signal
+import time
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from lcsmbqc.cli import main
+from lcsmbqc.mbqc import qubit_star_spec, qudit_star_spec
+
+BUDGET = "2000"  # refuses the p = 7, n = 3 specs and the star beyond p = 7
+WALL_S = 2.0
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+class Overrun(Exception):
+    pass
+
+
+def _bounded_main(args):
+    """(exit code, seconds) of one in-process run, stopped by SIGALRM after
+    ``WALL_S`` seconds."""
+
+    def expire(signum, frame):
+        raise Overrun(f"{args} ran over {WALL_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WALL_S)
+    start = time.perf_counter()
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, time.perf_counter() - start
+
+
+def _assert_contract(args, capsys):
+    code, seconds = _bounded_main(args)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (args, code, err)
+    assert "Traceback" not in err, err
+    assert len(err.strip().splitlines()) <= 1, err
+    assert seconds < WALL_S
+
+
+# any JSON document, including non-integer numbers the loader refuses
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+
+# integers that are usually valid for their field and sometimes anything
+small_or_any = st.integers(-2, 6) | st.integers()
+primes_or_any = st.sampled_from([2, 3, 5, 7]) | st.integers()
+
+
+@st.composite
+def phases(draw, p):
+    prime = draw(st.just(p) | primes_or_any)
+    return {"p": prime, "M": draw(small_or_any), "e": draw(st.integers())}
+
+
+@st.composite
+def valid_specs(draw):
+    """A well-formed spec: det-1 site tables of level 1 or 2 and any integer
+    affine coefficients, so that runs reach the table and its verdict."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 3))
+    pm = p ** draw(st.integers(1, 2))
+    sites = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.integers(0, pm - 1), min_size=p - 1, max_size=p - 1))
+        values = [{"p": p, "M": 2 if pm > p else 1, "e": e} for e in exps + [-sum(exps) % pm]]
+        coeffs = draw(st.lists(st.integers(), min_size=n + 1, max_size=n + 1))
+        sites.append({"xi": {"p": p, "values": values}, "coeffs": coeffs})
+    return {"p": p, "n_inputs": n, "sites": sites}
+
+
+@st.composite
+def specs(draw):
+    """A spec shaped like the real thing, with any field possibly out of
+    range: primes, levels, exponents, input widths and coefficients."""
+    p = draw(primes_or_any)
+    n = draw(small_or_any)
+    width = p if 2 <= p <= 7 else draw(st.integers(0, 7))
+    sites = []
+    for _ in range(draw(st.integers(0, 3))):
+        values = [draw(phases(p)) for _ in range(draw(st.sampled_from([width, 0, 1, 3])))]
+        coeff_count = draw(st.sampled_from([n + 1 if 0 <= n <= 4 else 1, 0, 2]))
+        coeffs = draw(st.lists(st.integers(), min_size=coeff_count, max_size=coeff_count))
+        sites.append({"xi": {"p": p, "values": values}, "coeffs": coeffs})
+    return {"p": p, "n_inputs": n, "sites": sites}
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid star spec with one field replaced by any JSON value."""
+    spec = draw(st.sampled_from([qubit_star_spec(), qudit_star_spec(3), qudit_star_spec(5)]))
+    data = spec.to_json()
+    site = draw(st.sampled_from(data["sites"]))
+    target, key = draw(
+        st.sampled_from(
+            [(data, "p"), (data, "n_inputs"), (data, "sites"), (site, "coeffs"), (site, "xi"),
+             (site["xi"], "values"), (site["xi"]["values"][0], "M"),
+             (site["xi"]["values"][0], "e"), (site["xi"]["values"][0], "p")]
+        )
+    )
+    target[key] = draw(json_values)
+    return data
+
+
+spec_documents = (
+    valid_specs().map(json.dumps)
+    | specs().map(json.dumps)
+    | mutated_specs().map(json.dumps)
+    | json_values.map(json.dumps)
+    | st.text(max_size=40)
+)
+
+
+@pytest.mark.parametrize("command", [["mbqc", "run"], ["lcs", "from-mbqc"]])
+def test_spec_commands_keep_the_exit_contract(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LCSMBQC_BUDGET", BUDGET)
+    spec_file = tmp_path / "spec.json"
+
+    @FUZZ
+    @given(spec_documents)
+    def check(document):
+        spec_file.write_text(document, encoding="utf-8")
+        _assert_contract([*command, "--spec", str(spec_file)], capsys)
+
+    check()
+
+
+def test_qudit_star_demo_keeps_the_exit_contract(monkeypatch, capsys):
+    monkeypatch.setenv("LCSMBQC_BUDGET", BUDGET)
+
+    @FUZZ
+    @given(
+        st.integers()
+        | st.integers(-20, 40)
+        | st.sampled_from([1000003, 1000033, 2**31 - 1, 2**61 - 1, 10**6 + 1])
+    )
+    def check(p):
+        _assert_contract(["demo", "qudit-star", "--p", str(p)], capsys)
+
+    check()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from lcsmbqc import (
     structural_p_torsion,
 )
 from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError, TorusMembershipError
+from lcsmbqc.kgroup import enumerate_torus, power_over_budget, power_text
 from lcsmbqc.verify import random_k_element
 
 from exact_matrix import MonomialMatrix
@@ -266,3 +268,29 @@ def test_dihedral_structure():
 def test_json_round_trip():
     M = clock() * shift()
     assert KElement.from_json(M.to_json()) == M
+
+
+def test_power_budget_compares_exponents():
+    assert not power_over_budget(3, 4, budget=81)
+    assert power_over_budget(3, 5, budget=81)
+    assert power_over_budget(2, 0, budget=0)
+    assert not power_over_budget(1000003, 0, budget=1)
+    assert power_over_budget(1000003, 10**12, budget=10**7)
+    assert power_text(5, 9) == "1953125"
+    assert power_text(1000003, 1000003) == "1000003^1000003"
+
+
+def test_huge_group_orders_are_refused_without_forming_them():
+    """|K| = p^(m(p-1)+1) at p = 1000003 has millions of digits; it is
+    reported as a power."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^\|K\| = 1000003\^1000003 exceeds"):
+        enumerate_kgroup(1000003, 1)
+    with pytest.raises(BudgetExceededError, match=r"^\|torus\| = 1000003\^2000004 exceeds"):
+        enumerate_torus(1000003, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_power_budget_needs_a_base_of_at_least_two():
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        enumerate_torus(1, 2)

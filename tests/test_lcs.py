@@ -419,3 +419,37 @@ def test_lcs_json_round_trip():
     assert LCS.from_json(system.to_json()) == system
     assignment = mermin_fixtures().square_assignment
     assert GeneratorAssignment.from_json(assignment.to_json()) == assignment
+
+
+def test_lcs_rows_equal_the_settings_of_every_input():
+    """The settings product against ``MbqcSpec.settings`` input by input, on
+    the seeded random specs (affine coefficients from -p to 2p - 1) and on a
+    spec with large and negative coefficients; the right-hand side is a
+    stand-in deterministic table."""
+    from lcsmbqc.mbqc import star_base_function
+
+    wide = MbqcSpec(
+        5,
+        2,
+        (
+            SiteSpec(star_base_function(5), (-7, 12, -1)),
+            SiteSpec(star_base_function(5), (10**20, -(10**20) - 3, 5)),
+        ),
+    )
+    for spec in random_specs(2026, 240) + [wide]:
+        rows = spec.p**spec.n_inputs
+        table = OutputTable(spec.p, spec.n_inputs, (1,) * rows, (True,) * rows)
+        system = lcs_from_mbqc(spec, table)
+        assert system.A == tuple(spec.settings(i) for i in spec.inputs())
+        assert system.b == (1 % spec.p,) * rows
+
+
+def test_lcs_rows_are_refused_over_budget(monkeypatch):
+    """The p = 3 star has 9x3 = 27 settings."""
+    spec = qudit_star_spec(3)
+    table = OutputTable(3, 2, mbqc.expected_star_outputs(3), (True,) * 9)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "26")
+    with pytest.raises(BudgetExceededError, match="the 9x3 settings exceed the budget"):
+        lcs_from_mbqc(spec, table)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "27")
+    assert lcs_from_mbqc(spec, table).A == tuple(spec.settings(i) for i in spec.inputs())

@@ -365,3 +365,91 @@ def test_row_exponents_beyond_int64_are_refused():
 def test_spec_needs_a_site():
     with pytest.raises(ShapeMismatchError):
         MbqcSpec(3, 1, ())
+
+
+def ref_interpolate(table):
+    """The iterated univariate interpolation that ``interpolate_poly``
+    replaced: one ``lagrange_coeffs`` call per line of the value tensor,
+    axis by axis, on dicts of exponent tuples."""
+    from lcsmbqc import MultivariatePoly
+    from lcsmbqc.phase_fn import lagrange_coeffs
+
+    p, n = table.p, table.n_inputs
+    coeffs = {inputs: v for inputs, v in zip(table.inputs(), table.outputs)}
+    for axis in range(n):
+        transformed = {}
+        for prefix in itertools.product(range(p), repeat=axis):
+            for suffix in itertools.product(range(p), repeat=n - axis - 1):
+                line = [coeffs[prefix + (q,) + suffix] for q in range(p)]
+                for a, c in enumerate(lagrange_coeffs(line, p)):
+                    transformed[prefix + (a,) + suffix] = c
+        coeffs = transformed
+    return MultivariatePoly(p, n, {exps: c for exps, c in coeffs.items() if c % p})
+
+
+def _random_tables():
+    import random
+
+    rng = random.Random(2027)
+    for p, widths in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (5, (1, 2, 3)), (7, (1, 2))):
+        for n in widths:
+            for _ in range(3):
+                outputs = tuple(rng.randrange(-p, 2 * p) for _ in range(p**n))
+                yield OutputTable(p, n, outputs, (True,) * p**n)
+
+
+def test_interpolation_equals_the_univariate_reference():
+    tables = [output_table(qubit_star_spec())]
+    tables += [output_table(qudit_star_spec(p)) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    tables += list(_random_tables())
+    for table in tables:
+        assert interpolate_poly(table).coeffs == ref_interpolate(table).coeffs
+    assert len(tables) == 11 + 3 * 12
+
+
+def test_interpolation_of_a_table_without_inputs():
+    """With no inputs the polynomial is the one output reduced mod p; the
+    reference, which has no axis to transform, leaves it unreduced."""
+    assert interpolate_poly(OutputTable(5, 0, (7,), (True,))).coeffs == {(): 2}
+    assert interpolate_poly(OutputTable(5, 0, (5,), (True,))).coeffs == {}
+    assert interpolate_poly(OutputTable(5, 0, (3,), (True,))).coeffs == {(): 3}
+
+
+def test_interpolation_is_refused_over_budget(monkeypatch):
+    """A 3-input table at p = 3 takes 27x3x3 = 243 products."""
+    table = OutputTable(3, 3, (1,) * 27, (True,) * 27)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "242")
+    with pytest.raises(BudgetExceededError, match="the 27x3x3 interpolation products"):
+        interpolate_poly(table)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "243")
+    assert interpolate_poly(table).coeffs == {(0, 0, 0): 1}
+
+
+def test_interpolation_products_beyond_int64_are_refused(monkeypatch):
+    """Above p = 2^21 a sum of p products of residues can pass 2^63."""
+    p = 2_097_169
+    monkeypatch.setenv("LCSMBQC_BUDGET", str(10**13))
+    with pytest.raises(BudgetExceededError, match="overflow int64"):
+        interpolate_poly(OutputTable(p, 1, (0,) * p, (True,) * p))
+
+
+def test_star_spec_is_refused_before_its_base_table(monkeypatch):
+    """At p = 1000003 the star's row exponents are refused before any
+    primality test; p = 2 and composite p keep their own messages."""
+    import lcsmbqc.cyclo
+    import lcsmbqc.mbqc
+
+    def untested(n):
+        raise AssertionError("a primality test ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lcsmbqc.cyclo, "is_prime", untested)
+        patched.setattr(lcsmbqc.mbqc, "is_prime", untested)
+        with pytest.raises(
+            BudgetExceededError, match="the 1000006000009x3x1000003 row exponents"
+        ):
+            qudit_star_spec(1000003)
+    with pytest.raises(EvenPrimeError):
+        qudit_star_spec(2)
+    with pytest.raises(ValueError, match="p must be prime, got 9"):
+        qudit_star_spec(9)

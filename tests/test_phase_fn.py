@@ -186,3 +186,13 @@ def test_json_round_trip():
     assert PhaseFunction.from_json(f.to_json()) == f
     c = f.decompose(2)
     assert LevelCoefficients.from_json(c.to_json()) == c
+
+
+def test_lagrange_basis_inverts_the_vandermonde_matrix():
+    from lcsmbqc.phase_fn import _lagrange_basis
+
+    for p in (2, 3, 5, 7, 11, 13, 31, 101):
+        basis = _lagrange_basis(p)
+        for a in range(p):
+            row = [sum(c * pow(q, b, p) for q, c in enumerate(basis[a])) % p for b in range(p)]
+            assert row == [int(a == b) for b in range(p)], (p, a)
