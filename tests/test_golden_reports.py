@@ -90,6 +90,10 @@ SUITE_DIGESTS = {
         lambda: verify.suite_phi(3, 3, n=2, samples=0),
         "510d7e92d8c9276790474df4c70cf4756a790d71c17aa0313ead4f86591ac7b3",
     ),
+    "phi-two-site-5-1": (
+        lambda: verify.suite_phi(5, 1, n=2, samples=0),
+        "6aa173fe263b2c8c284f763847ef6e7125ca83b3814fc39840126f554cbd6ad4",
+    ),
 }
 
 DISPLAYED_TWO_SITE_DIGEST = "96c5f79fc7808d06fca04891d1ccecf440e66369c117664786dd0339a9eab648"
