@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import verify
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NondeterministicTableError
 from .kgroup import maximal_p_torsion_abelian
 from .lcs import (
     GeneratorAssignment,
@@ -237,7 +237,11 @@ def cmd_mbqc(args) -> int:
 def cmd_lcs(args) -> int:
     if args.lcs_command == "from-mbqc":
         spec = MbqcSpec.from_json(_load_json(args.spec))
-        system = lcs_from_mbqc(spec, output_table(spec))
+        try:
+            system = lcs_from_mbqc(spec, output_table(spec))
+        except NondeterministicTableError as exc:
+            print(f"lcs from-mbqc failed: {exc}", file=sys.stderr)
+            return EXIT_FAIL
         _emit(system.to_json(), args.out)
         return EXIT_OK
 

@@ -359,11 +359,15 @@ class SubgroupReport:
 def maximal_p_torsion_abelian(p: int, m: int, budget: Optional[int] = None) -> SubgroupReport:
     """Enumerate all p-torsion elements, extract the maximal abelian
     subgroups among them, and classify each one.  The |torsion|^2
-    commutator checks are refused over the budget before they start."""
+    commutator checks are bounded by |K|^2 and refused over the budget
+    before the group is enumerated."""
+    k2 = 2 * kgroup_order_exponent(p, m)
+    if power_over_budget(p, k2, budget):
+        raise BudgetExceededError(
+            f"the {power_text(p, k2)} element-pair commutator checks exceed the budget"
+        )
     elements = enumerate_kgroup(p, m, budget)
     torsion = [e for e in elements if e.is_p_torsion()]
-    pairs = len(torsion) ** 2
-    refuse_over_budget(pairs, f"{pairs} torsion-pair commutator checks", budget)
     identity = KElement.identity(p)
     center = frozenset(KElement.central(p, c) for c in range(p))
 

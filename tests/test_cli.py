@@ -6,7 +6,9 @@ import pytest
 
 from lcsmbqc import (
     KElement,
+    MbqcSpec,
     PhaseFunction,
+    SiteSpec,
     TensorElement,
     mermin_fixtures,
     qudit_star_spec,
@@ -146,6 +148,21 @@ def test_lcs_from_mbqc(tmp_path, capsys):
     assert data["d"] == 3 and len(data["A"]) == 9
 
 
+def test_nondeterministic_spec_exits_1_from_both_spec_commands(tmp_path, capsys):
+    """A spec that parses but whose table is not fully deterministic fails a
+    property: ``mbqc run`` and ``lcs from-mbqc`` both exit 1."""
+    base = PhaseFunction.omega_poly(3, (0, 1))
+    spec = MbqcSpec(3, 1, (SiteSpec(base, (0, 1)), SiteSpec(base, (0, 0))))
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec.to_json()))
+    assert run(["mbqc", "run", "--spec", str(spec_file)]) == 1
+    capsys.readouterr()
+    assert run(["lcs", "from-mbqc", "--spec", str(spec_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lcs from-mbqc failed: the computation table must be deterministic\n"
+
+
 def test_lcs_reduce(tmp_path, capsys):
     system = {"d": 3, "A": [[1, 1]], "b": [2]}
     system_file = tmp_path / "system.json"
@@ -212,12 +229,13 @@ def test_subgroups_command(capsys):
 
 def test_subgroups_over_budget_exits_2(capsys):
     """The 27 elements of the level-1 qutrit group fit a budget of 100, the
-    729 commutator checks of its torsion pairs do not."""
+    729 commutator checks of its element pairs, which bound those of its
+    torsion pairs, do not."""
     assert run(["subgroups", "--p", "3", "--m", "1", "--budget", "100"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
-        "budget exceeded: the 729 torsion-pair commutator checks exceed the budget"
+        "budget exceeded: the 729 element-pair commutator checks exceed the budget"
     ]
 
 

@@ -14,6 +14,7 @@ from lcsmbqc import (
     structural_p_torsion,
 )
 from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError, TorusMembershipError
+from lcsmbqc import kgroup
 from lcsmbqc.kgroup import enumerate_torus, power_over_budget, power_text
 from lcsmbqc.verify import random_k_element
 
@@ -245,9 +246,30 @@ def test_subgroup_classification_heisenberg_weyl():
 
 def test_subgroup_pairs_are_refused_over_budget():
     """All 27 level-1 qutrit elements are torsion: 729 commutator checks."""
-    with pytest.raises(BudgetExceededError, match="the 729 torsion-pair"):
+    with pytest.raises(BudgetExceededError, match="the 729 element-pair"):
         maximal_p_torsion_abelian(3, 1, budget=728)
     assert len(maximal_p_torsion_abelian(3, 1, budget=729).subgroups) == 4
+
+
+def test_subgroups_are_refused_before_the_group_is_enumerated(monkeypatch):
+    """|K|^2 bounds the torsion-pair checks and is compared with the budget
+    first: (5, 2) is refused without enumerating its 1953125 elements, while
+    (3, 3) at 4782969 and (5, 1) at 9765625 reach the enumeration at the
+    default budget of 10^7."""
+
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(p, m, budget=None):
+        raise Enumerated
+
+    monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
+    monkeypatch.setattr(kgroup, "enumerate_kgroup", enumerated)
+    with pytest.raises(BudgetExceededError, match="the 3814697265625 element-pair"):
+        maximal_p_torsion_abelian(5, 2)
+    for p, m in [(3, 3), (5, 1)]:
+        with pytest.raises(Enumerated):
+            maximal_p_torsion_abelian(p, m)
 
 
 def test_subgroup_classification_even_prime():

@@ -1,9 +1,21 @@
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
-from lcsmbqc import DISPLAYED, PROOF, HWElement, KElement, Phase, TensorElement, verify
+from lcsmbqc import (
+    DISPLAYED,
+    PROOF,
+    HWElement,
+    KElement,
+    LevelCoefficients,
+    Phase,
+    TensorElement,
+    phi,
+    verify,
+)
 
 
 def test_suite_registry_names():
@@ -79,8 +91,6 @@ def test_reports_embed_config_and_seed():
 
 
 def test_random_generators_produce_valid_pairs():
-    import random
-
     from lcsmbqc.verify import (
         random_commuting_torsion_pair,
         random_scalar_commuting_site_pair,
@@ -96,9 +106,49 @@ def test_random_generators_produce_valid_pairs():
         assert e1.commutes_with(e2)
 
 
-def test_group_table_matches_object_api():
-    import random
+def _capable_table(p, theta1, t):
+    """The table of the capable diagonal drawn as ``theta1`` with level-2
+    constant ``t``."""
+    return LevelCoefficients(p, (theta1, (t,) + (0,) * (p - 1))).reconstruct()
 
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_capable_diagonal_det_rule_on_every_draw(p):
+    for t in range(p):
+        for theta1 in itertools.product(range(p), repeat=p):
+            assert (theta1[p - 1] == t) == _capable_table(p, theta1, t).in_special_torus()
+
+
+def test_capable_diagonal_det_rule_on_sampled_draws_at_p7():
+    rng = random.Random(41)
+    accepted = 0
+    for _ in range(10_000):
+        theta1, t = tuple(rng.randrange(7) for _ in range(7)), rng.randrange(7)
+        accepted += theta1[6] == t
+        assert (theta1[6] == t) == _capable_table(7, theta1, t).in_special_torus()
+    assert 1_200 < accepted < 1_700
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_capable_diagonal_draws_follow_the_rejection_loop(p):
+    """The closed-form det test makes the same generator calls, and returns
+    the same elements, as rejecting reconstructed tables."""
+
+    def rejection(rng, t):
+        while True:
+            table = _capable_table(p, tuple(rng.randrange(p) for _ in range(p)), t)
+            if table.in_special_torus():
+                return KElement(table, 0)
+
+    fast, slow = random.Random(p), random.Random(p)
+    for k in range(40):
+        t = k % p if k % 2 else None
+        expected = rejection(slow, slow.randrange(p) if t is None else t)
+        assert verify.random_capable_diagonal(fast, p, t) == expected
+        assert fast.getstate() == slow.getstate()
+
+
+def test_group_table_matches_object_api():
     table = verify.group_table(3, 2)
     rng = random.Random(2)
     for _ in range(200):
@@ -120,52 +170,113 @@ def _assert_commutant_zero_is_commuting(table, rows):
 
 @pytest.mark.parametrize("p, m", [(2, 3), (3, 1), (3, 2)])
 def test_commutant_zero_selects_the_commuting_pairs(p, m):
-    """``suite_phi`` takes its commuting single-site pairs from the
+    """``suite_phi`` takes its commuting pairs from pair groups built on the
     commutant table; on every pair that table agrees with the object API."""
     table = verify.KGroupTable(p, m)
     _assert_commutant_zero_is_commuting(table, range(table.n))
 
 
 def test_commutant_zero_selects_the_commuting_pairs_sampled_at_p5():
-    import random
-
-    table = verify.KGroupTable(5, 1)
+    table = verify.group_table(5, 1)
     rows = random.Random(71).sample(range(table.n), 12)
     _assert_commutant_zero_is_commuting(table, rows)
+
+
+def test_commutant_zero_selects_the_commuting_pairs_sampled_at_level3():
+    table = verify.group_table(3, 3)
+    rows = random.Random(71).sample(range(table.n), 12)
+    _assert_commutant_zero_is_commuting(table, rows)
+
+
+def _torsion_pairs_by_commutant(table):
+    """Torsion pairs with commutant 0 in the index table, in row-major order."""
+    torsion_idx = np.flatnonzero(table.torsion)
+    commuting = table.commutant[np.ix_(torsion_idx, torsion_idx)] == 0
+    return torsion_idx[np.argwhere(commuting)].tolist()
+
+
+def _torsion_pairs_by_commutator(table, rows=None):
+    """Pairs (i, j) of torsion elements with an identity object-API
+    commutator, in row-major order; i runs over ``rows``, by default over
+    every torsion element."""
+    identity = KElement.identity(table.p)
+    els = table.elements
+    torsion = [j for j, e in enumerate(els) if e.is_p_torsion()]
+    rows = torsion if rows is None else rows
+    return [(i, j) for i in rows for j in torsion if els[i].commutator(els[j]) == identity]
+
+
+def _object_api_single_site(table, variant, pairs, project=phi):
+    """The single-site check as a loop over object-API projections: the
+    reference for the first check of ``suite_phi``.  A pair (i, j) fails when
+    the image of the product differs from the product of the images.  Returns
+    the pair count, the failure count and the first failing pair of elements
+    (None if there is none)."""
+    tensors = {}
+    images = {}
+    for k in {k for pair in pairs for k in pair}:
+        tensors[k] = TensorElement.of_sites([table.elements[k]])
+        images[k] = project(tensors[k], variant)
+    bad = 0
+    first = None
+    for i, j in pairs:
+        if project(tensors[i] * tensors[j], variant) != images[i] * images[j]:
+            bad += 1
+            first = first or (table.elements[i], table.elements[j])
+    return len(pairs), bad, first
 
 
 def test_single_site_failures_and_witness_follow_the_object_api_loop(monkeypatch):
     """With a planted fault (an extra omega on the image of one element z),
     the single-site check counts the same pairs and failures, and names the
     same first counterexample, as a row-major loop over object-API
-    commutators; that counterexample is not symmetric, so the order counts."""
-    true_phi = verify.phi
+    commutators; that counterexample is not symmetric, so the order counts.
+    The fault is planted in the level-2 scalar of z in the projection data
+    of the index table, which is what the check reads."""
+    table = verify.KGroupTable(3, 1)
+    ok, s2, a, b = table.phi_data(PROOF)
+    s2 = s2.copy()
+    s2[-1] = (s2[-1] + 3) % 9
+    monkeypatch.setitem(table._phi, PROOF, (ok, s2, a, b))
+    monkeypatch.setattr(verify, "group_table", lambda p, m: table)
     omega = HWElement.scalar(Phase.omega(3), 1)
-    elements = verify.group_table(3, 1).elements
-    z = elements[-1]
+    z = table.elements[-1]
 
     def planted(e, variant=PROOF):
-        image = true_phi(e, variant)
+        image = phi(e, variant)
         return image * omega if e.sites[0] == z else image
 
-    monkeypatch.setattr(verify, "phi", planted)
-    identity = KElement.identity(3)
-    torsion = [e for e in elements if e.is_p_torsion()]
-    count = bad = 0
-    first = None
-    for a in torsion:
-        for b in torsion:
-            if a.commutator(b) != identity:
-                continue
-            count += 1
-            e1, e2 = TensorElement.of_sites([a]), TensorElement.of_sites([b])
-            if planted(e1 * e2) != planted(e1) * planted(e2):
-                bad += 1
-                first = first or (a, b)
+    pairs = _torsion_pairs_by_commutator(table)
+    count, bad, first = _object_api_single_site(table, PROOF, pairs, planted)
     check = verify.suite_phi(3, 1, n=1, samples=0).checks[0]
     assert bad and first[0] != first[1]
     witness = f"{first[0]!r} vs {first[1]!r}"
     assert (check.count, check.detail) == (count, f"{bad} failures, e.g. {witness}")
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3)])
+def test_single_site_check_equals_object_api_loop(p, m, variant):
+    table = verify.group_table(p, m)
+    count, bad, first = _object_api_single_site(table, variant, _torsion_pairs_by_commutant(table))
+    check = verify.suite_phi(p, m, n=1, variant=variant, samples=0).checks[0]
+    detail = f"{bad} failures, e.g. {first[0]!r} vs {first[1]!r}" if bad else ""
+    assert (check.count, check.passed, check.detail) == (count, bad == 0, detail)
+
+
+def test_single_site_check_equals_object_api_loop_on_sampled_rows_at_p5():
+    """At (5, 1) the object-API loop runs on a sample of left factors: the
+    torsion pairs it selects by commutators are the pairs of the (0, 0, 0)
+    group on those rows, and none fails, as the whole check reports."""
+    table = verify.group_table(5, 1)
+    rows = sorted(random.Random(29).sample(np.flatnonzero(table.torsion).tolist(), 10))
+    pairs = _torsion_pairs_by_commutator(table, rows)
+    group = verify._phi_pair_groups(table, PROOF)[(0, 0, 0)]
+    listed = group.pairs[np.isin(group.pairs[:, 0], rows)]
+    assert listed.tolist() == [list(pair) for pair in pairs]
+    assert _object_api_single_site(table, PROOF, pairs) == (len(pairs), 0, None)
+    check = verify.suite_phi(5, 1, n=1, samples=0).checks[0]
+    assert (check.count, check.passed, check.detail) == (465_625, True, "")
 
 
 def _listed_pairs(table, variant):
