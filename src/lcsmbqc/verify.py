@@ -134,8 +134,6 @@ class KGroupTable:
         self.n = p**k
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._mul: Optional[np.ndarray] = None
-        self._commutant: Optional[np.ndarray] = None
-        self._pow: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pair_groups: dict[str, dict[tuple[int, int, int], _PairGroup]] = {}
 
@@ -194,14 +192,12 @@ class KGroupTable:
 
     def power_indices(self, max_power: int) -> np.ndarray:
         """pow[k, i] = index of elements[i] ** k for k = 0..max_power."""
-        if self._pow is None or self._pow.shape[0] <= max_power:
-            out = np.empty((max_power + 1, self.n), dtype=np.int32)
-            out[0] = self.identity_index
-            idx_all = np.arange(self.n)
-            for k in range(1, max_power + 1):
-                out[k] = self.mul[out[k - 1], idx_all]
-            self._pow = out
-        return self._pow[: max_power + 1]
+        out = np.empty((max_power + 1, self.n), dtype=np.int32)
+        out[0] = self.identity_index
+        idx_all = np.arange(self.n)
+        for k in range(1, max_power + 1):
+            out[k] = self.mul[out[k - 1], idx_all]
+        return out
 
     @cached_property
     def ppow(self) -> np.ndarray:
@@ -211,18 +207,13 @@ class KGroupTable:
 
     @cached_property
     def torsion(self) -> np.ndarray:
-        return self.power_indices(self.p)[self.p] == self.identity_index
+        return self.ppow == 0
 
-    @property
+    @cached_property
     def commutant(self) -> np.ndarray:
         """Pairwise scalar commutant exponent, -1 where non-scalar."""
-        if self._commutant is None:
-            idx = np.arange(self.n)
-            left = self.mul[idx[:, None], idx[None, :]]
-            right = self.mul[self.inv[idx][:, None], self.inv[idx][None, :]]
-            comm = self.mul[left, right]
-            self._commutant = self.scal[comm]
-        return self._commutant
+        mul, inv = self.mul, self.inv
+        return self.scal[mul[mul, mul[inv[:, None], inv[None, :]]]]
 
     def phi_data(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(defined, s2, a, b) arrays of the single-site projection: s2 is the
@@ -332,15 +323,12 @@ def random_commuting_torsion_pair(
     sites2: list[Optional[KElement]] = [None] * n_sites
     t1 = t2 = 0
     for pos in sorted(diag_positions):
-        if pos == max(diag_positions):
-            d1 = random_capable_diagonal(rng, p, (-t1) % p)
-            d2 = random_capable_diagonal(rng, p, (-t2) % p)
-        else:
-            d1 = random_capable_diagonal(rng, p)
-            d2 = random_capable_diagonal(rng, p)
-        t1 += (d1 ** p).as_scalar().as_omega_power()
-        t2 += (d2 ** p).as_scalar().as_omega_power()
-        sites1[pos], sites2[pos] = d1, d2
+        last = pos == max(diag_positions)
+        u1 = (-t1) % p if last else rng.randrange(p)
+        sites1[pos] = random_capable_diagonal(rng, p, u1)
+        u2 = (-t2) % p if last else rng.randrange(p)
+        sites2[pos] = random_capable_diagonal(rng, p, u2)
+        t1, t2 = t1 + u1, t2 + u2
     c_total = 0
     for pos in shifted_positions:
         if pos == shifted_positions[-1]:
@@ -378,12 +366,9 @@ def random_torsion_tensor(rng: random.Random, p: int, m: int, n_sites: int) -> T
     diag_left = sorted(positions)
     for pos in range(n_sites):
         if pos in positions:
-            if pos == diag_left[-1]:
-                d = random_capable_diagonal(rng, p, (-t) % p)
-            else:
-                d = random_capable_diagonal(rng, p)
-            t += (d ** p).as_scalar().as_omega_power()
-            sites.append(d)
+            u = (-t) % p if pos == diag_left[-1] else rng.randrange(p)
+            t += u
+            sites.append(random_capable_diagonal(rng, p, u))
         else:
             sites.append(random_k_element(rng, p, m, rng.randrange(1, p)))
     return TensorElement.of_sites(sites)
@@ -419,51 +404,38 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
         )
     )
 
-    diag = [i for i, e in enumerate(elements) if e.b == 0]
+    # shifted[s, k]: the index of diagonal k with its table shifted by s
+    diag = np.flatnonzero(table.b == 0)
+    shifted = np.array(
+        [[table.index[KElement(elements[j].xi.shift(s), 0)] for j in diag] for s in range(p)]
+    )
+    b = table.b.astype(np.int64)
     pow_idx = table.power_indices(max_power)
-    shift_of = {}
-    for j in diag:
-        e = elements[j]
-        shift_of[j] = [table.index[KElement(e.xi.shift(s), 0)] for s in range(p)]
-
-    mismatches = 0
-    total = 0
-    for i, e in enumerate(elements):
-        for n in range(max_power + 1):
-            en = pow_idx[n, i]
-            nb = (n * e.b) % p
-            for j in diag:
-                total += 1
-                if mul[en, j] != mul[shift_of[j][nb], en]:
-                    mismatches += 1
+    prod = mul[:, diag]
+    lhs = rhs_chi = np.full_like(prod, table.identity_index)
+    slide_bad = product_bad = 0
+    for n in range(max_power + 1):
+        en = pow_idx[n, :, None]
+        slid = shifted[n * b % p]
+        slide_bad += int((mul[en, diag] != mul[slid, en]).sum())
+        if n:
+            lhs = mul[lhs, prod]
+            rhs_chi = mul[rhs_chi, slid]
+            product_bad += int((lhs != mul[rhs_chi, en]).sum())
     checks.append(
         CheckResult(
             "powers slide past diagonals through the shift action",
-            mismatches == 0,
-            count=total,
-            detail=f"{mismatches} mismatches" if mismatches else "",
+            slide_bad == 0,
+            count=table.n * (max_power + 1) * len(diag),
+            detail=f"{slide_bad} mismatches" if slide_bad else "",
         )
     )
-
-    mismatches = 0
-    total = 0
-    for i, e in enumerate(elements):
-        for j in diag:
-            prod = mul[i, j]
-            lhs = table.identity_index
-            rhs_chi = table.identity_index
-            for n in range(1, max_power + 1):
-                lhs = mul[lhs, prod]
-                rhs_chi = mul[rhs_chi, shift_of[j][(n * e.b) % p]]
-                total += 1
-                if lhs != mul[rhs_chi, pow_idx[n, i]]:
-                    mismatches += 1
     checks.append(
         CheckResult(
             "product-with-diagonal power closed form",
-            mismatches == 0,
-            count=total,
-            detail=f"{mismatches} mismatches" if mismatches else "",
+            product_bad == 0,
+            count=table.n * max_power * len(diag),
+            detail=f"{product_bad} mismatches" if product_bad else "",
         )
     )
     return _report("lemma1", {"p": p, "m": m, "max_power": max_power}, checks)
@@ -536,27 +508,21 @@ def suite_commuting_pairs(p: int = 3, m: int = 2) -> SuiteReport:
     """Classify every scalar-commuting pair and verify all case witnesses."""
     table = group_table(p, m)
     elements = table.elements
-    commutant = table.commutant
+    pairs = np.argwhere(table.commutant >= 0).tolist()
     checks = []
     counts = {1: 0, 2: 0, 3: 0}
     failures = 0
-    total = 0
-    for i in range(table.n):
-        for j in range(table.n):
-            c = commutant[i, j]
-            if c < 0:
-                continue
-            total += 1
-            try:
-                case = classify_commuting_pair(elements[i], elements[j])
-                counts[case.case] += 1
-            except Exception:
-                failures += 1
+    for i, j in pairs:
+        try:
+            case = classify_commuting_pair(elements[i], elements[j])
+            counts[case.case] += 1
+        except Exception:
+            failures += 1
     checks.append(
         CheckResult(
             "every scalar-commuting pair classifies with verified witnesses",
             failures == 0,
-            count=total,
+            count=len(pairs),
             detail=f"case counts {counts}" if not failures else f"{failures} failures",
         )
     )
@@ -636,6 +602,11 @@ def suite_subgroups(p: int = 3, m: int = 2, budget: Optional[int] = None) -> Sui
 def suite_decomposition(p: int = 3, m: int = 2, samples: int = 1000, seed: int = 11) -> SuiteReport:
     """Round trip and injectivity of the per-level expansion: exhaustive over
     all qutrit level-2 tables, randomized at p = 5."""
+    # each enumeration below lists p^(mp) or (p^m)^p = p^(mp) items of p entries
+    if power_over_budget(p, m * p + 1):
+        raise BudgetExceededError(
+            f"the {power_text(p, m * p + 1)} table entries exceed the enumeration budget"
+        )
     checks = []
     pm = p**m
     tables = [
@@ -713,22 +684,25 @@ def _phi_pair_groups(table: KGroupTable, variant: str) -> dict[tuple[int, int, i
     ok, s2, a, b = table.phi_data(variant)
     commutant = table.commutant
     first, second = np.nonzero(ok[:, None] & ok[None, :] & (commutant >= 0))
-    keys = np.stack([commutant[first, second], table.ppow[first], table.ppow[second]], axis=1)
-    distinct, first_seen, labels = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    labels = labels.ravel()
+    # c p^2 + t p + t', all three in [0, p): capable elements have central p-th powers
+    keys = (commutant[first, second].astype(np.int64) * p + table.ppow[first]) * p
+    keys += table.ppow[second]
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     groups = {}
-    for g in np.argsort(first_seen):
-        rows = np.flatnonzero(labels == g)
+    # a stable sort keeps each group in row-major order, so a group's first
+    # row is its first appearance
+    for rows in sorted(np.split(order, starts[1:]), key=lambda rows: rows[0]):
         i, j = first[rows], second[rows]
         prod = table.mul[i, j]
         good = (a[prod] == (a[i] + a[j]) % p) & (b[prod] == (b[i] + b[j]) % p)
         defect = (
             s2[prod].astype(np.int64) - s2[i] - s2[j] + p * a[j].astype(np.int64) * b[i]
         ) % (p * p)
-        key = tuple(int(v) for v in distinct[g])
-        groups[key] = _PairGroup(np.stack([i, j], axis=1), bool(ok[prod].all()), good, defect)
+        c, t = divmod(int(keys[rows[0]]), p * p)
+        groups[c, t // p, t % p] = _PairGroup(
+            np.stack([i, j], axis=1), bool(ok[prod].all()), good, defect
+        )
     table._pair_groups[variant] = groups
     return groups
 
@@ -801,12 +775,13 @@ def suite_phi(
     table = group_table(p, m)
     elements = table.elements
     torsion_idx = np.flatnonzero(table.torsion)
-    images = {i: phi(TensorElement.of_sites([elements[i]]), variant) for i in torsion_idx.tolist()}
+    ok, *image = table.phi_data(variant)
+    s2, a, b = (x.astype(np.int64) for x in image)
 
     # n = 1 exhaustive: t = t' = 0 says both factors are torsion, and a pair
     # passes when it is good with defect 0
     group = _phi_pair_groups(table, variant)[(0, 0, 0)]
-    if not (table.phi_data(variant)[0][torsion_idx].all() and group.closed):
+    if not (ok[torsion_idx].all() and group.closed):
         raise AssertionError("a commuting torsion pair left the projection domain")
     bad = ~(group.good & (group.defect == 0))
     i, j = group.pairs[int(np.argmax(bad))]
@@ -850,12 +825,13 @@ def suite_phi(
         )
     )
 
-    # torsion, center, commutator preservation
-    tor_bad = sum(img**p != HWElement.identity(p, 1) for img in images.values())
+    # torsion, center, commutator preservation; (c Z^a X^b)^p has the
+    # scalar exponent p s2 - p^2 a b (p - 1)/2 mod p^2 and no Z or X part
+    tor_bad = (p * s2 - p * p * a * b * (p - 1) // 2)[torsion_idx] % (p * p) != 0
     checks.append(
         CheckResult(
             "projection preserves torsion",
-            tor_bad == 0,
+            not tor_bad.any(),
             count=len(torsion_idx),
         )
     )
@@ -875,7 +851,7 @@ def suite_phi(
         if not (table.torsion[i1] and table.torsion[i2]):
             continue
         comm_count += 1
-        if images[i1].commutator_exponent(images[i2]) != c % p:
+        if (a[i1] * b[i2] - a[i2] * b[i1]) % p != c % p:
             comm_bad += 1
     checks.append(
         CheckResult(
@@ -931,29 +907,23 @@ def suite_symplectic(
     exhaustive for single sites, randomized for two and three sites."""
     table = group_table(p, m)
     elements = table.elements
-    commutant = table.commutant
     checks = []
 
     vectors = [TensorElement.of_sites([e]).symplectic_vector() for e in elements]
-    bad = 0
-    count = 0
-    witness = ""
-    for i in range(table.n):
-        for j in range(table.n):
-            c = commutant[i, j]
-            if c < 0:
-                continue
-            count += 1
-            if symplectic_form(vectors[i], vectors[j]) != c:
-                bad += 1
-                if not witness:
-                    witness = f"{elements[i]!r} vs {elements[j]!r}"
+    fbar = np.array([v.fbar[0] for v in vectors], dtype=np.int64)
+    bbar = np.array([v.bbar[0] for v in vectors], dtype=np.int64)
+    i, j = np.argwhere(table.commutant >= 0).T
+    bad = (fbar[i] * bbar[j] - fbar[j] * bbar[i]) % p != table.commutant[i, j]
+    detail = ""
+    if bad.any():
+        k = int(np.argmax(bad))
+        detail = f"{int(bad.sum())} mismatches, e.g. {elements[i[k]]!r} vs {elements[j[k]]!r}"
     checks.append(
         CheckResult(
             "single-site symplectic law over all scalar-commuting pairs",
-            bad == 0,
-            count=count,
-            detail=f"{bad} mismatches, e.g. {witness}" if bad else "",
+            not bad.any(),
+            count=len(bad),
+            detail=detail,
         )
     )
 

@@ -344,15 +344,37 @@ def test_over_budget_table_is_refused_before_enumeration(monkeypatch, capsys):
         verify.group_table.cache_clear()
 
 
+def test_decomposition_is_refused_over_budget_before_enumeration(monkeypatch, capsys):
+    """Each enumeration of the decomposition suite lists p^(mp) items of p
+    entries.  At the default budget (3, 2), (3, 3), (5, 1) and (7, 1) reach
+    the first enumeration, and (5, 2) and (7, 2) are refused with one line
+    before it."""
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the tables were enumerated")
+
+    monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
+    monkeypatch.setattr(PhaseFunction, "from_exponents", enumerated)
+    for p, m in [(3, 2), (3, 3), (5, 1), (7, 1)]:
+        with pytest.raises(AssertionError, match="enumerated"):
+            verify.suite_decomposition(p, m)
+    for p, m, entries in [(5, 2, 48_828_125), (7, 2, 4_747_561_509_943)]:
+        assert run(["verify", "decomposition", "--p", str(p), "--m", str(m)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"budget exceeded: the {entries} table entries exceed the enumeration budget"
+        )
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ["demo", "qudit-star", "--p", "1000003"],
         ["verify", "phi", "--p", "1000003"],
         ["verify", "symplectic", "--p", "1000003"],
+        ["verify", "decomposition", "--p", "1000003"],
         ["subgroups", "--p", "1000003", "--m", "1"],
     ],
-    ids=["demo-qudit-star", "verify-phi", "verify-symplectic", "subgroups"],
+    ids=["demo-qudit-star", "verify-phi", "verify-symplectic", "verify-decomposition", "subgroups"],
 )
 def test_runs_at_a_million_are_refused_at_once(args, capsys):
     """Group orders and star rows at p = 1000003 are compared with the

@@ -1,11 +1,13 @@
 """Fuzzing the computation entry points of the command line.
 
-Whatever the spec file or the prime, ``mbqc run``, ``lcs from-mbqc`` and
-``demo qudit-star`` end with exit code 0, 1 or 2, print at most one line to
-standard error and never a traceback, and finish within a wall bound.  The
-budget is small, so that no example can start a long run; an example that
-overruns the bound is stopped by an alarm and fails the test."""
+Whatever the spec file, the prime or the group, ``mbqc run``, ``lcs
+from-mbqc``, ``demo qudit-star``, ``verify <suite>`` and ``subgroups`` end
+with exit code 0, 1 or 2, print at most one line to standard error and never
+a traceback, and finish within a wall bound.  The budget is small, so that
+no example can start a long run; an example that overruns the bound is
+stopped by an alarm and fails the test."""
 
+import inspect
 import json
 import signal
 import time
@@ -13,10 +15,13 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lcsmbqc import verify
 from lcsmbqc.cli import main
 from lcsmbqc.mbqc import qubit_star_spec, qudit_star_spec
 
-BUDGET = "2000"  # refuses the p = 7, n = 3 specs and the star beyond p = 7
+# refuses the p = 7, n = 3 specs, the star beyond p = 7, and every group
+# table beyond the level-1 qutrit group and the p = 2 groups up to level 4
+BUDGET = "2000"
 WALL_S = 2.0
 FUZZ = settings(
     max_examples=60,
@@ -163,3 +168,52 @@ def test_qudit_star_demo_keeps_the_exit_contract(monkeypatch, capsys):
         _assert_contract(["demo", "qudit-star", "--p", str(p)], capsys)
 
     check()
+
+
+# the randomized sections run ``--samples`` draws whatever the budget, as
+# the caller asks, so the draws keep them small
+SUITE_FLAGS = {
+    "p": st.sampled_from([2, 3]) | primes_or_any,
+    "m": st.integers(1, 4) | small_or_any,
+    "n": small_or_any,
+    "samples": st.integers(-2, 8),
+    "seed": st.integers(),
+}
+
+
+@st.composite
+def verify_args(draw):
+    """``verify <suite>`` with a fuzzed value for the flags the suite takes:
+    always ``--p``, ``--m`` and ``--samples``, so that most runs reach a
+    group small enough for the budget, and sometimes ``--n`` and
+    ``--seed``."""
+    suite = draw(st.sampled_from(sorted(verify.SUITES)))
+    accepted = inspect.signature(verify.SUITES[suite]).parameters
+    args = ["verify", suite]
+    for flag, values in SUITE_FLAGS.items():
+        if flag in accepted and (flag in ("p", "m", "samples") or draw(st.booleans())):
+            args += [f"--{flag}", str(draw(values))]
+    return args
+
+
+def test_verify_and_subgroups_keep_the_exit_contract(monkeypatch, capsys):
+    """The group tables are cached by (p, m) alone, so the cache is emptied
+    first: a table built earlier under the default budget would be served
+    without the refusal."""
+    monkeypatch.setenv("LCSMBQC_BUDGET", BUDGET)
+    verify.group_table.cache_clear()
+
+    @settings(FUZZ, max_examples=120)
+    @given(
+        verify_args()
+        | st.tuples(SUITE_FLAGS["p"], SUITE_FLAGS["m"]).map(
+            lambda pm: ["subgroups", "--p", str(pm[0]), "--m", str(pm[1])]
+        )
+    )
+    def check(args):
+        _assert_contract(args, capsys)
+
+    try:
+        check()
+    finally:
+        verify.group_table.cache_clear()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -14,6 +15,7 @@ from lcsmbqc import (
     Phase,
     TensorElement,
     phi,
+    symplectic_form,
     verify,
 )
 
@@ -106,6 +108,22 @@ def test_random_generators_produce_valid_pairs():
         assert e1.commutes_with(e2)
 
 
+def test_seeded_generator_draws_match_the_pinned_digest():
+    """The torsion generators draw each diagonal's level-2 constant t
+    themselves; the digest of these draws and the final generator state was
+    made when t was read back from the p-th power of each drawn diagonal."""
+    rng = random.Random(2024)
+    draws = []
+    for k in range(300):
+        p, sites = (3, 5)[k % 2], 1 + k % 3
+        e1, e2 = verify.random_commuting_torsion_pair(rng, p, 2, sites)
+        tensor = verify.random_torsion_tensor(rng, p, 2, sites)
+        draws.append([e1.to_json(), e2.to_json(), tensor.to_json()])
+    draws.append(rng.random())
+    digest = hashlib.sha256(json.dumps(draws, sort_keys=True).encode()).hexdigest()
+    assert digest == "95da601cb389aa743ab44b75bf37e8d6721c50721d6a3af33453b4177dcb941b"
+
+
 def _capable_table(p, theta1, t):
     """The table of the capable diagonal drawn as ``theta1`` with level-2
     constant ``t``."""
@@ -146,6 +164,97 @@ def test_capable_diagonal_draws_follow_the_rejection_loop(p):
         expected = rejection(slow, slow.randrange(p) if t is None else t)
         assert verify.random_capable_diagonal(fast, p, t) == expected
         assert fast.getstate() == slow.getstate()
+
+
+def _lemma1_loops(table, max_power):
+    """Checks 2 and 3 of ``suite_lemma1`` as element-by-element loops over
+    the index tables: the reference for the suite's gathers over (element,
+    diagonal) arrays.  Returns (count, mismatches) of each check."""
+    p, mul, elements = table.p, table.mul, table.elements
+    diag = [i for i, e in enumerate(elements) if e.b == 0]
+    pow_idx = table.power_indices(max_power)
+    shift_of = {
+        j: [table.index[KElement(elements[j].xi.shift(s), 0)] for s in range(p)] for j in diag
+    }
+    slide = [0, 0]
+    for i, e in enumerate(elements):
+        for n in range(max_power + 1):
+            en = pow_idx[n, i]
+            nb = (n * e.b) % p
+            for j in diag:
+                slide[0] += 1
+                slide[1] += int(mul[en, j] != mul[shift_of[j][nb], en])
+    product = [0, 0]
+    for i, e in enumerate(elements):
+        for j in diag:
+            prod = mul[i, j]
+            lhs = rhs_chi = table.identity_index
+            for n in range(1, max_power + 1):
+                lhs = mul[lhs, prod]
+                rhs_chi = mul[rhs_chi, shift_of[j][(n * e.b) % p]]
+                product[0] += 1
+                product[1] += int(lhs != mul[rhs_chi, pow_idx[n, i]])
+    return tuple(slide), tuple(product)
+
+
+def _symplectic_loop(table):
+    """The single-site symplectic check as a row-major loop over the
+    commutant table: the reference for the first check of
+    ``suite_symplectic``.  Returns its count and detail."""
+    elements = table.elements
+    vectors = [TensorElement.of_sites([e]).symplectic_vector() for e in elements]
+    bad = count = 0
+    witness = ""
+    for i in range(table.n):
+        for j in range(table.n):
+            c = table.commutant[i, j]
+            if c < 0:
+                continue
+            count += 1
+            if symplectic_form(vectors[i], vectors[j]) != c:
+                bad += 1
+                witness = witness or f"{elements[i]!r} vs {elements[j]!r}"
+    return count, f"{bad} mismatches, e.g. {witness}" if bad else ""
+
+
+def _lemma1_and_symplectic_against_loops(table, monkeypatch, max_power):
+    """Run both suites on ``table`` and compare their table checks with the
+    loops; returns the loops' results."""
+    monkeypatch.setattr(verify, "group_table", lambda p, m: table)
+    slide, product = _lemma1_loops(table, max_power)
+    checks = verify.suite_lemma1(table.p, table.m, max_power).checks
+    for check, (count, bad) in zip(checks[1:], (slide, product)):
+        detail = f"{bad} mismatches" if bad else ""
+        assert (check.count, check.passed, check.detail) == (count, bad == 0, detail)
+    symplectic = _symplectic_loop(table)
+    check = verify.suite_symplectic(table.p, table.m, samples=0).checks[0]
+    assert (check.count, check.detail) == symplectic
+    return slide, product, symplectic
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
+def test_lemma1_and_symplectic_sweeps_equal_the_loops(monkeypatch, p, m):
+    slide, product, symplectic = _lemma1_and_symplectic_against_loops(
+        verify.group_table(p, m), monkeypatch, 9
+    )
+    assert slide[1] == product[1] == 0 and symplectic[1] == ""
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
+def test_lemma1_and_symplectic_sweeps_equal_the_loops_on_a_planted_fault(monkeypatch, p, m):
+    """One Cayley-table entry of a fresh table, the product of a
+    scalar-commuting element and diagonal, is multiplied by omega: both
+    lemma1 table checks and the symplectic check then fail, and the sweeps
+    count the same mismatches, and name the same first witness, as the
+    loops."""
+    table = verify.KGroupTable(p, m)
+    i = table.n // 2
+    diag = np.flatnonzero((table.b == 0) & (verify.group_table(p, m).commutant[i] >= 0))
+    j = diag[len(diag) // 2]
+    product = table.elements[table.mul[i, j]] * KElement.central(p, 1)
+    table._mul[i, j] = table.index[product]
+    slide, product, symplectic = _lemma1_and_symplectic_against_loops(table, monkeypatch, 4)
+    assert slide[1] and product[1] and symplectic[1]
 
 
 def test_group_table_matches_object_api():
@@ -277,6 +386,32 @@ def test_single_site_check_equals_object_api_loop_on_sampled_rows_at_p5():
     assert _object_api_single_site(table, PROOF, pairs) == (len(pairs), 0, None)
     check = verify.suite_phi(5, 1, n=1, samples=0).checks[0]
     assert (check.count, check.passed, check.detail) == (465_625, True, "")
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3)])
+def test_phi_data_rows_equal_the_object_api_images(p, m, variant):
+    """``suite_phi`` reads the images of torsion elements from
+    ``phi_data``: each row is the projection of the one-site tensor."""
+    table = verify.group_table(p, m)
+    ok, s2, a, b = table.phi_data(variant)
+    for i in np.flatnonzero(table.torsion):
+        image = phi(TensorElement.of_sites([table.elements[i]]), variant)
+        assert ok[i] and (s2[i], a[i], b[i]) == (image.e, image.a[0], image.b[0])
+
+
+def test_phi_suite_projects_no_one_site_tensor(monkeypatch):
+    one_site = []
+    project = verify.phi
+
+    def counted(element, variant=PROOF):
+        if element.n_sites == 1:
+            one_site.append(element)
+        return project(element, variant)
+
+    monkeypatch.setattr(verify, "phi", counted)
+    assert verify.suite_phi(3, 2, n=2, samples=0).passed
+    assert one_site == []
 
 
 def _listed_pairs(table, variant):
