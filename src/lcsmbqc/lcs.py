@@ -169,6 +169,8 @@ class GeneratorAssignment:
     @classmethod
     def with_default_j(cls, generators: Sequence[TensorElement]) -> GeneratorAssignment:
         generators = tuple(generators)
+        if not generators:
+            raise ShapeMismatchError("J takes its prime and sites from the generators; none given")
         first = generators[0]
         return cls(generators, TensorElement.scalar(Phase.omega(first.p), first.n_sites))
 

@@ -2,13 +2,16 @@
 
 Exhaustive sweeps over the level-2 qutrit group run on integer index tables
 (Cayley table, scalar-commutant table, per-element projection data).  The
-Cayley table is built from the elements' exponent arrays; the per-element
-data come once from the object API.  The pair sweeps then reduce to numpy
+Cayley table is computed from the elements' exponent arrays, each product's
+index in closed form; the per-element data come once from the object API.  The pair sweeps then reduce to numpy
 array arithmetic.  The homomorphism tests decide each commuting torsion pair
 from its per-site defect, and the quartic two-site sweep from per-site
 defect histograms: every quadruple is counted, and none is materialised.
-Randomized suites exercise the object API directly with a seeded generator,
-so re-running a suite with the same configuration reproduces it bit for bit.
+Randomized suites draw from seeded generators, so re-running a suite with
+the same configuration reproduces it bit for bit.  One routine makes the
+integer draws of a site pair (``draw_site_pair``); the object-API
+generators build elements from them, and the commutator check of
+``suite_phi`` turns them into table indices with no element built.
 """
 
 from __future__ import annotations
@@ -111,68 +114,83 @@ def _report(suite: str, config: dict, checks: Sequence[CheckResult], seed=None) 
 class KGroupTable:
     """Integer index tables for one enumerated single-site group.
 
-    Elements are keyed by themselves (equality and hashing read the stored
-    table level, exponent tuple and shift), so looking up the index of an
+    Elements are listed in ``itertools.product`` order of their p - 1 head
+    exponents at level m (det 1 fixes the last exponent), then by shift, so
+    an element's index is a closed form of its integers (``index_of``).
+    ``index`` keys the elements by themselves, so looking up the index of an
     object-API element costs one dict lookup.  The per-element arrays are
     computed on first use and kept.  The Cayley table ``mul`` is built
-    lazily from the level-m exponent arrays and shifts of the elements with
-    no object-API product; a group whose n x n table exceeds the enumeration
-    budget is refused before it is enumerated.
+    lazily from the level-m exponent array with no object-API product; a
+    group whose n x n table exceeds the enumeration budget is refused before
+    it is enumerated.
     """
 
     def __init__(self, p: int, m: int):
-        k = kgroup_order_exponent(p, m)
-        if power_over_budget(p, 2 * k):
-            size = power_text(p, k)
-            raise BudgetExceededError(
-                f"the {size}x{size} Cayley table exceeds the enumeration budget"
-            )
+        _refuse_cayley_table(p, m)
         self.p = p
         self.m = m
         self.pm = p**m
         self.elements = enumerate_kgroup(p, m)
-        self.n = p**k
+        self.n = len(self.elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._mul: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pair_groups: dict[str, dict[tuple[int, int, int], _PairGroup]] = {}
 
+    def index_of(self, head, b):
+        """The index of the element with level-m head exponents ``head`` (the
+        first p - 1) and shift ``b``: the base-p^m number the head spells,
+        times p, plus b.  Takes ints, or one integer array per exponent."""
+        index = 0
+        for e in head:
+            index = index * self.pm + e
+        return index * self.p + b
+
     @cached_property
     def b(self) -> np.ndarray:
         return np.array([e.b for e in self.elements], dtype=np.int16)
+
+    @cached_property
+    def exps(self) -> np.ndarray:
+        """The level-m exponents of every element, one row each; checked
+        once against ``index_of``, which the index tables rely on.  They are
+        int32 like the tables: every exponent, and every index, is below n."""
+        exps = np.array([at_level(e.xi, self.m) for e in self.elements], dtype=np.int32)
+        if not (self.index_of(exps.T[:-1], self.b) == np.arange(self.n)).all():
+            raise AssertionError("the elements are not listed in index order")
+        return exps
 
     @property
     def mul(self) -> np.ndarray:
         """The Cayley table, built from the exponent arrays: the product
         (xi, b)(xi', b') has exponents xi[q] + xi'[q - b] mod p^m and shift
-        b + b', and its index is found by searching the sorted integer keys
-        of the elements, one block of left factors per shift value."""
+        b + b', and its index comes from ``index_of``.  The exponents do not
+        depend on b', so each shift b takes one product per pair of diagonal
+        parts; a product whose last exponent is not minus the sum of its head
+        (det != 1) has left the group."""
         if self._mul is None:
-            n, p, pm = self.n, self.p, self.pm
-            if pm**p * p > np.iinfo(np.int64).max:
-                raise BudgetExceededError(f"element keys at p={p}, m={self.m} overflow int64")
-            exps = np.array([at_level(e.xi, self.m) for e in self.elements], dtype=np.int64)
-            weights = pm ** np.arange(p, dtype=np.int64)
-            keys = exps @ weights * p + self.b
-            order = np.argsort(keys)
-            sorted_keys = keys[order]
-            table = np.empty((n, n), dtype=np.int32)
-            for shift in range(p):
-                rows = np.flatnonzero(self.b == shift)
-                packed = np.zeros((len(rows), n), dtype=np.int64)
-                for q in range(p):
-                    packed += (exps[rows, q, None] + exps[:, (q - shift) % p]) % pm * weights[q]
-                prod_keys = packed * p + (shift + self.b) % p
-                pos = np.searchsorted(sorted_keys, prod_keys).clip(max=n - 1)
-                if not (sorted_keys[pos] == prod_keys).all():
+            p, pm = self.p, self.pm
+            torus = self.exps[::p]
+            size = len(torus)
+            table = np.empty((self.n, self.n), dtype=np.int32)
+            # blocks[t, b, t', b'] is the product of elements t p + b and t' p + b'
+            blocks = table.reshape(size, p, size, p)
+            shifts = np.arange(p, dtype=np.int32)
+            for b in range(p):
+                prod = [(torus[:, q, None] + torus[:, (q - b) % p]) % pm for q in range(p)]
+                if ((sum(prod[:-1]) + prod[-1]) % pm).any():
                     raise AssertionError("a product left the enumerated group")
-                table[rows] = order[pos]
+                np.add(self.index_of(prod[:-1], 0)[:, :, None], (b + shifts) % p, out=blocks[:, b])
             self._mul = table
         return self._mul
 
     @cached_property
     def inv(self) -> np.ndarray:
-        return np.array([self.index[e.inverse()] for e in self.elements], dtype=np.int32)
+        """(xi, b)^-1 has exponents -xi[q + b] mod p^m and shift -b."""
+        b = self.b.astype(np.int64)
+        rows = np.arange(self.n)[:, None]
+        exps = -self.exps[rows, (np.arange(self.p) + b[:, None]) % self.p] % self.pm
+        return self.index_of(exps.T[:-1], -b % self.p).astype(np.int32)
 
     @cached_property
     def scal(self) -> np.ndarray:
@@ -240,9 +258,27 @@ class KGroupTable:
         return self._phi[variant]
 
 
+def _refuse_cayley_table(p: int, m: int) -> None:
+    k = kgroup_order_exponent(p, m)
+    if power_over_budget(p, 2 * k):
+        size = power_text(p, k)
+        raise BudgetExceededError(f"the {size}x{size} Cayley table exceeds the enumeration budget")
+
+
 @lru_cache(maxsize=4)
-def group_table(p: int, m: int) -> KGroupTable:
+def _cached_table(p: int, m: int) -> KGroupTable:
     return KGroupTable(p, m)
+
+
+def group_table(p: int, m: int) -> KGroupTable:
+    """The table of (p, m), kept in a cache keyed by (p, m) alone; the Cayley
+    table is admitted against the budget on every call, so lowering the
+    budget refuses a table built before."""
+    _refuse_cayley_table(p, m)
+    return _cached_table(p, m)
+
+
+group_table.cache_clear = _cached_table.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +286,18 @@ def group_table(p: int, m: int) -> KGroupTable:
 # ---------------------------------------------------------------------------
 
 
-def random_torus_table(rng: random.Random, p: int, m: int) -> PhaseFunction:
+def _draw_head(rng: random.Random, p: int, m: int) -> list[int]:
+    """The p - 1 free level-m exponents of a det-1 diagonal."""
     pm = p**m
-    head = [rng.randrange(pm) for _ in range(p - 1)]
-    head.append((-sum(head)) % pm)
-    return PhaseFunction.from_exponents(p, m, head)
+    return [rng.randrange(pm) for _ in range(p - 1)]
+
+
+def _torus_table(p: int, m: int, head: Sequence[int]) -> PhaseFunction:
+    return PhaseFunction.from_exponents(p, m, [*head, -sum(head) % p**m])
+
+
+def random_torus_table(rng: random.Random, p: int, m: int) -> PhaseFunction:
+    return _torus_table(p, m, _draw_head(rng, p, m))
 
 
 def random_k_element(rng: random.Random, p: int, m: int, b: Optional[int] = None) -> KElement:
@@ -276,11 +319,60 @@ def random_capable_diagonal(rng: random.Random, p: int, t: Optional[int] = None)
             return KElement(coeffs.reconstruct(), 0)
 
 
-def random_affine_diagonal(rng: random.Random, p: int, slope: Optional[int] = None) -> KElement:
-    if slope is None:
-        slope = rng.randrange(p)
-    intercept = rng.randrange(p)
-    return KElement(PhaseFunction.omega_poly(p, (intercept, slope)), 0)
+def draw_site_pair(rng: random.Random, p: int, m: int, c: Optional[int] = None) -> tuple:
+    """The integers of a pair (M, N) with [M, N] = omega^c, sampled across
+    the three case shapes: every random draw of
+    ``random_scalar_commuting_site_pair``, in order.
+
+    Returns (kind, head, b, c, partner, swapped).  M has the level-m head
+    exponents ``head`` (det 1 fixes the last) and shift ``b``.  N is, by
+    ``kind``: "diag", the diagonal with head exponents ``partner``; "mixed",
+    the affine diagonal omega^(a + s q), partner = (a, s); "shifted",
+    omega^central (M chi)^y with chi that affine diagonal, partner = (a, s,
+    y, central).  The pair is listed as (N, M) when ``swapped``; c is its
+    commutant as listed."""
+    kind = rng.choice(("diag", "mixed", "shifted")) if c is None or c % p == 0 else (
+        rng.choice(("mixed", "shifted"))
+    )
+    if kind == "diag":
+        return kind, _draw_head(rng, p, m), 0, 0, _draw_head(rng, p, m), False
+    if kind == "mixed":
+        b = rng.randrange(1, p)
+        slope = rng.randrange(p) if c is None else (-c) * modinv(b, p) % p
+        head = _draw_head(rng, p, m)
+        line = (rng.randrange(p), slope)
+        cc = (-slope * b) % p
+        if c is None and rng.random() < 0.5:
+            return kind, head, b, (-cc) % p, line, True
+        return kind, head, b, cc, line, False
+    return draw_shifted_pair(rng, p, m, c)
+
+
+def draw_shifted_pair(rng: random.Random, p: int, m: int, c: Optional[int]) -> tuple:
+    """The draws of ``random_shifted_pair``, as ``draw_site_pair`` returns
+    them: N = omega^central (M chi)^y with chi(q) = omega^(a + c' q),
+    y b = b' and b' c' = -c."""
+    b = rng.randrange(1, p)
+    bp = rng.randrange(1, p)
+    head = _draw_head(rng, p, m)
+    cprime = rng.randrange(p) if c is None else (-c) * modinv(bp, p) % p
+    a = rng.randrange(p)
+    partner = (a, cprime, bp * modinv(b, p) % p, rng.randrange(p))
+    return "shifted", head, b, (-bp * cprime) % p, partner, False
+
+
+def site_pair_elements(p: int, m: int, draw: tuple) -> tuple[KElement, KElement, int]:
+    """The object-API pair (M, N, c) of a ``draw_site_pair`` draw, in its
+    listed order."""
+    kind, head, b, c, partner, swapped = draw
+    m1 = KElement(_torus_table(p, m, head), b)
+    if kind == "diag":
+        m2 = KElement(_torus_table(p, m, partner), 0)
+    else:
+        m2 = KElement(PhaseFunction.omega_poly(p, partner[:2]), 0)
+        if kind == "shifted":
+            m2 = KElement.central(p, partner[3]) * (m1 * m2) ** partner[2]
+    return (m2, m1, c) if swapped else (m1, m2, c)
 
 
 def random_scalar_commuting_site_pair(
@@ -288,25 +380,7 @@ def random_scalar_commuting_site_pair(
 ) -> tuple[KElement, KElement, int]:
     """A pair (M, M') with [M, M'] = omega^c, sampled across the three case
     shapes; returns (M, M', c)."""
-    kind = rng.choice(("diag", "mixed", "shifted")) if c is None or c % p == 0 else (
-        rng.choice(("mixed", "shifted"))
-    )
-    if kind == "diag":
-        return (
-            KElement(random_torus_table(rng, p, m), 0),
-            KElement(random_torus_table(rng, p, m), 0),
-            0,
-        )
-    if kind == "mixed":
-        b = rng.randrange(1, p)
-        slope = rng.randrange(p) if c is None else (-c) * modinv(b, p) % p
-        m1 = random_k_element(rng, p, m, b)
-        m2 = random_affine_diagonal(rng, p, slope)
-        cc = (-slope * b) % p
-        if c is None and rng.random() < 0.5:
-            return m2, m1, (-cc) % p
-        return m1, m2, cc
-    return random_shifted_pair(rng, p, m, c)
+    return site_pair_elements(p, m, draw_site_pair(rng, p, m, c))
 
 
 def random_commuting_torsion_pair(
@@ -346,14 +420,7 @@ def random_shifted_pair(
     rng: random.Random, p: int, m: int, c: Optional[int]
 ) -> tuple[KElement, KElement, int]:
     """A scalar-commuting pair with both shift parts nonzero."""
-    b = rng.randrange(1, p)
-    bp = rng.randrange(1, p)
-    m1 = random_k_element(rng, p, m, b)
-    cprime = rng.randrange(p) if c is None else (-c) * modinv(bp, p) % p
-    y = bp * modinv(b, p) % p
-    chi = KElement(PhaseFunction.omega_poly(p, (rng.randrange(p), cprime)), 0)
-    m2 = KElement.central(p, rng.randrange(p)) * (m1 * chi) ** y
-    return m1, m2, (-bp * cprime) % p
+    return site_pair_elements(p, m, draw_shifted_pair(rng, p, m, c))
 
 
 def random_torsion_tensor(rng: random.Random, p: int, m: int, n_sites: int) -> TensorElement:
@@ -602,6 +669,8 @@ def suite_subgroups(p: int = 3, m: int = 2, budget: Optional[int] = None) -> Sui
 def suite_decomposition(p: int = 3, m: int = 2, samples: int = 1000, seed: int = 11) -> SuiteReport:
     """Round trip and injectivity of the per-level expansion: exhaustive over
     all qutrit level-2 tables, randomized at p = 5."""
+    if m < 0:
+        raise LevelError(f"a table level is non-negative; got {m}")
     # each enumeration below lists p^(mp) or (p^m)^p = p^(mp) items of p entries
     if power_over_budget(p, m * p + 1):
         raise BudgetExceededError(
@@ -753,6 +822,46 @@ def _phi_two_site(table: KGroupTable, variant: str) -> tuple[int, int, str]:
     return total, failures, first_witness
 
 
+def _site_pair_indices(
+    table: KGroupTable, rng: random.Random, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Table indices (i1, i2) and commutant c of ``count`` pairs from
+    ``draw_site_pair``, each computed from the integers of its draw as it is
+    drawn: M and the diagonals from ``index_of``, and a shifted partner
+    omega^central (M chi)^y from ``mul`` and the power table."""
+    p, m = table.p, table.m
+    scale = table.pm // p
+    mul, powers = table.mul, table.power_indices(p - 1)
+    # affine[a][s]: the index of the diagonal omega^(a + s q)
+    affine = [
+        [table.index_of([(a + s * q) % p * scale for q in range(p - 1)], 0) for s in range(p)]
+        for a in range(p)
+    ]
+    i1s, i2s, cs = (np.empty(count, dtype=np.int64) for _ in range(3))
+    for k in range(count):
+        kind, head, b, cs[k], partner, swapped = draw_site_pair(rng, p, m)
+        i1 = table.index_of(head, b)
+        if kind == "diag":
+            i2 = table.index_of(partner, 0)
+        else:
+            i2 = affine[partner[0]][partner[1]]
+            if kind == "shifted":
+                i2 = mul[affine[partner[3]][0], powers[partner[2], mul[i1, i2]]]
+        i1s[k], i2s[k] = (i2, i1) if swapped else (i1, i2)
+    return i1s, i2s, cs
+
+
+def _phi_commutators(table: KGroupTable, variant: str, rng: random.Random) -> tuple[int, int]:
+    """The commutator check on 2,000 drawn scalar-commuting site pairs: the
+    number of pairs of torsion elements, and of those whose images have a
+    symplectic form other than the pair's commutant."""
+    a, b = (x.astype(np.int64) for x in table.phi_data(variant)[2:])
+    i1, i2, c = _site_pair_indices(table, rng, 2000)
+    torsion = table.torsion[i1] & table.torsion[i2]
+    bad = (a[i1] * b[i2] - a[i2] * b[i1] - c) % table.p != 0
+    return int(torsion.sum()), int((bad & torsion).sum())
+
+
 def suite_phi(
     p: int = 3,
     m: int = 2,
@@ -842,17 +951,7 @@ def suite_phi(
     )
     checks.append(CheckResult("projection fixes the center", center_ok, count=p))
 
-    comm_bad = 0
-    comm_count = 0
-    rng2 = random.Random(seed + 1)
-    for _ in range(2000):
-        m1, m2, c = random_scalar_commuting_site_pair(rng2, p, m)
-        i1, i2 = table.index[m1], table.index[m2]
-        if not (table.torsion[i1] and table.torsion[i2]):
-            continue
-        comm_count += 1
-        if (a[i1] * b[i2] - a[i2] * b[i1]) % p != c % p:
-            comm_bad += 1
+    comm_count, comm_bad = _phi_commutators(table, variant, random.Random(seed + 1))
     checks.append(
         CheckResult(
             "projection preserves scalar commutators on torsion sites",

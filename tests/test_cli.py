@@ -267,6 +267,7 @@ def _non_torsion_tensor():
         (["verify", "subgroups", "--m", "0"], None),
         (["phi", "--tensor", "{f}"], _non_torsion_tensor),
         (["lcs", "check", "--lcs", "{s}", "--assignment", "{f}"], "[1, 2]"),
+        (["lcs", "reduce", "--lcs", "{s}", "--assignment", "{f}"], "{}"),
         (["lcs", "solve", "--lcs", "{f}"], '{"d": 3, "A": [[1]], "b": [1.5]}'),
         (["lcs", "solve", "--lcs", "{f}"], '{"d": 3.5, "A": [[1]], "b": [1]}'),
         (["verify", "even-prime", "--samples", "5"], None),
@@ -282,6 +283,7 @@ def _non_torsion_tensor():
         "subgroups-m0",
         "phi-non-torsion",
         "assignment-not-an-object",
+        "assignment-empty-map",
         "non-integer-rhs",
         "non-integer-modulus",
         "even-prime-samples",
@@ -318,6 +320,21 @@ def test_cayley_table_over_budget_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("budget exceeded: the 27x27 Cayley table")
+
+
+def test_cached_table_is_refused_after_the_budget_is_lowered(monkeypatch, capsys):
+    """The table cache is keyed by (p, m) alone, and the Cayley table is
+    admitted against the budget on every call: a table built at the default
+    budget is refused once the budget is lowered, from the cache."""
+    monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
+    verify.group_table(3, 2)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "2000")
+    assert run(["verify", "lemma1", "--p", "3", "--m", "2"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "budget exceeded: the 243x243 Cayley table exceeds the enumeration budget"
+    ]
+    monkeypatch.delenv("LCSMBQC_BUDGET")
+    assert verify.group_table(3, 2).n == 243
 
 
 def test_over_budget_table_is_refused_before_enumeration(monkeypatch, capsys):
@@ -363,6 +380,16 @@ def test_decomposition_is_refused_over_budget_before_enumeration(monkeypatch, ca
         assert capsys.readouterr().err.strip() == (
             f"budget exceeded: the {entries} table entries exceed the enumeration budget"
         )
+
+
+def test_decomposition_names_a_negative_level(capsys):
+    """A negative level is refused with its own error, like the group suites
+    refuse m < 1; level 0 has one table and passes."""
+    assert run(["verify", "decomposition", "--m", "-1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["invalid input: LevelError: a table level is non-negative; got -1"]
+    assert run(["verify", "decomposition", "--m", "0", "--samples", "5"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

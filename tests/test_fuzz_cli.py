@@ -1,9 +1,10 @@
 """Fuzzing the computation entry points of the command line.
 
-Whatever the spec file, the prime or the group, ``mbqc run``, ``lcs
-from-mbqc``, ``demo qudit-star``, ``verify <suite>`` and ``subgroups`` end
-with exit code 0, 1 or 2, print at most one line to standard error and never
-a traceback, and finish within a wall bound.  The budget is small, so that
+Whatever the input file, the prime or the group, ``mbqc run``, ``lcs
+from-mbqc``, ``lcs solve``, ``lcs check``, ``lcs reduce``, ``phi``, ``demo
+qudit-star``, ``verify <suite>`` and ``subgroups`` end with exit code 0, 1
+or 2, print at most one line to standard error and never a traceback, and
+finish within a wall bound.  The budget is small, so that
 no example can start a long run; an example that overruns the bound is
 stopped by an alarm and fails the test."""
 
@@ -15,7 +16,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lcsmbqc import verify
+from lcsmbqc import GeneratorAssignment, verify
 from lcsmbqc.cli import main
 from lcsmbqc.mbqc import qubit_star_spec, qudit_star_spec
 
@@ -197,11 +198,9 @@ def verify_args(draw):
 
 
 def test_verify_and_subgroups_keep_the_exit_contract(monkeypatch, capsys):
-    """The group tables are cached by (p, m) alone, so the cache is emptied
-    first: a table built earlier under the default budget would be served
-    without the refusal."""
+    """Tables cached from earlier tests at the default budget stay cached:
+    the budget refuses them on every call."""
     monkeypatch.setenv("LCSMBQC_BUDGET", BUDGET)
-    verify.group_table.cache_clear()
 
     @settings(FUZZ, max_examples=120)
     @given(
@@ -213,7 +212,99 @@ def test_verify_and_subgroups_keep_the_exit_contract(monkeypatch, capsys):
     def check(args):
         _assert_contract(args, capsys)
 
-    try:
-        check()
-    finally:
-        verify.group_table.cache_clear()
+    check()
+
+
+@st.composite
+def tensors(draw, p=None, n_sites=None):
+    """A tensor document: det-1 site tables of level 1 or 2 with any shift
+    and global phase, now and then with one phase from ``phases``."""
+    p = draw(st.sampled_from([2, 3, 5])) if p is None else p
+    n_sites = draw(st.integers(1, 2)) if n_sites is None else n_sites
+    sites = []
+    for _ in range(n_sites):
+        level = draw(st.integers(1, 2))
+        exps = draw(st.lists(st.integers(0, p**level - 1), min_size=p - 1, max_size=p - 1))
+        values = [{"p": p, "M": level, "e": e} for e in exps + [-sum(exps) % p**level]]
+        if draw(st.integers(0, 7)) == 0:
+            values[draw(st.integers(0, p - 1))] = draw(phases(p))
+        shift = draw(st.integers(-1, p) | st.integers())
+        sites.append({"b": shift, "xi": {"p": p, "values": values}})
+    phase = {"p": p, "M": draw(st.integers(0, 2)), "e": draw(st.integers())}
+    return {"global": draw(st.just(phase) | phases(p)), "sites": sites}
+
+
+@st.composite
+def systems(draw, d):
+    """A constraint-system document with any integer entries."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.integers(-1, 5) | st.integers()
+    A = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    return {"d": d, "A": A, "b": draw(st.lists(entry, min_size=rows, max_size=rows))}
+
+
+@st.composite
+def assignments(draw, p):
+    """An assignment document over prime ``p``: generators and J, or the
+    plain index map with J defaulted."""
+    n_sites = draw(st.integers(1, 2))
+    gens = [draw(tensors(p, n_sites)) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        return {str(k): g for k, g in enumerate(gens)}
+    return {"generators": gens, "j": draw(tensors(p, n_sites))}
+
+
+@st.composite
+def solved_systems(draw):
+    """A system with a classical solution x, and x lifted to scalar tensors:
+    ``lcs check`` and ``lcs reduce`` accept the pair."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    x = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+    A = [draw(st.lists(st.integers(0, p - 1), min_size=len(x), max_size=len(x)))
+         for _ in range(draw(st.integers(0, 3)))]
+    b = [sum(a * v for a, v in zip(row, x)) % p for row in A]
+    lifted = GeneratorAssignment.from_classical(p, x, draw(st.integers(1, 2)))
+    return {"d": p, "A": A, "b": b}, x, lifted.to_json()
+
+
+def _write(draw, path, document):
+    """Write ``document`` as JSON to ``path``; one time in four, any JSON
+    value or text instead."""
+    junk = json_values.map(json.dumps) | st.text(max_size=40)
+    path.write_text(draw(junk) if draw(st.integers(0, 3)) == 0 else json.dumps(document))
+    return str(path)
+
+
+@st.composite
+def lcs_and_phi_args(draw, tmp_path):
+    """``lcs solve``, ``lcs check`` (with --x or --assignment), ``lcs
+    reduce`` or ``phi --tensor`` on files of a solved system, each part
+    possibly replaced by a fuzzed one."""
+    command = draw(st.sampled_from(["solve", "check-x", "check", "reduce", "phi"]))
+    if command == "phi":
+        return ["phi", "--tensor", _write(draw, tmp_path / "tensor.json", draw(tensors()))]
+    system, x, assignment = draw(solved_systems())
+    p = system["d"]
+    if draw(st.booleans()):
+        system = draw(systems(draw(st.just(p) | primes_or_any)))
+    args = ["lcs", command.removesuffix("-x"), "--lcs", _write(draw, tmp_path / "lcs.json", system)]
+    if command == "solve":
+        return args
+    if command == "check-x":
+        if draw(st.booleans()):
+            x = draw(st.lists(st.integers(-1, 5) | st.integers(), max_size=5))
+        return [*args, "--x=" + draw(st.just(",".join(map(str, x))) | st.text(max_size=8))]
+    if draw(st.booleans()):
+        assignment = draw(assignments(draw(st.just(p) | st.sampled_from([2, 3, 5]))))
+    return [*args, "--assignment", _write(draw, tmp_path / "assignment.json", assignment)]
+
+
+def test_lcs_and_phi_commands_keep_the_exit_contract(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LCSMBQC_BUDGET", BUDGET)
+
+    @settings(FUZZ, max_examples=150)
+    @given(st.data())
+    def check(data):
+        _assert_contract(data.draw(lcs_and_phi_args(tmp_path)), capsys)
+
+    check()

@@ -16,8 +16,10 @@ from lcsmbqc import (
     TensorElement,
     phi,
     symplectic_form,
+    kgroup,
     verify,
 )
+from lcsmbqc.phase_fn import at_level
 
 
 def test_suite_registry_names():
@@ -510,6 +512,107 @@ def test_cayley_table_equals_object_api_products(p, m):
     table = verify.KGroupTable(p, m)
     expected = [[table.index[a * c] for c in table.elements] for a in table.elements]
     assert table.mul.tolist() == expected
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_index_formula_equals_the_element_index(p, m):
+    table = verify.KGroupTable(p, m)
+    for e in table.elements:
+        assert table.index_of(at_level(e.xi, m)[:-1], e.b) == table.index[e]
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 1), (3, 2), (5, 1)])
+def test_inverse_table_equals_object_api_inverses(p, m):
+    table = verify.KGroupTable(p, m)
+    assert table.inv.tolist() == [table.index[e.inverse()] for e in table.elements]
+
+
+def test_a_product_outside_the_group_is_refused():
+    """One diagonal part is given a last exponent that breaks det 1, so its
+    products fail the det test of the Cayley build."""
+    table = verify.KGroupTable(3, 1)
+    exps = table.exps.copy()
+    exps[3, -1] = (exps[3, -1] + 1) % 3
+    table.exps = exps
+    with pytest.raises(AssertionError, match="a product left the enumerated group"):
+        table.mul
+
+
+def _object_api_commutators(table, variant, seed):
+    """The commutator check of ``suite_phi`` as a loop over object-API pairs
+    looked up in the table: the reference for ``verify._phi_commutators``.
+    Returns the number of torsion pairs and of failures among them."""
+    p, m = table.p, table.m
+    _, _, a, b = table.phi_data(variant)
+    rng = random.Random(seed)
+    count = bad = 0
+    for _ in range(2000):
+        m1, m2, c = verify.random_scalar_commuting_site_pair(rng, p, m)
+        i1, i2 = table.index[m1], table.index[m2]
+        if not (table.torsion[i1] and table.torsion[i2]):
+            continue
+        count += 1
+        if (int(a[i1]) * int(b[i2]) - int(a[i2]) * int(b[i1])) % p != c % p:
+            bad += 1
+    return count, bad
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (5, 1)])
+def test_commutator_check_equals_object_api_loop(p, m):
+    """Every draw gives the indices and commutant of the object-API pair, and
+    the check counts the same pairs and failures as the reference loop."""
+    table = verify.group_table(p, m)
+    i1, i2, c = verify._site_pair_indices(table, random.Random(24), 2000)
+    rng = random.Random(24)
+    for k in range(2000):
+        m1, m2, expected = verify.random_scalar_commuting_site_pair(rng, p, m)
+        assert (i1[k], i2[k], c[k]) == (table.index[m1], table.index[m2], expected)
+    count, bad = _object_api_commutators(table, PROOF, 24)
+    assert bad == 0 and count > 0
+    assert verify._phi_commutators(table, PROOF, random.Random(24)) == (count, bad)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
+def test_phi_suite_commutator_check_equals_object_api_loop(p, m):
+    check = verify.suite_phi(p, m, n=1, samples=0, seed=23).checks[4]
+    assert check.name == "projection preserves scalar commutators on torsion sites"
+    count, bad = _object_api_commutators(verify.group_table(p, m), PROOF, 24)
+    assert (check.count, check.passed) == (count, bad == 0)
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 1)])
+def test_commutator_check_counts_planted_faults_like_the_loop(monkeypatch, p, m):
+    """A wrong clock exponent on the images of every twentieth torsion
+    element with a shift part: the check and the reference loop count the
+    same failures."""
+    table = verify.KGroupTable(p, m)
+    ok, s2, a, b = table.phi_data(PROOF)
+    a = a.copy()
+    planted = np.flatnonzero(table.torsion & (table.b != 0))[::20]
+    a[planted] = (a[planted] + 1) % p
+    monkeypatch.setitem(table._phi, PROOF, (ok, s2, a, b))
+    count, bad = _object_api_commutators(table, PROOF, 5)
+    assert bad > 0
+    assert verify._phi_commutators(table, PROOF, random.Random(5)) == (count, bad)
+
+
+def test_commutator_check_builds_no_element(monkeypatch):
+    table = verify.KGroupTable(3, 2)
+    # the per-element arrays are filled through the object API, before the check
+    table.phi_data(PROOF)
+    table.torsion
+    built = []
+    make = kgroup._element
+
+    def counted(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(KElement, "__init__", lambda *args: built.append(args))
+    monkeypatch.setattr(kgroup, "_element", counted)
+    count, bad = verify._phi_commutators(table, PROOF, random.Random(24))
+    assert count and not bad
+    assert built == []
 
 
 def test_cayley_table_and_two_site_check_make_no_object_products(monkeypatch):
