@@ -7,8 +7,12 @@ product  (xi, b)(xi', b') = (xi * shift_b(xi'), b + b'),  and powers follow
 the closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).
 
 The table xi is a ``PhaseFunction`` of integer exponents, so the group law
-is a rotation plus an addition mod p^m.  Only the public constructor checks
-det == 1; the closed operations build their results without that check.
+is a rotation plus an addition mod p^m.  A power is one summed pass over
+rotated exponent lists, and a commutator is one integer row
+(``_commutator_row``) at a common level, canonicalised once; ``ktensor``
+reads tensor commutator scalars from the same rows.  Only the public
+constructor checks det == 1; the closed operations build their results
+without that check.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional, Sequence
 
 from .cyclo import Phase, is_prime
@@ -80,6 +85,13 @@ def _element(xi: PhaseFunction, b: int) -> KElement:
     return out
 
 
+def _commutator_row(x: Sequence[int], b: int, y: Sequence[int], c: int) -> list[int]:
+    """The exponents x[q] + y[q - b] - x[q - c] - y[q] of the commutator of
+    the sites (xi, b) and (eta, c), whose exponents x and y are read at one
+    level; the commutator is that table at that level."""
+    return [a + bb - cc - d for a, bb, cc, d in zip(x, rotate(y, -b), rotate(x, -c), y)]
+
+
 class KElement:
     """A monomial operator S_xi X^b with det(S_xi) = 1.
 
@@ -141,20 +153,18 @@ class KElement:
         return _element(self.xi.inverse().shift(-self.b), -self.b % self.xi.p)
 
     def __pow__(self, n: int) -> KElement:
-        """Closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).  For b != 0
-        every p consecutive shifts run through all of Z_p, so each full cycle
-        contributes the constant det(xi) and only the first n % p shifts are
-        multiplied out."""
-        if n < 0:
-            return self.inverse() ** (-n)
-        xi, b = self.xi, self.b
+        """Closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb), summed in
+        one pass over the exponents.  For b != 0 every p consecutive shifts
+        run through all of Z_p, so each full cycle contributes det(xi) = 1:
+        the exponents are the sums of exps[q - ib] over i < n % p, for any
+        integer n, brought to canonical form once."""
+        xi, b, p = self.xi, self.b, self.p
         if b == 0:
             return _element(xi**n, 0)
-        full, rest = divmod(n, self.p)
-        table = PhaseFunction.constant(xi.det() ** full)
-        for i in range(rest):
-            table = table * xi.shift(i * b)
-        return _element(table, n * b % self.p)
+        acc = [0] * p
+        for i in range(n % p):
+            acc = list(map(add, acc, rotate(xi.exps, -i * b)))
+        return _element(canonical_table(p, xi.m, acc), n * b % p)
 
     def commutator(self, other: KElement) -> KElement:
         """[self, other] = M N M^-1 N^-1; always diagonal, with table
@@ -163,13 +173,8 @@ class KElement:
         if p != other.p:
             raise PrimeMismatchError("commutator needs matching primes")
         level = max(self.xi.m, other.xi.m)
-        x = at_level(self.xi, level)
-        y = at_level(other.xi, level)
-        table = [
-            a + bb - c - d
-            for a, bb, c, d in zip(x, rotate(y, -self.b), rotate(x, -other.b), y)
-        ]
-        return _element(canonical_table(p, level, table), 0)
+        row = _commutator_row(at_level(self.xi, level), self.b, at_level(other.xi, level), other.b)
+        return _element(canonical_table(p, level, row), 0)
 
     def is_p_torsion(self) -> bool:
         power = self**self.p

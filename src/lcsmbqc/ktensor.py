@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclo import Phase, reduced_phase
 from .errors import LevelError, PrimeMismatchError, ShapeMismatchError
-from .kgroup import KElement
+from .kgroup import KElement, _commutator_row
 from .phase_fn import at_level, canonical_table, digit_row, modinv, row_coefficient
 
 
@@ -105,8 +105,21 @@ class TensorElement:
 
     def commutator_scalar(self, other: TensorElement) -> Optional[Phase]:
         """The scalar value of [self, other] when it is a multiple of the
-        identity (a power of omega when it exists), else None."""
-        return self.commutator(other).as_scalar()
+        identity (a power of omega when it exists), else None.  Each site's
+        commutator row is read at the common level L of both tensors; the
+        scalar is the sum of the rows' constants mod p^L, and the first row
+        that is not constant mod p^L gives None."""
+        self._check_shape(other)
+        p = self.p
+        level = max(s.xi.m for s in self.sites + other.sites)
+        pl = p**level
+        total = 0
+        for s, t in zip(self.sites, other.sites):
+            row = _commutator_row(at_level(s.xi, level), s.b, at_level(t.xi, level), t.b)
+            if len({e % pl for e in row}) > 1:
+                return None
+            total += row[0]
+        return reduced_phase(p, level, total)
 
     def commutator_exponent(self, other: TensorElement) -> Optional[int]:
         scalar = self.commutator_scalar(other)

@@ -16,6 +16,7 @@ from lcsmbqc import (
 from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError, TorusMembershipError
 from lcsmbqc import kgroup
 from lcsmbqc.kgroup import enumerate_torus, power_over_budget, power_text
+from lcsmbqc.phase_fn import digit_row, row_coefficient
 from lcsmbqc.verify import random_k_element
 
 from exact_matrix import MonomialMatrix
@@ -204,27 +205,49 @@ def test_group_axioms_against_matrix_oracle():
             mb = MonomialMatrix.from_k_element(b)
             assert MonomialMatrix.from_k_element(a * b) == ma * mb
             assert MonomialMatrix.from_k_element(a.inverse()) == ma.inverse()
-            n = rng.randrange(0, 7)
+            n = rng.randrange(-p - 1, 2 * p + 2)
             assert MonomialMatrix.from_k_element(a**n) == ma**n
             assert MonomialMatrix.from_k_element(a.commutator(b)) == (
                 ma * mb * ma.inverse() * mb.inverse()
             )
 
 
-def test_power_closed_form_matches_iteration():
-    rng = random.Random(13)
-    for _ in range(100):
-        e = random_k_element(rng, 3, 2)
-        acc = KElement.identity(3)
-        for n in range(8):
-            assert e**n == acc
-            acc = acc * e
-
-
 def test_negative_powers():
     M = clock() * shift()
     assert M**-1 == M.inverse()
     assert M**-2 == (M * M).inverse()
+
+
+def _repeated_product(e, n):
+    """e^n as |n| products of e, or of its inverse when n < 0."""
+    base = e if n >= 0 else e.inverse()
+    acc = KElement.identity(e.p)
+    for _ in range(abs(n)):
+        acc = acc * base
+    return acc
+
+
+def test_power_closed_form_matches_iteration():
+    """Every element at (3, 1) and (3, 2), for n from -p - 1 to 2p + 1."""
+    for m in (1, 2):
+        for e in enumerate_kgroup(3, m):
+            for n in range(-4, 8):
+                assert e**n == _repeated_product(e, n), (e, n)
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (7, 2)])
+def test_power_equals_repeated_products_on_shifted_samples(p, m):
+    """Shifts b >= 2 on non-affine diagonals, where reading exps[q + ib]
+    instead of exps[q - ib] gives another table once n % p >= 2."""
+    rng = random.Random(100 * p + m)
+    samples = [random_k_element(rng, p, m, rng.randrange(2, p)) for _ in range(40)]
+    non_affine = [
+        e for e in samples if any(row_coefficient(digit_row(e.xi, 1), p, a) for a in range(2, p))
+    ]
+    assert len(non_affine) > len(samples) // 2
+    for e in samples:
+        for n in range(-p - 1, 2 * p + 2):
+            assert e**n == _repeated_product(e, n), (e, n)
 
 
 def test_subgroup_classification_qutrit_level2():

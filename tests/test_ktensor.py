@@ -14,7 +14,12 @@ from lcsmbqc import (
 )
 from lcsmbqc.errors import LevelError, PrimeMismatchError, ShapeMismatchError
 from lcsmbqc.phase_fn import modinv
-from lcsmbqc.verify import _remark_pair, random_k_element, random_torsion_tensor
+from lcsmbqc.verify import (
+    _remark_pair,
+    random_k_element,
+    random_scalar_commuting_site_pair,
+    random_torsion_tensor,
+)
 from lcsmbqc.mbqc import star_measurement_op
 
 from exact_matrix import MonomialMatrix
@@ -96,6 +101,15 @@ def test_shape_and_prime_guards():
         TensorElement.of_sites([X()]) * TensorElement.of_sites([X(), X()])
     with pytest.raises(PrimeMismatchError):
         TensorElement(Phase.one(5), [X()])
+    for fn in (
+        TensorElement.commutator_scalar,
+        TensorElement.commutator_exponent,
+        TensorElement.commutes_with,
+    ):
+        with pytest.raises(PrimeMismatchError):
+            fn(TensorElement.of_sites([X(3)]), TensorElement.of_sites([X(5)]))
+        with pytest.raises(ShapeMismatchError):
+            fn(TensorElement.of_sites([X()]), TensorElement.of_sites([X(), X()]))
 
 
 def test_product_and_power_are_componentwise():
@@ -125,6 +139,42 @@ def test_commutator_nonscalar_reports_none():
     m1 = TensorElement.of_sites([star_measurement_op(3, 0), star_measurement_op(3, 1)])
     m2 = TensorElement.of_sites([star_measurement_op(3, 1), star_measurement_op(3, 0)])
     assert m1.commutator_exponent(m2) is None
+
+
+def _commutator_scalar_cases(rng, p):
+    """Tensor pairs of 1-3 sites at levels 1 and 2, mostly built from
+    scalar-commuting site pairs; a site pair of two random elements makes
+    the commutator non-scalar (in most draws) at that site."""
+    for _ in range(120):
+        left, right = [], []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.8:
+                a, b, _ = random_scalar_commuting_site_pair(rng, p, rng.choice((1, 2)))
+            else:
+                a, b = (random_k_element(rng, p, rng.choice((1, 2))) for _ in range(2))
+            left.append(a)
+            right.append(b)
+        yield (
+            TensorElement(Phase(p, 2, rng.randrange(p * p)), left),
+            TensorElement(Phase(p, 1, rng.randrange(p)), right),
+        )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_commutator_scalar_equals_the_tensor_commutator(p):
+    """``commutator_scalar`` reads integer rows; the tensor commutator's
+    ``as_scalar`` is the reference, and so are the flags read from it."""
+    outcomes, mixed_levels = set(), 0
+    for e, f in _commutator_scalar_cases(random.Random(p), p):
+        want = e.commutator(f).as_scalar()
+        assert e.commutator_scalar(f) == want
+        assert e.commutator_exponent(f) == (None if want is None else want.as_omega_power())
+        assert e.commutes_with(f) == (want is not None and want.is_one())
+        outcomes.add(None if want is None else want.is_one())
+        levels = {s.xi.m for s in e.sites + f.sites}
+        mixed_levels += {1, 2} <= levels
+    assert outcomes == {None, True, False}
+    assert mixed_levels > 10
 
 
 def test_torsion_examples():

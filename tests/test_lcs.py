@@ -34,7 +34,7 @@ from lcsmbqc.lcs import MeasurementFamilyReport, brute_force_solve, null_space
 from lcsmbqc.mbqc import MbqcSpec, OutputTable, SiteSpec, ghz_evaluate
 from lcsmbqc.projection import HWElement, phi, value_map_nu
 
-from random_specs import random_specs
+from random_specs import random_specs, random_torus_table
 
 
 def test_lcs_entries_reduced():
@@ -201,7 +201,8 @@ def test_star_family_operator_but_not_quantum():
 
 def _family_oracle(spec, table):
     """The family report from the object API: every row operator, its
-    torsion and GHZ eigenvalue, and all pairs through ``commute_on_ghz``."""
+    torsion and GHZ eigenvalue, all pairs through ``commute_on_ghz``, and
+    the witness from the tensor commutator of each pair."""
     inputs = list(spec.inputs())
     ops = [spec.row_operator(i) for i in inputs]
     eigs = [ghz_evaluate(op) for op in ops]
@@ -210,8 +211,9 @@ def _family_oracle(spec, table):
         for eig, out in zip(eigs, table.outputs)
     )
     pairs = list(itertools.combinations(range(len(ops)), 2))
+    scalars = ((a, b, ops[a].commutator(ops[b]).as_scalar()) for a, b in pairs)
     witness = next(
-        ((inputs[a], inputs[b]) for a, b in pairs if not ops[a].commutes_with(ops[b])), None
+        ((inputs[a], inputs[b]) for a, b, c in scalars if c is None or not c.is_one()), None
     )
     return MeasurementFamilyReport(
         all_torsion=all(op.is_p_torsion() for op in ops),
@@ -243,6 +245,39 @@ def test_family_report_equals_the_object_api_oracle():
     # deterministic rows have constant site sums, so equal (zero) signatures
     assert flags == {(True, True), (False, True), (False, False)}
     assert witnesses == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_family_report_witness_is_the_reference_loop_pair(p):
+    """The witness read through ``commutes_with`` is the oracle's: the first
+    pair in ``itertools.combinations`` order whose tensor commutator is not
+    the identity.  On the star, on random level-1 and level-2 site tables,
+    on a spec whose first p - 1 pairs commute only because two site scalars
+    cancel, and on a spec whose inputs move no site (no witness)."""
+    rng = random.Random(p)
+    specs = [qudit_star_spec(p)]
+    for _ in range(6):
+        n_inputs = rng.randrange(1, 3)
+        sites = [
+            SiteSpec(
+                random_torus_table(rng, p, rng.choice((1, 2))),
+                tuple(rng.randrange(p) for _ in range(n_inputs + 1)),
+            )
+            for _ in range(rng.randrange(1, 4))
+        ]
+        specs.append(MbqcSpec(p, n_inputs, tuple(sites)))
+    # slopes 1 and -1 cancel the site scalars of the second input, not the first
+    slope = [PhaseFunction.omega_poly(p, (0, a)) for a in (1, -1)]
+    specs.append(MbqcSpec(p, 2, (SiteSpec(slope[0], (0, 1, 1)), SiteSpec(slope[1], (0, 0, 1)))))
+    specs.append(MbqcSpec(p, 1, (SiteSpec(random_torus_table(rng, p, 2), (1, 0)),)))
+    witnesses = []
+    for spec in specs:
+        table = output_table(spec)
+        report = measurement_family_report(spec, table)
+        assert report == _family_oracle(spec, table)
+        witnesses.append(report.noncommuting_pair)
+    assert witnesses[0] is not None
+    assert witnesses[-2:] == [((0, 0), (1, 0)), None]
 
 
 def test_family_report_rejects_a_table_of_another_shape():
