@@ -12,6 +12,7 @@ to the suite and refuses a flag that the suite's signature does not accept.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -63,12 +64,11 @@ def _write_table_csv(table, path_or_stdout: Optional[str]) -> None:
     ]
     header = [f"i_{k + 1}" for k in range(table.n_inputs)] + ["o", "deterministic"]
     if path_or_stdout:
-        with open(path_or_stdout, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        out = open(path_or_stdout, "w", newline="", encoding="utf-8")
     else:
-        writer = csv.writer(sys.stdout)
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 

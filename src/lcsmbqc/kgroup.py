@@ -49,10 +49,10 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_BUDGET
 
 
-def refuse_over_budget(work: int, what: str, budget: Optional[int] = None) -> None:
+def refuse_over_budget(work: int, what: str) -> None:
     """Raise ``BudgetExceededError`` ("the <what> exceed the budget") when
     ``work`` exceeds the budget, before the work starts."""
-    if work > resolve_budget(budget):
+    if work > resolve_budget():
         raise BudgetExceededError(f"the {what} exceed the budget")
 
 

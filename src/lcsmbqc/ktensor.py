@@ -132,15 +132,27 @@ class TensorElement:
         return c is not None and c.is_one()
 
     def is_p_torsion(self) -> bool:
-        """Direct check of E^p == identity: every site's p-th power must be a
-        scalar and the product of those scalars with global^p must be 1."""
-        acc = self.global_phase ** self.p
+        """E^p == identity, decided from the integer exponents at every level.
+
+        A shifted site's p-th power is the constant det(xi) = 1.  A diagonal
+        site's p-th power has exponents p * exps[q] mod p^m, a scalar exactly
+        when they agree for every q.  The tensor is torsion when those scalars
+        and global^p, read at one common level L, sum to 0 mod p^L.
+        """
+        p = self.p
+        g = self.global_phase
+        level = max(g.M, *(site.xi.m for site in self.sites))
+        acc = p * g.e * p ** (level - g.M)
         for site in self.sites:
-            s = (site ** self.p).as_scalar()
-            if s is None:
+            if site.b:
+                continue
+            xi = site.xi
+            pm = p**xi.m
+            scalar = p * xi.exps[0] % pm
+            if any(p * e % pm != scalar for e in xi.exps):
                 return False
-            acc = acc * s
-        return acc.is_one()
+            acc += scalar * p ** (level - xi.m)
+        return acc % p**level == 0
 
     def symplectic_vector(self) -> SymplecticVector:
         """(fbar, bbar) with fbar[i] the linear level-1 coefficient of site i,

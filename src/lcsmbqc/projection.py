@@ -18,8 +18,8 @@ Normal forms are integers: the scalar as its exponent mod p^2 (the carry
 level of ``proof``), the Z and X exponents mod p.  A ``Phase`` is built
 only where the scalar is read.  One routine gives the image of a site with
 shift 0 or 1 from base-p digits (no ``decompose``); larger shifts go through
-a power.  The torsion test of ``phi`` reads the sites' integer exponents at
-every level; ``TensorElement.is_p_torsion`` stays the direct p-th-power check.
+a power.  The torsion test of ``phi`` is ``TensorElement.is_p_torsion``,
+which reads the sites' integer exponents at every level.
 """
 
 from __future__ import annotations
@@ -221,30 +221,6 @@ def phi_local(element: KElement, variant: str = PROOF) -> HWElement:
     return _site_image(element.xi, element.b, variant)
 
 
-def _is_p_torsion(element: TensorElement) -> bool:
-    """E^p == identity, decided from the integer exponents at every level.
-
-    A shifted site's p-th power is the constant det(xi) = 1.  A diagonal
-    site's p-th power has exponents p * exps[q] mod p^m, a scalar exactly
-    when they agree for every q.  The tensor is torsion when those scalars
-    and global^p, read at one common level L, sum to 0 mod p^L.
-    """
-    p = element.p
-    g = element.global_phase
-    level = max(g.M, *(site.xi.m for site in element.sites))
-    acc = p * g.e * p ** (level - g.M)
-    for site in element.sites:
-        if site.b:
-            continue
-        xi = site.xi
-        pm = p**xi.m
-        scalar = p * xi.exps[0] % pm
-        if any(p * e % pm != scalar for e in xi.exps):
-            return False
-        acc += scalar * p ** (level - xi.m)
-    return acc % p**level == 0
-
-
 def phi(element: TensorElement, variant: str = PROOF) -> HWElement:
     """Componentwise projection of a p-torsion tensor, all per-site scalar
     factors collected into the global phase.
@@ -255,7 +231,7 @@ def phi(element: TensorElement, variant: str = PROOF) -> HWElement:
     p = element.p
     if p == 2:
         raise EvenPrimeError("the projection pipeline is defined for odd primes")
-    if not _is_p_torsion(element):
+    if not element.is_p_torsion():
         raise NonTorsionError("projection needs a p-torsion tensor")
     e = 0
     a_vec = []

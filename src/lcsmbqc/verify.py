@@ -116,9 +116,8 @@ class KGroupTable:
 
     Elements are listed in ``itertools.product`` order of their p - 1 head
     exponents at level m (det 1 fixes the last exponent), then by shift, so
-    an element's index is a closed form of its integers (``index_of``).
-    ``index`` keys the elements by themselves, so looking up the index of an
-    object-API element costs one dict lookup.  The per-element arrays are
+    an element's index is a closed form of its integers (``index_of``), and
+    the identity is index 0.  The per-element arrays are
     computed on first use and kept.  The Cayley table ``mul`` is built
     lazily from the level-m exponent array with no object-API product; a
     group whose n x n table exceeds the enumeration budget is refused before
@@ -132,7 +131,6 @@ class KGroupTable:
         self.pm = p**m
         self.elements = enumerate_kgroup(p, m)
         self.n = len(self.elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
         self._mul: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pair_groups: dict[str, dict[tuple[int, int, int], _PairGroup]] = {}
@@ -204,14 +202,10 @@ class KGroupTable:
                     out[i] = w
         return out
 
-    @cached_property
-    def identity_index(self) -> int:
-        return self.index[KElement.identity(self.p)]
-
     def power_indices(self, max_power: int) -> np.ndarray:
         """pow[k, i] = index of elements[i] ** k for k = 0..max_power."""
         out = np.empty((max_power + 1, self.n), dtype=np.int32)
-        out[0] = self.identity_index
+        out[0] = 0
         idx_all = np.arange(self.n)
         for k in range(1, max_power + 1):
             out[k] = self.mul[out[k - 1], idx_all]
@@ -319,7 +313,7 @@ def random_capable_diagonal(rng: random.Random, p: int, t: Optional[int] = None)
             return KElement(coeffs.reconstruct(), 0)
 
 
-def draw_site_pair(rng: random.Random, p: int, m: int, c: Optional[int] = None) -> tuple:
+def draw_site_pair(rng: random.Random, p: int, m: int) -> tuple:
     """The integers of a pair (M, N) with [M, N] = omega^c, sampled across
     the three case shapes: every random draw of
     ``random_scalar_commuting_site_pair``, in order.
@@ -331,27 +325,25 @@ def draw_site_pair(rng: random.Random, p: int, m: int, c: Optional[int] = None) 
     omega^central (M chi)^y with chi that affine diagonal, partner = (a, s,
     y, central).  The pair is listed as (N, M) when ``swapped``; c is its
     commutant as listed."""
-    kind = rng.choice(("diag", "mixed", "shifted")) if c is None or c % p == 0 else (
-        rng.choice(("mixed", "shifted"))
-    )
+    kind = rng.choice(("diag", "mixed", "shifted"))
     if kind == "diag":
         return kind, _draw_head(rng, p, m), 0, 0, _draw_head(rng, p, m), False
     if kind == "mixed":
         b = rng.randrange(1, p)
-        slope = rng.randrange(p) if c is None else (-c) * modinv(b, p) % p
+        slope = rng.randrange(p)
         head = _draw_head(rng, p, m)
         line = (rng.randrange(p), slope)
         cc = (-slope * b) % p
-        if c is None and rng.random() < 0.5:
+        if rng.random() < 0.5:
             return kind, head, b, (-cc) % p, line, True
         return kind, head, b, cc, line, False
-    return draw_shifted_pair(rng, p, m, c)
+    return draw_shifted_pair(rng, p, m, None)
 
 
 def draw_shifted_pair(rng: random.Random, p: int, m: int, c: Optional[int]) -> tuple:
-    """The draws of ``random_shifted_pair``, as ``draw_site_pair`` returns
-    them: N = omega^central (M chi)^y with chi(q) = omega^(a + c' q),
-    y b = b' and b' c' = -c."""
+    """A pair with both shift parts nonzero, as ``draw_site_pair`` returns
+    it: N = omega^central (M chi)^y with chi(q) = omega^(a + c' q),
+    y b = b' and b' c' = -c, for the given c or a random one."""
     b = rng.randrange(1, p)
     bp = rng.randrange(1, p)
     head = _draw_head(rng, p, m)
@@ -376,11 +368,11 @@ def site_pair_elements(p: int, m: int, draw: tuple) -> tuple[KElement, KElement,
 
 
 def random_scalar_commuting_site_pair(
-    rng: random.Random, p: int, m: int, c: Optional[int] = None
+    rng: random.Random, p: int, m: int
 ) -> tuple[KElement, KElement, int]:
     """A pair (M, M') with [M, M'] = omega^c, sampled across the three case
     shapes; returns (M, M', c)."""
-    return site_pair_elements(p, m, draw_site_pair(rng, p, m, c))
+    return site_pair_elements(p, m, draw_site_pair(rng, p, m))
 
 
 def random_commuting_torsion_pair(
@@ -405,22 +397,13 @@ def random_commuting_torsion_pair(
         t1, t2 = t1 + u1, t2 + u2
     c_total = 0
     for pos in shifted_positions:
-        if pos == shifted_positions[-1]:
-            m1, m2, c = random_shifted_pair(rng, p, m, (-c_total) % p)
-        else:
-            m1, m2, c = random_shifted_pair(rng, p, m, None)
+        target = (-c_total) % p if pos == shifted_positions[-1] else None
+        m1, m2, c = site_pair_elements(p, m, draw_shifted_pair(rng, p, m, target))
         c_total += c
         sites1[pos], sites2[pos] = m1, m2
     e1 = TensorElement.of_sites(sites1)
     e2 = TensorElement.of_sites(sites2)
     return e1, e2
-
-
-def random_shifted_pair(
-    rng: random.Random, p: int, m: int, c: Optional[int]
-) -> tuple[KElement, KElement, int]:
-    """A scalar-commuting pair with both shift parts nonzero."""
-    return site_pair_elements(p, m, draw_shifted_pair(rng, p, m, c))
 
 
 def random_torsion_tensor(rng: random.Random, p: int, m: int, n_sites: int) -> TensorElement:
@@ -474,12 +457,12 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
     # shifted[s, k]: the index of diagonal k with its table shifted by s
     diag = np.flatnonzero(table.b == 0)
     shifted = np.array(
-        [[table.index[KElement(elements[j].xi.shift(s), 0)] for j in diag] for s in range(p)]
+        [[table.index_of(at_level(elements[j].xi.shift(s), m)[:-1], 0) for j in diag] for s in range(p)]
     )
     b = table.b.astype(np.int64)
     pow_idx = table.power_indices(max_power)
     prod = mul[:, diag]
-    lhs = rhs_chi = np.full_like(prod, table.identity_index)
+    lhs = rhs_chi = np.zeros_like(prod)
     slide_bad = product_bad = 0
     for n in range(max_power + 1):
         en = pow_idx[n, :, None]
@@ -1115,23 +1098,16 @@ def _random_solution_instance(
                 for k in range(n_gens)
             ]
             null = null_space([list(col) for col in zip(*slopes)], p)
-            if not null:
-                continue
-            rows = [_random_combination(rng, null, p) for _ in range(3)]
-            b_vals = [
-                sum(r_k * sum(intercepts[k]) for k, r_k in enumerate(row)) % p
-                for row in rows
+            consts = [sum(ic) for ic in intercepts]
+        else:
+            base = random_torsion_tensor(rng, p, 2, n_sites)
+            exps = [rng.randrange(p) for _ in range(n_gens)]
+            consts = [rng.randrange(p) for _ in range(n_gens)]
+            gens = [
+                TensorElement.scalar(Phase.omega(p, a), n_sites) * base**e
+                for a, e in zip(consts, exps)
             ]
-            system = LCS(p, tuple(tuple(r) for r in rows), tuple(b_vals))
-            return system, GeneratorAssignment.with_default_j(gens)
-        base = random_torsion_tensor(rng, p, 2, n_sites)
-        exps = [rng.randrange(p) for _ in range(n_gens)]
-        consts = [rng.randrange(p) for _ in range(n_gens)]
-        gens = [
-            TensorElement.scalar(Phase.omega(p, a), n_sites) * base**e
-            for a, e in zip(consts, exps)
-        ]
-        null = null_space([exps], p)
+            null = null_space([exps], p)
         if not null:
             continue
         rows = [_random_combination(rng, null, p) for _ in range(3)]

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import lcsmbqc
 from lcsmbqc import (
     KElement,
     MbqcSpec,
@@ -84,6 +89,18 @@ def test_mbqc_demo_to_csv(tmp_path):
     assert rows[0] == ["i_1", "i_2", "o", "deterministic"]
     assert len(rows) == 10
     assert rows[1] == ["0", "0", "0", "True"]
+
+
+def test_mbqc_demo_writes_the_same_csv_bytes_to_stdout_and_out(tmp_path):
+    out_file = tmp_path / "table.csv"
+    args = ["-m", "lcsmbqc.cli", "mbqc", "demo", "qudit-star", "--p", "3"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(lcsmbqc.__file__).parent.parent))
+    stdout = subprocess.run(
+        [sys.executable, *args], capture_output=True, check=True, env=env
+    ).stdout
+    subprocess.run([sys.executable, *args, "--out", str(out_file)], check=True, env=env)
+    assert stdout == out_file.read_bytes()
+    assert stdout.startswith(b"i_1,i_2,o,deterministic\r\n0,0,0,True\r\n")
 
 
 def test_mbqc_run_from_spec_file(tmp_path):

@@ -22,7 +22,6 @@ from lcsmbqc import (
 from lcsmbqc import cyclo
 from lcsmbqc.errors import EvenPrimeError, LevelError, NonTorsionError
 from lcsmbqc.phase_fn import modinv
-from lcsmbqc.projection import _is_p_torsion
 from lcsmbqc.verify import (
     _remark_pair,
     random_capable_diagonal,
@@ -101,8 +100,22 @@ def ref_phi_local(element: KElement, variant: str) -> tuple:
     return c, a, (1,)
 
 
+def power_torsion(element: TensorElement) -> bool:
+    """E^p == identity by the p-th powers: every site's p-th power must be a
+    scalar, and the product of those scalars with global^p must be 1.  The
+    reference for the integer rule of ``TensorElement.is_p_torsion``."""
+    p = element.p
+    acc = element.global_phase**p
+    for site in element.sites:
+        s = (site**p).as_scalar()
+        if s is None:
+            return False
+        acc = acc * s
+    return acc.is_one()
+
+
 def ref_phi(element: TensorElement, variant: str) -> tuple:
-    if not element.is_p_torsion():
+    if not power_torsion(element):
         raise NonTorsionError("needs a p-torsion tensor")
     c, a_vec, b_vec = element.global_phase, [], []
     for site in element.sites:
@@ -231,7 +244,7 @@ def test_integer_torsion_equals_the_power_check_on_single_sites(p, m):
     for k in range(p * p):
         for e in elements:
             tensor = TensorElement(Phase(p, 2, k), [e])
-            assert _is_p_torsion(tensor) == tensor.is_p_torsion()
+            assert tensor.is_p_torsion() == power_torsion(tensor)
 
 
 def test_integer_torsion_equals_the_power_check_on_two_sites():
@@ -240,10 +253,51 @@ def test_integer_torsion_equals_the_power_check_on_two_sites():
     for a in elements:
         for b in elements:
             tensor = TensorElement.of_sites([a, b])
-            expected = tensor.is_p_torsion()
-            assert _is_p_torsion(tensor) == expected
+            expected = power_torsion(tensor)
+            assert tensor.is_p_torsion() == expected
             torsion += expected
     assert 0 < torsion < len(elements) ** 2
+
+
+def _mixed_level_site(rng: random.Random, p: int) -> KElement:
+    """A site drawn at level 1, 2 or 3: a shift, a random diagonal, or a
+    diagonal whose exponents agree mod p^(m-1), so that its p-th power is a
+    scalar (such a table always reduces to level <= 2)."""
+    m = rng.randrange(1, 4)
+    kind = rng.randrange(3)
+    if kind < 2 or m == 1:
+        return random_k_element(rng, p, m, rng.randrange(1, p) if kind == 0 else 0)
+    top = [rng.randrange(p) for _ in range(p)]
+    c = -(p ** (m - 2)) * sum(top)
+    return KElement(PhaseFunction.from_exponents(p, m, [c + p ** (m - 1) * r for r in top]), 0)
+
+
+def _torsion_samples(p: int, n_sites: int, count: int, seed: int) -> list:
+    """(tensor, power-check verdict) for ``count`` tensors of mixed-level
+    sites under global phases of level 0 to 3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        level = rng.randrange(4)
+        g = Phase(p, level, rng.randrange(p**level))
+        tensor = TensorElement(g, [_mixed_level_site(rng, p) for _ in range(n_sites)])
+        out.append((tensor, power_torsion(tensor)))
+    return out
+
+
+@pytest.mark.parametrize("p, n_sites", [(5, 2), (7, 1)])
+def test_integer_torsion_equals_the_power_check_across_levels(p, n_sites):
+    """Sites of levels 1-3 and global phases of levels 0-3 make the rule
+    compare p-th-power scalars read at a common level above every site's
+    own; both verdicts occur, torsion also with a level-2 global phase, and
+    a level-3 site."""
+    samples = _torsion_samples(p, n_sites, 3000, seed=p)
+    for tensor, expected in samples:
+        assert tensor.is_p_torsion() == expected
+    torsion = [t for t, expected in samples if expected]
+    assert 0 < len(torsion) < len(samples)
+    assert any(t.global_phase.M == 2 for t in torsion)
+    assert any(s.xi.m == 3 for t in torsion for s in t.sites)
 
 
 def test_phi_rejects_a_nontorsion_level3_diagonal_as_nontorsion():

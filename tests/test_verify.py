@@ -168,16 +168,21 @@ def test_capable_diagonal_draws_follow_the_rejection_loop(p):
         assert fast.getstate() == slow.getstate()
 
 
+def _element_index(table):
+    """The elements of ``table`` keyed by themselves: the object-API
+    reference for its indices, built once per table."""
+    return {e: i for i, e in enumerate(table.elements)}
+
+
 def _lemma1_loops(table, max_power):
     """Checks 2 and 3 of ``suite_lemma1`` as element-by-element loops over
     the index tables: the reference for the suite's gathers over (element,
     diagonal) arrays.  Returns (count, mismatches) of each check."""
     p, mul, elements = table.p, table.mul, table.elements
+    index = _element_index(table)
     diag = [i for i, e in enumerate(elements) if e.b == 0]
     pow_idx = table.power_indices(max_power)
-    shift_of = {
-        j: [table.index[KElement(elements[j].xi.shift(s), 0)] for s in range(p)] for j in diag
-    }
+    shift_of = {j: [index[KElement(elements[j].xi.shift(s), 0)] for s in range(p)] for j in diag}
     slide = [0, 0]
     for i, e in enumerate(elements):
         for n in range(max_power + 1):
@@ -190,7 +195,7 @@ def _lemma1_loops(table, max_power):
     for i, e in enumerate(elements):
         for j in diag:
             prod = mul[i, j]
-            lhs = rhs_chi = table.identity_index
+            lhs = rhs_chi = index[KElement.identity(p)]
             for n in range(1, max_power + 1):
                 lhs = mul[lhs, prod]
                 rhs_chi = mul[rhs_chi, shift_of[j][(n * e.b) % p]]
@@ -254,7 +259,7 @@ def test_lemma1_and_symplectic_sweeps_equal_the_loops_on_a_planted_fault(monkeyp
     diag = np.flatnonzero((table.b == 0) & (verify.group_table(p, m).commutant[i] >= 0))
     j = diag[len(diag) // 2]
     product = table.elements[table.mul[i, j]] * KElement.central(p, 1)
-    table._mul[i, j] = table.index[product]
+    table._mul[i, j] = _element_index(table)[product]
     slide, product, symplectic = _lemma1_and_symplectic_against_loops(table, monkeypatch, 4)
     assert slide[1] and product[1] and symplectic[1]
 
@@ -510,21 +515,24 @@ def test_two_site_planted_fault_matches_per_quadruple_sweep(monkeypatch, variant
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1), (3, 2)])
 def test_cayley_table_equals_object_api_products(p, m):
     table = verify.KGroupTable(p, m)
-    expected = [[table.index[a * c] for c in table.elements] for a in table.elements]
+    index = _element_index(table)
+    expected = [[index[a * c] for c in table.elements] for a in table.elements]
     assert table.mul.tolist() == expected
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_index_formula_equals_the_element_index(p, m):
     table = verify.KGroupTable(p, m)
-    for e in table.elements:
-        assert table.index_of(at_level(e.xi, m)[:-1], e.b) == table.index[e]
+    for i, e in enumerate(table.elements):
+        assert table.index_of(at_level(e.xi, m)[:-1], e.b) == i
+    assert table.elements[0] == KElement.identity(p)
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 1), (3, 2), (5, 1)])
 def test_inverse_table_equals_object_api_inverses(p, m):
     table = verify.KGroupTable(p, m)
-    assert table.inv.tolist() == [table.index[e.inverse()] for e in table.elements]
+    index = _element_index(table)
+    assert table.inv.tolist() == [index[e.inverse()] for e in table.elements]
 
 
 def test_a_product_outside_the_group_is_refused():
@@ -544,11 +552,12 @@ def _object_api_commutators(table, variant, seed):
     Returns the number of torsion pairs and of failures among them."""
     p, m = table.p, table.m
     _, _, a, b = table.phi_data(variant)
+    index = _element_index(table)
     rng = random.Random(seed)
     count = bad = 0
     for _ in range(2000):
         m1, m2, c = verify.random_scalar_commuting_site_pair(rng, p, m)
-        i1, i2 = table.index[m1], table.index[m2]
+        i1, i2 = index[m1], index[m2]
         if not (table.torsion[i1] and table.torsion[i2]):
             continue
         count += 1
@@ -563,10 +572,11 @@ def test_commutator_check_equals_object_api_loop(p, m):
     the check counts the same pairs and failures as the reference loop."""
     table = verify.group_table(p, m)
     i1, i2, c = verify._site_pair_indices(table, random.Random(24), 2000)
+    index = _element_index(table)
     rng = random.Random(24)
     for k in range(2000):
         m1, m2, expected = verify.random_scalar_commuting_site_pair(rng, p, m)
-        assert (i1[k], i2[k], c[k]) == (table.index[m1], table.index[m2], expected)
+        assert (i1[k], i2[k], c[k]) == (index[m1], index[m2], expected)
     count, bad = _object_api_commutators(table, PROOF, 24)
     assert bad == 0 and count > 0
     assert verify._phi_commutators(table, PROOF, random.Random(24)) == (count, bad)
