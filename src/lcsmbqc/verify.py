@@ -1,17 +1,17 @@
 """Exhaustive and randomized verification suites.
 
-Exhaustive sweeps over the level-2 qutrit group run on integer index tables
+Exhaustive sweeps over an enumerated group run on integer index tables
 (Cayley table, scalar-commutant table, per-element projection data).  The
 Cayley table is computed from the elements' exponent arrays, each product's
-index in closed form; the per-element data come once from the object API.  The pair sweeps then reduce to numpy
-array arithmetic.  The homomorphism tests decide each commuting torsion pair
-from its per-site defect, and the quartic two-site sweep from per-site
-defect histograms: every quadruple is counted, and none is materialised.
-Randomized suites draw from seeded generators, so re-running a suite with
-the same configuration reproduces it bit for bit.  One routine makes the
-integer draws of a site pair (``draw_site_pair``); the object-API
-generators build elements from them, and the commutator check of
-``suite_phi`` turns them into table indices with no element built.
+index in closed form; the per-element data come once from the object API.
+The homomorphism law is decided exhaustively for every site count: cyclic
+convolutions of per-site defect histograms count the commuting torsion
+pairs and their failures, and no tuple of sites is listed.  Randomized
+suites draw from seeded generators, so re-running a suite with the same
+configuration reproduces it bit for bit.  One routine makes the integer
+draws of a site pair (``draw_site_pair``); the object-API generators build
+elements from them, and the commutator check of ``suite_phi`` turns them
+into table indices with no element built.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .kgroup import (
     maximal_p_torsion_abelian,
     power_over_budget,
     power_text,
+    refuse_over_budget,
     structural_p_torsion,
 )
 from .ktensor import (
@@ -104,6 +105,11 @@ class SuiteReport:
 
 def _report(suite: str, config: dict, checks: Sequence[CheckResult], seed=None) -> SuiteReport:
     return SuiteReport(suite=suite, config=dict(config), seed=seed, checks=tuple(checks))
+
+
+def _refuse_negative_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"a sample count is non-negative; got {samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +660,7 @@ def suite_decomposition(p: int = 3, m: int = 2, samples: int = 1000, seed: int =
     all qutrit level-2 tables, randomized at p = 5."""
     if m < 0:
         raise LevelError(f"a table level is non-negative; got {m}")
+    _refuse_negative_samples(samples)
     # each enumeration below lists p^(mp) or (p^m)^p = p^(mp) items of p entries
     if power_over_budget(p, m * p + 1):
         raise BudgetExceededError(
@@ -716,12 +723,11 @@ def suite_decomposition(p: int = 3, m: int = 2, samples: int = 1000, seed: int =
 
 class _PairGroup(NamedTuple):
     """Site pairs (i, j) of one (commutant, t, t') group with the per-site
-    part of the homomorphism test: ``closed`` when every product lies in the
-    projection domain, ``good`` where phi(ij) has the clock and shift parts
-    of phi(i) phi(j), and the level-2 scalar ``defect`` mod p^2."""
+    part of the homomorphism test: ``good`` where the product ij lies in the
+    projection domain and phi(ij) has the clock and shift parts of
+    phi(i) phi(j), and the level-2 scalar ``defect`` mod p^2."""
 
     pairs: np.ndarray
-    closed: bool
     good: np.ndarray
     defect: np.ndarray
 
@@ -747,62 +753,68 @@ def _phi_pair_groups(table: KGroupTable, variant: str) -> dict[tuple[int, int, i
     for rows in sorted(np.split(order, starts[1:]), key=lambda rows: rows[0]):
         i, j = first[rows], second[rows]
         prod = table.mul[i, j]
-        good = (a[prod] == (a[i] + a[j]) % p) & (b[prod] == (b[i] + b[j]) % p)
+        good = ok[prod] & (a[prod] == (a[i] + a[j]) % p) & (b[prod] == (b[i] + b[j]) % p)
         defect = (
             s2[prod].astype(np.int64) - s2[i] - s2[j] + p * a[j].astype(np.int64) * b[i]
         ) % (p * p)
         c, t = divmod(int(keys[rows[0]]), p * p)
-        groups[c, t // p, t % p] = _PairGroup(
-            np.stack([i, j], axis=1), bool(ok[prod].all()), good, defect
-        )
+        groups[c, t // p, t % p] = _PairGroup(np.stack([i, j], axis=1), good, defect)
     table._pair_groups[variant] = groups
     return groups
 
 
-def _phi_check_quadruples(
-    table: KGroupTable, first: _PairGroup, second: _PairGroup
-) -> tuple[int, str]:
-    """Count homomorphism failures phi(EE') != phi(E)phi(E') over every
-    quadruple E = (i1, i2), E' = (j1, j2) with (i1, j1) in ``first`` and
-    (i2, j2) in ``second``; returns the failure count and a dump of the first
-    counterexample in row-major order.
+def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int, int, Optional[list]]]:
+    """For k = 1..n, the exhaustive homomorphism check on k-site commuting
+    torsion pairs: the pairs decided, the failures, and the site pairs
+    (i, j) of the first failure (None when there is none).
 
-    A quadruple passes when both site pairs are good and their defects sum to
-    0 mod p^2, so the passing count is a histogram lookup per first pair."""
-    if not (first.closed and second.closed):
-        raise AssertionError("product of commuting torsion tensors left the domain")
-    p2 = table.p**2
-    hist = np.bincount(second.defect[second.good], minlength=p2)
-    passing = np.where(first.good, hist[-first.defect % p2], 0)
-    n2 = len(second.pairs)
-    failures = len(first.pairs) * n2 - int(passing.sum())
-    witness = ""
-    if failures:
-        r1 = int(np.argmax(passing < n2))
-        passes = first.good[r1] & second.good & ((first.defect[r1] + second.defect) % p2 == 0)
-        r2 = int(np.argmax(~passes))
-        (i1, j1), (i2, j2) = first.pairs[r1], second.pairs[r2]
-        els = table.elements
-        witness = f"E = ({els[i1]!r}, {els[i2]!r}), E' = ({els[j1]!r}, {els[j2]!r})"
-    return failures, witness
-
-
-def _phi_two_site(table: KGroupTable, variant: str) -> tuple[int, int, str]:
-    """The exhaustive two-site homomorphism check: the number of quadruples
-    decided, the failures among them and the first counterexample."""
-    p = table.p
+    A k-site pair takes one pair-group row per site.  It is a commuting
+    torsion pair exactly when the group keys (c, t, t') sum to 0 in Z_p^3,
+    and it passes when every row is good and the defects sum to 0 mod p^2.
+    So the k-fold cyclic convolutions of the group sizes and of the good
+    rows' defect histograms, read at 0, count the pairs decided and passed.
+    The first failure, in lexicographic order of (group order, row) per
+    site, is found site by site from the convolutions of the sites still
+    open; no tuple is listed."""
+    p, p2 = table.p, table.p**2
+    if not table.phi_data(variant)[0][table.torsion].all():
+        raise AssertionError("a torsion element left the projection domain")
     groups = _phi_pair_groups(table, variant)
-    total = failures = 0
-    first_witness = ""
-    for (c, t1, t2), first in groups.items():
-        second = groups.get((-c % p, -t1 % p, -t2 % p))
-        if second is None:
-            continue
-        count, witness = _phi_check_quadruples(table, first, second)
-        failures += count
-        first_witness = first_witness or witness
-        total += len(first.pairs) * len(second.pairs)
-    return total, failures, first_witness
+    # counts[c, t, t', 0, 0] is the size of each group, counts[c, t, t', d, 1]
+    # the number of its good rows with defect d
+    counts = np.zeros((p, p, p, p2, 2), dtype=object)
+    for key, group in groups.items():
+        counts[key][0, 0] = len(group.pairs)
+        counts[key][:, 1] = np.bincount(group.defect[group.good], minlength=p2).astype(object)
+    work = n * np.count_nonzero(counts) * p**5
+    refuse_over_budget(work, f"{work} products of the {n}-site convolutions")
+    # powers[r]: the r-fold cyclic convolutions over Z_p^3 x Z_{p^2}, of the
+    # r sites still open, one shifted copy per cell where a count is nonzero
+    powers = [np.zeros_like(counts)]
+    powers[0][0, 0, 0, 0] = 1
+    cells = list(zip(*np.nonzero(counts.any(axis=-1))))
+    results = []
+    for k in range(1, n + 1):
+        powers.append(np.zeros_like(counts))
+        for cell in cells:
+            powers[k] += counts[cell] * np.roll(powers[k - 1], cell, axis=(0, 1, 2, 3))
+        total, passed = powers[k][0, 0, 0, 0]
+        sites = None
+        if total > passed:
+            sites, key, defect, good = [], np.zeros(3, dtype=np.int64), 0, True
+            for rest in reversed(powers[:k]):
+                for group_key, group in groups.items():
+                    cell = tuple(-(key + group_key) % p)
+                    completions = rest[cell][0, 0]
+                    passing = np.where(group.good & good, rest[cell][-(defect + group.defect) % p2, 1], 0)
+                    failing = np.flatnonzero(passing != completions)
+                    if len(failing):
+                        r = failing[0]
+                        sites.append(tuple(group.pairs[r].tolist()))
+                        key, defect, good = key + group_key, defect + group.defect[r], good & group.good[r]
+                        break
+        results.append((total, total - passed, sites))
+    return results
 
 
 def _site_pair_indices(
@@ -854,47 +866,34 @@ def suite_phi(
     seed: int = 23,
 ) -> SuiteReport:
     """The homomorphism law on commuting torsion pairs: exhaustive over the
-    (p, m) group for one site and, when n >= 2, two sites; randomized up to
-    three sites; plus torsion, center, and commutator preservation and the
-    negative controls.
+    (p, m) group for every site count k = 1..n, one check each; randomized
+    up to three sites; plus torsion, center, and commutator preservation and
+    the negative controls.
 
-    The single-site pairs are the torsion pairs of the (0, 0, 0) pair group
-    (commutant 0, both p-th powers the identity) that the two-site check
-    also reads, in row-major order.  The randomized section always draws at
-    p = 5, m = 2, whatever ``p`` and ``m`` are; the report's config does not
-    say so."""
+    The randomized section always draws at p = 5, m = 2, whatever ``p`` and
+    ``m`` are; the report's config does not say so."""
+    if n < 1:
+        raise ValueError(f"a site count is positive; got {n}")
+    _refuse_negative_samples(samples)
     checks = []
     table = group_table(p, m)
     elements = table.elements
     torsion_idx = np.flatnonzero(table.torsion)
-    ok, *image = table.phi_data(variant)
-    s2, a, b = (x.astype(np.int64) for x in image)
+    s2, a, b = (x.astype(np.int64) for x in table.phi_data(variant)[1:])
 
-    # n = 1 exhaustive: t = t' = 0 says both factors are torsion, and a pair
-    # passes when it is good with defect 0
-    group = _phi_pair_groups(table, variant)[(0, 0, 0)]
-    if not (ok[torsion_idx].all() and group.closed):
-        raise AssertionError("a commuting torsion pair left the projection domain")
-    bad = ~(group.good & (group.defect == 0))
-    i, j = group.pairs[int(np.argmax(bad))]
-    detail = f"{int(bad.sum())} failures, e.g. {elements[i]!r} vs {elements[j]!r}"
-    checks.append(
-        CheckResult(
-            "single-site homomorphism on all commuting torsion pairs",
-            not bad.any(),
-            count=len(group.pairs),
-            detail=detail if bad.any() else "",
-        )
-    )
-
-    if n >= 2:
-        total, failures, first_witness = _phi_two_site(table, variant)
+    for k, (total, failures, sites) in enumerate(_phi_site_tuples(table, variant, n), 1):
+        detail = ""
+        if failures:
+            left, right = (", ".join(repr(elements[x]) for x in side) for side in zip(*sites))
+            witness = f"{left} vs {right}" if k == 1 else f"E = ({left}), E' = ({right})"
+            detail = f"{failures} failures, e.g. {witness}"
+        word = {1: "single", 2: "two"}.get(k, k)
         checks.append(
             CheckResult(
-                "two-site homomorphism on all commuting torsion pairs",
+                f"{word}-site homomorphism on all commuting torsion pairs",
                 failures == 0,
                 count=total,
-                detail=f"{failures} failures, e.g. {first_witness}" if failures else "",
+                detail=detail,
             )
         )
 
@@ -987,6 +986,7 @@ def suite_symplectic(
 ) -> SuiteReport:
     """Commutator exponent equals the symplectic form of extracted vectors:
     exhaustive for single sites, randomized for two and three sites."""
+    _refuse_negative_samples(samples)
     table = group_table(p, m)
     elements = table.elements
     checks = []

@@ -290,6 +290,7 @@ def _non_torsion_tensor():
         (["verify", "even-prime", "--samples", "5"], None),
         (["verify", "pipeline", "--p", "7"], None),
         (["mbqc", "run", "--spec", "{f}"], '{"p": 3, "n_inputs": 1, "sites": []}'),
+        (["verify", "phi", "--n", "1", "--samples", "-5"], None),
     ],
     ids=[
         "composite-modulus",
@@ -306,6 +307,7 @@ def _non_torsion_tensor():
         "even-prime-samples",
         "pipeline-p",
         "mbqc-no-sites",
+        "phi-negative-samples",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
@@ -431,3 +433,18 @@ def test_runs_at_a_million_are_refused_at_once(args, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("budget exceeded: ")
+
+
+def test_a_huge_site_count_is_refused_at_once(monkeypatch, capsys):
+    """The convolutions of ``verify phi`` are admitted by their products,
+    which grow with the site count, before the first one is made."""
+    monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
+    start = time.perf_counter()
+    assert run(["verify", "phi", "--n", "1000000000000", "--samples", "0"]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "budget exceeded: the 5346000000000000 products of the 1000000000000-site "
+        "convolutions exceed the budget"
+    ]

@@ -11,10 +11,14 @@ two-site ``phi`` digests were made by the sweep that decided every
 quadruple on its own, before failures were counted from per-site defect
 histograms; the level-3 two-site ``phi`` digest was made by the suite that
 found its commuting single-site pairs through object-API commutators and
-re-checked tensor torsion with p-th powers.  Each case runs at a small
+re-checked tensor torsion with p-th powers; the three-site ``phi`` digests
+were made by the suite that first decided every site count with cyclic
+convolutions of per-site defect histograms, and check the counts that
+brute-force and object-API references confirm in ``test_verify``.  Each
+case runs at a small
 configuration so that the whole file stays fast, except the exhaustive
-two-site sweeps at levels 2 and 3, which are the cases those digests exist
-for.
+two- and three-site checks at levels 2 and 3 and at p = 5, which are the
+cases those digests exist for.
 """
 
 import contextlib
@@ -94,9 +98,19 @@ SUITE_DIGESTS = {
         lambda: verify.suite_phi(5, 1, n=2, samples=0),
         "6aa173fe263b2c8c284f763847ef6e7125ca83b3814fc39840126f554cbd6ad4",
     ),
+    "phi-three-site-3-2": (
+        lambda: verify.suite_phi(3, 2, n=3, samples=0),
+        "4492bdf8b5a45ddc0c9d1819110f92f956b314040387623e264c1c46f6a75a29",
+    ),
+    "phi-three-site-5-1": (
+        lambda: verify.suite_phi(5, 1, n=3, samples=0),
+        "5e3d8028e611691b77d51db3b49e1513fe1f5240b1e3a7a8b4a238bdb6331a55",
+    ),
 }
 
 DISPLAYED_TWO_SITE_DIGEST = "96c5f79fc7808d06fca04891d1ccecf440e66369c117664786dd0339a9eab648"
+
+DISPLAYED_THREE_SITE_DIGEST = "159d49a88a6a4e5b2a474c17cfd767714b37030408e1d98145ba2e66ffadb1be"
 
 QUDIT_STAR_P5_DIGEST = "fb933639bd59391284f5849855a49dcc6d10bcb14eb57433e60ec06a3446d99f"
 
@@ -123,6 +137,19 @@ def test_displayed_two_site_report_matches_golden_digest():
     assert two_site.detail.startswith("26244 failures, e.g. E = (KElement(")
     assert _sha256(json.dumps(report.to_json(), sort_keys=True).encode()) == (
         DISPLAYED_TWO_SITE_DIGEST
+    )
+
+
+def test_displayed_three_site_report_matches_golden_digest():
+    """The affine truncation fails the exhaustive level-2 three-site check;
+    the digest pins the failure count and the first counterexample."""
+    report = verify.suite_phi(3, 2, n=3, samples=0, variant=DISPLAYED)
+    three_site = report.checks[2]
+    assert three_site.name == "3-site homomorphism on all commuting torsion pairs"
+    assert not three_site.passed
+    assert (three_site.count, three_site.detail.split(",")[0]) == (69_262_174_089, "181752822 failures")
+    assert _sha256(json.dumps(report.to_json(), sort_keys=True).encode()) == (
+        DISPLAYED_THREE_SITE_DIGEST
     )
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lcsmbqc import (
     kgroup,
     verify,
 )
+from lcsmbqc.errors import BudgetExceededError
 from lcsmbqc.phase_fn import at_level
 
 
@@ -437,14 +439,15 @@ def _listed_pairs(table, variant):
 
 def _chunked_two_site(table, variant, chunk=1 << 16):
     """The two-site sweep that decides every quadruple on its own, in chunks
-    of quadruple index arrays: the reference for ``verify._phi_two_site``.
-    Returns the quadruple count, the failure count and the first witness."""
+    of quadruple index arrays: the reference for the two-site result of
+    ``verify._phi_site_tuples``.  Returns the quadruple count, the failure
+    count and the site pairs of the first failure (None if there is none)."""
     p = table.p
     mul = table.mul
     ok, s2, a, b = table.phi_data(variant)
     groups = _listed_pairs(table, variant)
     total = failures = 0
-    first_witness = ""
+    first = None
     for (c1, ta, tb), pairs1 in groups.items():
         for (c2, tc, td), pairs2 in groups.items():
             if (c1 + c2) % p or (ta + tc) % p or (tb + td) % p:
@@ -467,14 +470,10 @@ def _chunked_two_site(table, variant, chunk=1 << 16):
                 bad |= b[prod2] != (b[i2] + b[j2]) % p
                 failures += int(bad.sum())
                 total += len(idx)
-                if bad.any() and not first_witness:
+                if bad.any() and first is None:
                     k = int(np.argmax(bad))
-                    els = table.elements
-                    first_witness = (
-                        f"E = ({els[i1[k]]!r}, {els[i2[k]]!r}), "
-                        f"E' = ({els[j1[k]]!r}, {els[j2[k]]!r})"
-                    )
-    return total, failures, first_witness
+                    first = [(int(i1[k]), int(j1[k])), (int(i2[k]), int(j2[k]))]
+    return total, failures, first
 
 
 @pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
@@ -482,7 +481,7 @@ def test_two_site_histogram_count_equals_per_quadruple_sweep(variant):
     table = verify.KGroupTable(3, 1)
     expected = _chunked_two_site(table, variant)
     assert expected[0] == 181_521
-    assert verify._phi_two_site(table, variant) == expected
+    assert verify._phi_site_tuples(table, variant, 2)[1] == expected
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
@@ -499,7 +498,8 @@ def test_pair_groups_follow_the_row_major_listing(p, m):
 def test_two_site_planted_fault_matches_per_quadruple_sweep(monkeypatch, variant):
     """A wrong level-2 scalar on one site and a wrong clock part on another
     give failures; both sweeps count them alike and report the same first
-    counterexample."""
+    counterexample, and on up to four sites the counts equal those of the
+    folded reference."""
     table = verify.KGroupTable(3, 1)
     ok, s2, a, b = table.phi_data(variant)
     capable = np.flatnonzero(ok)
@@ -509,7 +509,10 @@ def test_two_site_planted_fault_matches_per_quadruple_sweep(monkeypatch, variant
     monkeypatch.setitem(table._phi, variant, (ok, s2, a, b))
     expected = _chunked_two_site(table, variant)
     assert expected[1] > 0 and expected[2]
-    assert verify._phi_two_site(table, variant) == expected
+    results = verify._phi_site_tuples(table, variant, 4)
+    assert results[1] == expected
+    groups = verify._phi_pair_groups(table, variant)
+    assert [r[:2] for r in results] == [_folded_site_tuples(groups, 3, k) for k in (1, 2, 3, 4)]
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1), (3, 2)])
@@ -637,29 +640,154 @@ def test_cayley_table_and_two_site_check_make_no_object_products(monkeypatch):
     verify.group_table.cache_clear()
     table = verify.group_table(3, 2)
     table.mul
-    verify._phi_two_site(table, PROOF)
+    verify._phi_site_tuples(table, PROOF, 3)
     assert calls == []
 
 
-def test_first_witness_row_after_passing_rows():
-    """When the second group is all good with one defect, the first failing
-    quadruple sits on a later row of the first group; the count and the
-    witness equal those of a quadruple-by-quadruple loop."""
+def _brute_force_site_tuples(groups, p, k):
+    """Every k-site tuple of pair-group rows, in lexicographic order of
+    (group order, row) per site: the reference for the k-site result of
+    ``verify._phi_site_tuples``.  Returns the tuples whose keys sum to 0,
+    the failures among them and the site pairs of the first failure (None
+    if there is none)."""
+    rows = [(key, group, r) for key, group in groups.items() for r in range(len(group.pairs))]
+    total = failures = 0
+    first = None
+    for sites in itertools.product(rows, repeat=k):
+        if any(sum(key[axis] for key, _, _ in sites) % p for axis in range(3)):
+            continue
+        total += 1
+        good = all(group.good[r] for _, group, r in sites)
+        if not (good and sum(group.defect[r] for _, group, r in sites) % (p * p) == 0):
+            failures += 1
+            first = first or [tuple(group.pairs[r].tolist()) for _, group, r in sites]
+    return total, failures, first
+
+
+def _synthetic_pair_groups(rng):
+    """Pair groups at p = 3 whose keys sum to 0 in several ways, in a
+    shuffled order, with mostly good rows of defect 0 and planted rows that
+    are not good or have a nonzero defect.  The first row of the (0, 0, 0)
+    group passes, so every site count has a passing tuple."""
+    keys = [(0, 0, 0), (1, 2, 0), (2, 1, 0), (0, 1, 1), (0, 2, 2), (1, 1, 2), (2, 0, 1)]
+    rng.shuffle(keys)
+    groups, start = {}, 0
+    for key in keys:
+        size = rng.randrange(1, 3)
+        good = np.array([rng.random() < 0.8 for _ in range(size)])
+        defect = np.array([rng.choice((0, 0, 0, 1, 3, 6)) for _ in range(size)])
+        if key == (0, 0, 0):
+            good[0], defect[0] = True, 0
+        groups[key] = verify._PairGroup(np.arange(start, start + 2 * size).reshape(size, 2), good, defect)
+        start += 2 * size
+    return groups
+
+
+def test_site_tuples_equal_a_brute_force_loop_on_synthetic_groups(monkeypatch):
+    """For k = 1..4 sites, the convolutions count the same tuples and
+    failures as a loop over every tuple, and the walk over them names the
+    same first failure."""
     table = verify.group_table(3, 1)
-    pairs1 = np.array([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)])
-    pairs2 = np.array([(12, 13), (14, 15), (16, 17)])
-    first = verify._PairGroup(
-        pairs1, True, np.array([1, 1, 1, 1, 0, 1], bool), np.array([5, 5, 5, 6, 5, 5])
-    )
-    second = verify._PairGroup(pairs2, True, np.ones(3, bool), np.array([4, 4, 4]))
-    bad = [
-        (r1, r2)
-        for r1 in range(len(pairs1))
-        for r2 in range(len(pairs2))
-        if not (first.good[r1] and second.good[r2] and (first.defect[r1] + second.defect[r2]) % 9 == 0)
-    ]
-    (i1, j1), (i2, j2) = pairs1[bad[0][0]], pairs2[bad[0][1]]
-    els = table.elements
-    witness = f"E = ({els[i1]!r}, {els[i2]!r}), E' = ({els[j1]!r}, {els[j2]!r})"
-    assert bad[0] == (3, 0)
-    assert verify._phi_check_quadruples(table, first, second) == (len(bad), witness)
+    rng = random.Random(43)
+    for _ in range(16):
+        groups = _synthetic_pair_groups(rng)
+        monkeypatch.setattr(verify, "_phi_pair_groups", lambda table, variant: groups)
+        expected = [_brute_force_site_tuples(groups, 3, k) for k in range(1, 5)]
+        assert all(0 < failures < total for total, failures, _ in expected[1:])
+        assert verify._phi_site_tuples(table, PROOF, 4) == expected
+
+
+def _folded_site_tuples(groups, p, k):
+    """The k-site count and failure count from dict counters of (key sum,
+    defect sum) states folded one site at a time, a defect sum of None
+    marking a tuple with a row that is not good: a reference for the counts
+    of ``verify._phi_site_tuples`` on groups too large to list."""
+    rows = {
+        key: Counter(int(d) if g else None for g, d in zip(group.good, group.defect))
+        for key, group in groups.items()
+    }
+    states = Counter({((0, 0, 0), 0): 1})
+    for _ in range(k):
+        folded = Counter()
+        for (key, defect), count in states.items():
+            for group_key, hist in rows.items():
+                summed_key = tuple((x + y) % p for x, y in zip(key, group_key))
+                for d, size in hist.items():
+                    summed = None if defect is None or d is None else (defect + d) % (p * p)
+                    folded[summed_key, summed] += count * size
+        states = folded
+    total = sum(count for (key, _), count in states.items() if key == (0, 0, 0))
+    return total, total - states[(0, 0, 0), 0]
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
+def test_site_tuple_counts_equal_a_folded_reference(p, m, variant):
+    table = verify.group_table(p, m)
+    groups = verify._phi_pair_groups(table, variant)
+    results = verify._phi_site_tuples(table, variant, 3)
+    assert [r[:2] for r in results] == [_folded_site_tuples(groups, p, k) for k in (1, 2, 3)]
+
+
+def _site_tensors(table, sites):
+    """The tensors (E, E') whose site s is the pair ``sites[s]``."""
+    return tuple(TensorElement.of_sites([table.elements[x] for x in side]) for side in zip(*sites))
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
+def test_sampled_three_site_pairs_follow_the_object_api(p, m, variant):
+    """Seeded three-site pairs with one row of a pair group per site, the
+    last group completing the keys, are commuting torsion pairs, and the
+    object-API projection is a homomorphism on one exactly when its rows are
+    good and its defects sum to 0 mod p^2, which is what the convolutions
+    count."""
+    table = verify.group_table(p, m)
+    groups = verify._phi_pair_groups(table, variant)
+    rng = random.Random(47)
+    checked = 0
+    while checked < 40:
+        keys = [rng.choice(list(groups)) for _ in range(2)]
+        keys.append(tuple(-(x + y) % p for x, y in zip(*keys)))
+        if keys[2] not in groups:
+            continue
+        rows = [(groups[key], rng.randrange(len(groups[key].pairs))) for key in keys]
+        e1, e2 = _site_tensors(table, [tuple(group.pairs[r]) for group, r in rows])
+        assert e1.commutes_with(e2) and e1.is_p_torsion() and e2.is_p_torsion()
+        passes = all(group.good[r] for group, r in rows)
+        passes &= sum(group.defect[r] for group, r in rows) % (p * p) == 0
+        assert (phi(e1 * e2, variant) == phi(e1, variant) * phi(e2, variant)) == passes
+        checked += 1
+
+
+def test_three_site_witness_fails_under_the_object_api():
+    """The first three-site failure of the displayed variant is a commuting
+    torsion pair on which the displayed projection is not a homomorphism
+    and the proof variant is."""
+    table = verify.group_table(3, 2)
+    total, failures, sites = verify._phi_site_tuples(table, DISPLAYED, 3)[2]
+    assert (total, failures, len(sites)) == (69_262_174_089, 181_752_822, 3)
+    e1, e2 = _site_tensors(table, sites)
+    assert e1.commutes_with(e2) and e1.is_p_torsion() and e2.is_p_torsion()
+    assert phi(e1 * e2, DISPLAYED) != phi(e1, DISPLAYED) * phi(e2, DISPLAYED)
+    assert phi(e1 * e2, PROOF) == phi(e1, PROOF) * phi(e2, PROOF)
+
+
+def test_site_count_and_samples_are_refused_below_their_range():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="a site count is positive"):
+            verify.suite_phi(3, 1, n=n, samples=0)
+    suites = (verify.suite_phi, verify.suite_symplectic, verify.suite_decomposition)
+    for suite in suites:
+        with pytest.raises(ValueError, match="a sample count is non-negative; got -5"):
+            suite(samples=-5)
+
+
+def test_the_convolutions_are_refused_over_the_budget(monkeypatch):
+    """At (3, 1) the 27 x 27 Cayley table fits a budget of 2,000; the two-site
+    convolutions, 2 sites times 6 nonzero cells times 3^5, do not."""
+    monkeypatch.setenv("LCSMBQC_BUDGET", "2000")
+    table = verify.KGroupTable(3, 1)
+    verify._phi_site_tuples(table, PROOF, 1)
+    with pytest.raises(BudgetExceededError, match="the 2916 products of the 2-site convolutions"):
+        verify._phi_site_tuples(table, PROOF, 2)
