@@ -64,6 +64,15 @@ class LCS:
         return cls(int(data["d"]), tuple(tuple(r) for r in data["A"]), tuple(data["b"]))
 
 
+def _lcs(d: int, A: tuple[tuple[int, ...], ...], b: tuple[int, ...]) -> LCS:
+    """A system from rows of one length and entries already reduced mod d,
+    with no checks."""
+    out = object.__new__(LCS)
+    for name, value in (("d", d), ("A", A), ("b", b)):
+        object.__setattr__(out, name, value)
+    return out
+
+
 def check_classical(system: LCS, x: Sequence[int]) -> bool:
     """Whether A x == b mod d."""
     if len(x) != system.n_cols:
@@ -302,12 +311,15 @@ def commute_on_ghz(e1: TensorElement, e2: TensorElement) -> bool:
 def lcs_from_mbqc(spec: MbqcSpec, table: OutputTable) -> LCS:
     """One row per input in lexicographic order: coefficients l_k(i), right-
     hand side o(i).  The rows are the settings product of ``mbqc._settings``,
-    refused over the budget before it is allocated."""
+    refused over the budget before it is allocated; its entries are reduced
+    mod p already, so they are not reduced again."""
+    p = spec.p
     if not table.is_fully_deterministic:
         raise NondeterministicTableError("the computation table must be deterministic")
-    if (table.p, table.n_inputs) != (spec.p, spec.n_inputs):
+    if (table.p, table.n_inputs, len(table.outputs)) != (p, spec.n_inputs, p**spec.n_inputs):
         raise ShapeMismatchError("table does not match the computation spec")
-    return LCS(spec.p, _settings(spec).tolist(), table.outputs)
+    rows = tuple(map(tuple, _settings(spec).tolist()))
+    return _lcs(p, rows, tuple(o % p for o in table.outputs))
 
 
 def reduce_to_classical(

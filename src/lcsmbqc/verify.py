@@ -3,7 +3,8 @@
 Exhaustive sweeps over an enumerated group run on integer index tables
 (Cayley table, scalar-commutant table, per-element projection data).  The
 Cayley table is computed from the elements' exponent arrays, each product's
-index in closed form; the per-element data come once from the object API.
+index in closed form, and so are the projection images (``phi_data``); the
+scalar test and the exponent rows come once per element from the object API.
 The homomorphism law is decided exhaustively for every site count: cyclic
 convolutions of per-site defect histograms count the commuting torsion
 pairs and their failures, and no tuple of sites is listed.  Randomized
@@ -54,15 +55,14 @@ from .lcs import (
     reduce_to_classical,
     solve_classical,
 )
-from .phase_fn import LevelCoefficients, PhaseFunction, at_level, digit_row, modinv
+from .phase_fn import LevelCoefficients, PhaseFunction, _lagrange_basis, at_level, digit_row, modinv
 from .projection import (
     DISPLAYED,
     PROOF,
     HWElement,
+    _check_variant,
     even_prime_counterexample,
     phi,
-    phi_local,
-    r_map,
 )
 
 
@@ -235,26 +235,42 @@ class KGroupTable:
 
     def phi_data(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(defined, s2, a, b) arrays of the single-site projection: s2 is the
-        scalar exponent at level p^2, a/b the clock/shift exponents."""
+        scalar exponent at level p^2, a/b the clock/shift exponents, all 0
+        where undefined.  They follow ``phi_local`` on ``exps`` and ``b``, and
+        no element is built.  A shift b >= 2 maps to the b-th power of the
+        image of its unit-shift power (b^-1 factors, exponents summed over
+        exps[q - i b]); every site reads its level-1 digit row, theta_{1,0}
+        its first digit and theta_{1,1} its Lagrange coefficient.  A diagonal
+        adds its level-2 constant, read at level max(2, m); it is undefined
+        outside that shape or when its p-th power is not central."""
         if variant not in self._phi:
-            n = self.n
-            ok = np.zeros(n, dtype=bool)
-            s2 = np.zeros(n, dtype=np.int32)
-            a = np.zeros(n, dtype=np.int16)
-            bb = np.zeros(n, dtype=np.int16)
-            ppow = self.ppow
-            for i, e in enumerate(self.elements):
-                try:
-                    local = r_map(e.xi, variant) if e.b == 0 else phi_local(e, variant)
-                except LevelError:
-                    continue
-                if e.b == 0 and ppow[i] < 0:
-                    continue
-                ok[i] = True
-                s2[i] = local.e
-                a[i] = local.a[0]
-                bb[i] = local.b[0]
-            self._phi[variant] = (ok, s2, a, bb)
+            _check_variant(variant)
+            p, m = self.p, self.m
+            if p == 2:
+                raise EvenPrimeError("single-site projection is defined for odd primes")
+            x, b = self.exps.astype(np.int64), self.b.astype(np.int64)
+            # eta: the exponents of (xi, b)^y, y = b^-1 mod p (y = 1 for b = 0)
+            y = np.array([1] + [modinv(k, p) for k in range(1, p)])[b][:, None]
+            q, rows = np.arange(p), np.arange(self.n)[:, None]
+            eta = sum(np.where(i < y, x[rows, (q - i * b[:, None]) % p], 0) for i in range(p - 1))
+            level1 = eta % self.pm // p ** (m - 1)
+            theta10, theta11 = level1[:, 0], level1 @ _lagrange_basis(p)[1] % p
+            level = max(2, m)
+            ys = x * p ** (level - m)
+            low = p ** (level - 1)
+            theta20, rest = np.divmod(ys[:, 0] % low, p ** (level - 2))
+            shape = (rest == 0) & ((ys - ys[:, :1]) % low == 0).all(axis=1)
+            diag = p * theta10 + theta20 if variant == PROOF else p * ((theta10 + theta20) % p)
+            power = (b * p * theta10 - p * theta11 * (b * (b - 1) // 2)) % (p * p)
+            ok = (b != 0) | (shape & (self.ppow >= 0))
+            s2 = np.where(b != 0, power, diag)
+            a = np.where(b != 0, b * theta11 % p, theta11)
+            self._phi[variant] = (
+                ok,
+                np.where(ok, s2, 0).astype(np.int32),
+                np.where(ok, a, 0).astype(np.int16),
+                np.where(ok, b, 0).astype(np.int16),
+            )
         return self._phi[variant]
 
 
@@ -286,10 +302,22 @@ group_table.cache_clear = _cached_table.cache_clear
 # ---------------------------------------------------------------------------
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """``randrange(n)`` for n >= 1 from ``bits = rng.getrandbits``: the
+    rejection loop CPython runs, so the same value and the same generator
+    state after it, without ``randrange``'s argument checks."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _draw_head(rng: random.Random, p: int, m: int) -> list[int]:
-    """The p - 1 free level-m exponents of a det-1 diagonal."""
-    pm = p**m
-    return [rng.randrange(pm) for _ in range(p - 1)]
+    """The p - 1 free level-m exponents of a det-1 diagonal: the values, and
+    the generator state, of p - 1 calls ``rng.randrange(p**m)``."""
+    bits, pm = rng.getrandbits, p**m
+    return [_below(bits, pm) for _ in range(p - 1)]
 
 
 def _torus_table(p: int, m: int, head: Sequence[int]) -> PhaseFunction:
@@ -310,10 +338,11 @@ def random_capable_diagonal(rng: random.Random, p: int, t: Optional[int] = None)
     """A det-1 diagonal whose p-th power is the scalar omega^t: constant
     level-2 part, free level-1 polynomial, det fixed by rejection.  Its det is
     1 exactly when theta1[p - 1] = t mod p: sum_q q^k = -[k = p - 1] mod p."""
+    bits = rng.getrandbits
     if t is None:
-        t = rng.randrange(p)
+        t = _below(bits, p)
     while True:
-        theta1 = tuple(rng.randrange(p) for _ in range(p))
+        theta1 = tuple(_below(bits, p) for _ in range(p))
         if theta1[p - 1] % p == t % p:
             coeffs = LevelCoefficients(p, (theta1, (t,) + (0,) * (p - 1)))
             return KElement(coeffs.reconstruct(), 0)
@@ -330,15 +359,20 @@ def draw_site_pair(rng: random.Random, p: int, m: int) -> tuple:
     the affine diagonal omega^(a + s q), partner = (a, s); "shifted",
     omega^central (M chi)^y with chi that affine diagonal, partner = (a, s,
     y, central).  The pair is listed as (N, M) when ``swapped``; c is its
-    commutant as listed."""
-    kind = rng.choice(("diag", "mixed", "shifted"))
+    commutant as listed.
+
+    Every integer comes from ``_below``, which draws what ``rng.choice`` of
+    the kind and ``rng.randrange`` of each integer would draw, so the pairs
+    and the generator state are theirs."""
+    bits = rng.getrandbits
+    kind = ("diag", "mixed", "shifted")[_below(bits, 3)]
     if kind == "diag":
         return kind, _draw_head(rng, p, m), 0, 0, _draw_head(rng, p, m), False
     if kind == "mixed":
-        b = rng.randrange(1, p)
-        slope = rng.randrange(p)
+        b = 1 + _below(bits, p - 1)
+        slope = _below(bits, p)
         head = _draw_head(rng, p, m)
-        line = (rng.randrange(p), slope)
+        line = (_below(bits, p), slope)
         cc = (-slope * b) % p
         if rng.random() < 0.5:
             return kind, head, b, (-cc) % p, line, True
@@ -350,12 +384,13 @@ def draw_shifted_pair(rng: random.Random, p: int, m: int, c: Optional[int]) -> t
     """A pair with both shift parts nonzero, as ``draw_site_pair`` returns
     it: N = omega^central (M chi)^y with chi(q) = omega^(a + c' q),
     y b = b' and b' c' = -c, for the given c or a random one."""
-    b = rng.randrange(1, p)
-    bp = rng.randrange(1, p)
+    bits = rng.getrandbits
+    b = 1 + _below(bits, p - 1)
+    bp = 1 + _below(bits, p - 1)
     head = _draw_head(rng, p, m)
-    cprime = rng.randrange(p) if c is None else (-c) * modinv(bp, p) % p
-    a = rng.randrange(p)
-    partner = (a, cprime, bp * modinv(b, p) % p, rng.randrange(p))
+    cprime = _below(bits, p) if c is None else (-c) * modinv(bp, p) % p
+    a = _below(bits, p)
+    partner = (a, cprime, bp * modinv(b, p) % p, _below(bits, p))
     return "shifted", head, b, (-bp * cprime) % p, partner, False
 
 
@@ -832,17 +867,18 @@ def _site_pair_indices(
         [table.index_of([(a + s * q) % p * scale for q in range(p - 1)], 0) for s in range(p)]
         for a in range(p)
     ]
-    i1s, i2s, cs = (np.empty(count, dtype=np.int64) for _ in range(3))
-    for k in range(count):
-        kind, head, b, cs[k], partner, swapped = draw_site_pair(rng, p, m)
+    drawn = []
+    for _ in range(count):
+        kind, head, b, c, partner, swapped = draw_site_pair(rng, p, m)
         i1 = table.index_of(head, b)
         if kind == "diag":
             i2 = table.index_of(partner, 0)
         else:
             i2 = affine[partner[0]][partner[1]]
             if kind == "shifted":
-                i2 = mul[affine[partner[3]][0], powers[partner[2], mul[i1, i2]]]
-        i1s[k], i2s[k] = (i2, i1) if swapped else (i1, i2)
+                i2 = int(mul[affine[partner[3]][0], powers[partner[2], mul[i1, i2]]])
+        drawn.append((i2, i1, c) if swapped else (i1, i2, c))
+    i1s, i2s, cs = np.array(drawn, dtype=np.int64).reshape(count, 3).T
     return i1s, i2s, cs
 
 

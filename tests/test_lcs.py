@@ -479,6 +479,27 @@ def test_lcs_rows_equal_the_settings_of_every_input():
         assert system.b == (1 % spec.p,) * rows
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_lcs_from_mbqc_equals_the_checked_system(p):
+    """The unchecked constructor gives the system ``LCS`` validates and
+    reduces, with plain int entries."""
+    spec = qudit_star_spec(p)
+    table = output_table(spec)
+    system = lcs_from_mbqc(spec, table)
+    expected = LCS(p, mbqc._settings(spec).tolist(), table.outputs)
+    assert system == expected and hash(system) == hash(expected)
+    assert {type(v) for row in system.A for v in row} | {type(v) for v in system.b} == {int}
+
+
+def test_lcs_from_mbqc_reduces_outputs_and_refuses_a_short_table():
+    spec = qudit_star_spec(3)
+    outputs = tuple(o + 3 for o in mbqc.expected_star_outputs(3))
+    system = lcs_from_mbqc(spec, OutputTable(3, 2, outputs, (True,) * 9))
+    assert system.b == mbqc.expected_star_outputs(3)
+    with pytest.raises(ShapeMismatchError, match="table does not match the computation spec"):
+        lcs_from_mbqc(spec, OutputTable(3, 2, outputs[:8], (True,) * 8))
+
+
 def test_lcs_rows_are_refused_over_budget(monkeypatch):
     """The p = 3 star has 9x3 = 27 settings."""
     spec = qudit_star_spec(3)

@@ -18,9 +18,10 @@ from lcsmbqc import (
     phi,
     symplectic_form,
     kgroup,
+    projection,
     verify,
 )
-from lcsmbqc.errors import BudgetExceededError
+from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError
 from lcsmbqc.phase_fn import at_level
 
 
@@ -168,6 +169,61 @@ def test_capable_diagonal_draws_follow_the_rejection_loop(p):
         expected = rejection(slow, slow.randrange(p) if t is None else t)
         assert verify.random_capable_diagonal(fast, p, t) == expected
         assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_below_draws_what_randrange_and_choice_draw(seed):
+    """``_below`` on ``getrandbits`` gives each value ``randrange`` and
+    ``choice`` give, and leaves the same generator state."""
+    fast, slow = random.Random(seed), random.Random(seed)
+    bits = fast.getrandbits
+    for n in [*range(1, 101), 3**6, 3**10]:
+        assert verify._below(bits, n) == slow.randrange(n)
+        if n >= 2:
+            assert 1 + verify._below(bits, n - 1) == slow.randrange(1, n)
+        seq = tuple(range(10, 10 + n))
+        assert seq[verify._below(bits, len(seq))] == slow.choice(seq)
+        assert fast.getstate() == slow.getstate()
+
+
+def _randrange_site_pair(rng, p, m):
+    """``draw_site_pair`` written with ``randrange`` and ``choice``: the
+    reference for its ``_below`` draws."""
+    pm = p**m
+    kind = rng.choice(("diag", "mixed", "shifted"))
+    if kind == "diag":
+        head = [rng.randrange(pm) for _ in range(p - 1)]
+        return kind, head, 0, 0, [rng.randrange(pm) for _ in range(p - 1)], False
+    if kind == "mixed":
+        b = rng.randrange(1, p)
+        slope = rng.randrange(p)
+        head = [rng.randrange(pm) for _ in range(p - 1)]
+        line = (rng.randrange(p), slope)
+        cc = (-slope * b) % p
+        if rng.random() < 0.5:
+            return kind, head, b, (-cc) % p, line, True
+        return kind, head, b, cc, line, False
+    return _randrange_shifted_pair(rng, p, m, None)
+
+
+def _randrange_shifted_pair(rng, p, m, c):
+    b = rng.randrange(1, p)
+    bp = rng.randrange(1, p)
+    head = [rng.randrange(p**m) for _ in range(p - 1)]
+    cprime = rng.randrange(p) if c is None else (-c) * pow(bp, -1, p) % p
+    a = rng.randrange(p)
+    partner = (a, cprime, bp * pow(b, -1, p) % p, rng.randrange(p))
+    return "shifted", head, b, (-bp * cprime) % p, partner, False
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 4), (5, 1), (7, 1)])
+def test_site_pair_draws_equal_the_randrange_draws(p, m):
+    fast, slow = random.Random(p * 10 + m), random.Random(p * 10 + m)
+    for k in range(5000):
+        assert verify.draw_site_pair(fast, p, m) == _randrange_site_pair(slow, p, m)
+        c = k % p if k % 3 else None
+        assert verify.draw_shifted_pair(fast, p, m, c) == _randrange_shifted_pair(slow, p, m, c)
+    assert fast.getstate() == slow.getstate()
 
 
 def _element_index(table):
@@ -397,16 +453,54 @@ def test_single_site_check_equals_object_api_loop_on_sampled_rows_at_p5():
     assert (check.count, check.passed, check.detail) == (465_625, True, "")
 
 
+def _object_api_phi_data(table, variant):
+    """``phi_data`` as a loop over the elements through ``r_map`` and
+    ``phi_local``: the reference for its arrays."""
+    ok = np.zeros(table.n, dtype=bool)
+    s2 = np.zeros(table.n, dtype=np.int32)
+    a, b = np.zeros(table.n, dtype=np.int16), np.zeros(table.n, dtype=np.int16)
+    r_map, phi_local = projection.r_map, projection.phi_local
+    for i, e in enumerate(table.elements):
+        try:
+            local = r_map(e.xi, variant) if e.b == 0 else phi_local(e, variant)
+        except LevelError:
+            continue
+        if e.b == 0 and table.ppow[i] < 0:
+            continue
+        ok[i], s2[i], a[i], b[i] = True, local.e, local.a[0], local.b[0]
+    return ok, s2, a, b
+
+
 @pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
-@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3)])
-def test_phi_data_rows_equal_the_object_api_images(p, m, variant):
-    """``suite_phi`` reads the images of torsion elements from
-    ``phi_data``: each row is the projection of the one-site tensor."""
-    table = verify.group_table(p, m)
-    ok, s2, a, b = table.phi_data(variant)
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (5, 1)])
+def test_phi_data_rows_equal_the_object_api_images(monkeypatch, p, m, variant):
+    """Every row of ``phi_data``, the flags included, equals the loop over
+    ``r_map`` and ``phi_local``, which it calls neither of; each torsion row
+    is the projection of the one-site tensor."""
+    table = verify.KGroupTable(p, m)
+    expected = _object_api_phi_data(table, variant)
+    calls = []
+    for module in (projection, verify):
+        for name in ("r_map", "phi_local"):
+            monkeypatch.setattr(module, name, lambda *args: calls.append(args), raising=False)
+    got = table.phi_data(variant)
+    assert calls == []
+    for x, y in zip(got, expected):
+        assert x.dtype == y.dtype and (x == y).all()
+    ok, s2, a, b = got
+    assert ok[table.torsion].all()
+    monkeypatch.undo()
     for i in np.flatnonzero(table.torsion):
         image = phi(TensorElement.of_sites([table.elements[i]]), variant)
-        assert ok[i] and (s2[i], a[i], b[i]) == (image.e, image.a[0], image.b[0])
+        assert (s2[i], a[i], b[i]) == (image.e, image.a[0], image.b[0])
+
+
+def test_phi_data_refuses_an_even_prime_and_an_unknown_variant():
+    table = verify.KGroupTable(2, 1)
+    with pytest.raises(EvenPrimeError, match="single-site projection is defined for odd primes"):
+        table.phi_data(PROOF)
+    with pytest.raises(ValueError, match="unknown variant"):
+        verify.KGroupTable(3, 1).phi_data("affine")
 
 
 def test_phi_suite_projects_no_one_site_tensor(monkeypatch):
@@ -611,7 +705,7 @@ def test_commutator_check_counts_planted_faults_like_the_loop(monkeypatch, p, m)
 
 def test_commutator_check_builds_no_element(monkeypatch):
     table = verify.KGroupTable(3, 2)
-    # the per-element arrays are filled through the object API, before the check
+    # the per-element arrays are filled before the check
     table.phi_data(PROOF)
     table.torsion
     built = []
