@@ -1,5 +1,6 @@
 """Linear constraint systems over Z_d: classical solving through one
-Gauss-Jordan routine (``row_reduce``, shared with ``null_space``), one
+column-major Gauss-Jordan routine (``row_reduce``, shared with
+``null_space``; entries come back reduced mod p, the row count kept), one
 checker of the three operator-solution conditions for tensor and
 Heisenberg-Weyl assignments, the reduction of operator assignments to
 classical solutions, and the standard two-qubit fixtures.
@@ -87,24 +88,36 @@ def row_reduce(
     matrix: Sequence[Sequence[int]], p: int, n_cols: int
 ) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination over the field Z_p, p prime: the reduced row
-    echelon form, nonzero rows first, and the pivot column of each of them.
-    Pivots are taken in the first ``n_cols`` columns; later columns, such as
-    a right-hand side, are carried along."""
-    rows = [list(row) for row in matrix]
+    echelon form, nonzero rows first, every entry reduced mod p and the row
+    count kept, and the pivot column of each nonzero row.  Pivots are taken
+    in the first ``n_cols`` columns; later columns, such as a right-hand
+    side, are carried along.  It works on one list per column: a pivot's
+    column becomes a unit vector, each later column that is nonzero in the
+    pivot row is cleared in one pass over its rows, and the columns left of
+    the pivot are 0 in that row.  Its rows x width x min(rows, n_cols) entry
+    updates are refused over the budget before any work."""
+    n_rows, width = len(matrix), len(matrix[0]) if matrix else 0
+    steps = min(n_rows, n_cols)
+    refuse_over_budget(n_rows * width * steps, f"{n_rows}x{width}x{steps} row-reduction steps")
+    cols = [[v % p for v in col] for col in zip(*matrix)]
     pivots: list[int] = []
-    for col in range(n_cols):
+    for c, col in enumerate(cols[:n_cols]):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        pivot = next((i for i in range(r, n_rows) if col[i]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = modinv(rows[r][col], p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                factor = rows[i][col]
-                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
+        inv = modinv(col[pivot], p)
+        for other in cols:
+            other[r], other[pivot] = other[pivot], other[r]
+            other[r] = other[r] * inv % p
+        factors, col[:] = col[:], [0] * n_rows
+        factors[r], col[r] = 0, 1
+        for other in cols[c + 1:]:
+            w = other[r]
+            if w:
+                other[:] = [(v - f * w) % p for v, f in zip(other, factors)]
+        pivots.append(c)
+    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in matrix]
     return rows, pivots
 
 
@@ -129,7 +142,7 @@ def solve_classical(system: LCS) -> Optional[tuple[int, ...]]:
     if not is_prime(d):
         raise UnsupportedModulusError(f"solving needs a prime modulus, got {d}")
     rows, pivots = row_reduce([[*row, rhs] for row, rhs in zip(system.A, system.b)], d, n)
-    if any(row[-1] % d for row in rows[len(pivots):]):
+    if any(row[-1] for row in rows[len(pivots):]):
         return None
     x = [0] * n
     for row, col in zip(rows, pivots):

@@ -242,7 +242,8 @@ class KGroupTable:
         exps[q - i b]); every site reads its level-1 digit row, theta_{1,0}
         its first digit and theta_{1,1} its Lagrange coefficient.  A diagonal
         adds its level-2 constant, read at level max(2, m); it is undefined
-        outside that shape or when its p-th power is not central."""
+        outside that shape, the ``LevelError`` of ``_site_image``, which on a
+        det-1 diagonal is where its p-th power is not central."""
         if variant not in self._phi:
             _check_variant(variant)
             p, m = self.p, self.m
@@ -262,7 +263,7 @@ class KGroupTable:
             shape = (rest == 0) & ((ys - ys[:, :1]) % low == 0).all(axis=1)
             diag = p * theta10 + theta20 if variant == PROOF else p * ((theta10 + theta20) % p)
             power = (b * p * theta10 - p * theta11 * (b * (b - 1) // 2)) % (p * p)
-            ok = (b != 0) | (shape & (self.ppow >= 0))
+            ok = (b != 0) | shape
             s2 = np.where(b != 0, power, diag)
             a = np.where(b != 0, b * theta11 % p, theta11)
             self._phi[variant] = (

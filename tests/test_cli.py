@@ -136,6 +136,37 @@ def test_lcs_solve_and_check(tmp_path, capsys):
     assert run(["lcs", "check", "--lcs", str(system_file), "--x", "0,0"]) == 1
 
 
+def test_lcs_solve_is_exact_beyond_int64(tmp_path, capsys):
+    """Over d = 2^61 - 1, where products of entries overflow int64, the
+    printed solution satisfies every row exactly."""
+    d = 2**61 - 1
+    system = {
+        "d": d,
+        "A": [[d - 2, 3, 1], [5, d - 1, 7], [2**40, 1, d - 3]],
+        "b": [d - 5, 11, 2**60],
+    }
+    system_file = tmp_path / "system.json"
+    system_file.write_text(json.dumps(system))
+    assert run(["lcs", "solve", "--lcs", str(system_file)]) == 0
+    x = tuple(int(v) for v in capsys.readouterr().out.strip().splitlines()[-1].split(","))
+    assert lcsmbqc.check_classical(lcsmbqc.LCS.from_json(system), x)
+
+
+def test_lcs_solve_over_budget_exits_2(tmp_path, monkeypatch, capsys):
+    """A 40x5 system with four unknowns takes 40 * 5 * 4 = 800 entry
+    updates: refused at a budget of 799, solved at 800."""
+    system = {"d": 3, "A": [[i % 3, 1, 0, i % 2] for i in range(40)], "b": [0] * 40}
+    system_file = tmp_path / "system.json"
+    system_file.write_text(json.dumps(system))
+    monkeypatch.setenv("LCSMBQC_BUDGET", "799")
+    assert run(["lcs", "solve", "--lcs", str(system_file)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["budget exceeded: the 40x5x4 row-reduction steps exceed the budget"]
+    monkeypatch.setenv("LCSMBQC_BUDGET", "800")
+    assert run(["lcs", "solve", "--lcs", str(system_file)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "0,0,0,0"
+
+
 def test_lcs_check_assignment(tmp_path):
     fixtures = mermin_fixtures()
     system_file = tmp_path / "square.json"

@@ -30,8 +30,9 @@ from lcsmbqc.errors import (
     UnsupportedModulusError,
 )
 from lcsmbqc import lcs, mbqc
-from lcsmbqc.lcs import MeasurementFamilyReport, brute_force_solve, null_space
+from lcsmbqc.lcs import MeasurementFamilyReport, brute_force_solve, null_space, row_reduce
 from lcsmbqc.mbqc import MbqcSpec, OutputTable, SiteSpec, ghz_evaluate
+from lcsmbqc.phase_fn import modinv
 from lcsmbqc.projection import HWElement, phi, value_map_nu
 
 from random_specs import random_specs, random_torus_table
@@ -111,6 +112,66 @@ def test_null_space_against_brute_force(p):
             for coefs in itertools.product(range(p), repeat=len(basis))
         }
         assert len(combos) == kernel
+
+
+def _row_major_row_reduce(matrix, p, n_cols):
+    """The row-major Gauss-Jordan elimination ``row_reduce`` replaced: one
+    new list per row per pivot.  Rows it never touches keep their input, so
+    it is compared on inputs reduced mod p."""
+    rows = [list(row) for row in matrix]
+    pivots = []
+    for col in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = modinv(rows[r][col], p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] % p:
+                factor = rows[i][col]
+                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 2**61 - 1])
+def test_row_reduce_equals_the_row_major_reference(p):
+    """Random matrices with unreduced entries, from no rows and rows of
+    width 0 to more rows than columns and the reverse, with zero columns
+    and a carried right-hand side: the same rows and pivots."""
+    rng = random.Random(p)
+    shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 0)] + [
+        (rng.randrange(8), rng.randrange(6), rng.randrange(2)) for _ in range(400)
+    ]
+    for n_rows, n_cols, carried in shapes:
+        zero_cols = {c for c in range(n_cols) if rng.random() < 0.2}
+        matrix = [
+            [
+                0 if c in zero_cols or rng.random() < 0.3 else rng.randrange(-3 * p, 3 * p)
+                for c in range(n_cols + carried)
+            ]
+            for _ in range(n_rows)
+        ]
+        reduced = [[v % p for v in row] for row in matrix]
+        got = row_reduce(matrix, p, n_cols)
+        assert got == _row_major_row_reduce(reduced, p, n_cols)
+        assert len(got[0]) == n_rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_qudit_star_systems_reduce_as_the_reference_and_have_no_solution(p):
+    """The augmented p^2 x 4 star system reduces as with the row-major
+    reference, and has no classical solution; for p <= 7 the exhaustive
+    search agrees."""
+    spec = qudit_star_spec(p)
+    system = lcs_from_mbqc(spec, output_table(spec))
+    augmented = [[*row, rhs] for row, rhs in zip(system.A, system.b)]
+    assert row_reduce(augmented, p, 3) == _row_major_row_reduce(augmented, p, 3)
+    assert solve_classical(system) is None
+    if p <= 7:
+        assert brute_force_solve(system) is None
 
 
 def test_solver_sets_free_variables_to_zero():

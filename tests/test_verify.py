@@ -495,6 +495,19 @@ def test_phi_data_rows_equal_the_object_api_images(monkeypatch, p, m, variant):
         assert (s2[i], a[i], b[i]) == (image.e, image.a[0], image.b[0])
 
 
+@pytest.mark.parametrize("p, m, capable", [(3, 1, 9), (3, 2, 27), (3, 3, 27), (5, 1, 625)])
+def test_phi_data_diagonal_shape_is_a_central_pth_power(p, m, capable):
+    """On every diagonal the shape test, the flag of ``phi_data``, holds
+    exactly where the p-th power is central; ``phi_data`` reads no Cayley
+    table to decide it."""
+    table = verify.KGroupTable(p, m)
+    ok = table.phi_data(PROOF)[0]
+    assert table._mul is None
+    diagonal = table.b == 0
+    assert (ok[diagonal] == (table.ppow[diagonal] >= 0)).all()
+    assert ok[diagonal].sum() == capable
+
+
 def test_phi_data_refuses_an_even_prime_and_an_unknown_variant():
     table = verify.KGroupTable(2, 1)
     with pytest.raises(EvenPrimeError, match="single-site projection is defined for odd primes"):
