@@ -1,4 +1,13 @@
-"""Shared exception types."""
+"""Shared exception types, and the work budget that ``BudgetExceededError``
+enforces."""
+
+from __future__ import annotations
+
+import os
+from typing import Optional
+
+DEFAULT_BUDGET = 10_000_000
+BUDGET_ENV_VAR = "LCSMBQC_BUDGET"
 
 
 class PrimeMismatchError(ValueError):
@@ -30,6 +39,22 @@ class EvenPrimeError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured element budget."""
+
+
+def resolve_budget(budget: Optional[int] = None) -> int:
+    if budget is not None:
+        return budget
+    env = os.environ.get(BUDGET_ENV_VAR)
+    if env:
+        return int(env)
+    return DEFAULT_BUDGET
+
+
+def refuse_over_budget(work: int, what: str) -> None:
+    """Raise ``BudgetExceededError`` ("the <what> exceed the budget") when
+    ``work`` exceeds the budget, before the work starts."""
+    if work > resolve_budget():
+        raise BudgetExceededError(f"the {what} exceed the budget")
 
 
 class NondeterministicTableError(ValueError):

@@ -18,7 +18,6 @@ without that check.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from operator import add
 from typing import Optional, Sequence
@@ -30,30 +29,12 @@ from .errors import (
     LevelError,
     PrimeMismatchError,
     TorusMembershipError,
+    resolve_budget,
 )
 from .phase_fn import PhaseFunction, at_level, canonical_table, modinv, rotate
 
 _new = object.__new__
 _set = object.__setattr__
-
-DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "LCSMBQC_BUDGET"
-
-
-def resolve_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
-def refuse_over_budget(work: int, what: str) -> None:
-    """Raise ``BudgetExceededError`` ("the <what> exceed the budget") when
-    ``work`` exceeds the budget, before the work starts."""
-    if work > resolve_budget():
-        raise BudgetExceededError(f"the {what} exceed the budget")
 
 
 def power_over_budget(p: int, k: int, budget: Optional[int] = None) -> bool:
@@ -90,6 +71,15 @@ def _commutator_row(x: Sequence[int], b: int, y: Sequence[int], c: int) -> list[
     the sites (xi, b) and (eta, c), whose exponents x and y are read at one
     level; the commutator is that table at that level."""
     return [a + bb - cc - d for a, bb, cc, d in zip(x, rotate(y, -b), rotate(x, -c), y)]
+
+
+def summed_rotations(exps: Sequence[int], b: int, n: int) -> list[int]:
+    """sum_{i<n} exps[q - i b] for each q: the exponents, unreduced, of
+    (xi, b)^n for n >= 0 when xi has exponents ``exps``."""
+    acc = [0] * len(exps)
+    for i in range(n):
+        acc = list(map(add, acc, rotate(exps, -i * b)))
+    return acc
 
 
 class KElement:
@@ -161,10 +151,7 @@ class KElement:
         xi, b, p = self.xi, self.b, self.p
         if b == 0:
             return _element(xi**n, 0)
-        acc = [0] * p
-        for i in range(n % p):
-            acc = list(map(add, acc, rotate(xi.exps, -i * b)))
-        return _element(canonical_table(p, xi.m, acc), n * b % p)
+        return _element(canonical_table(p, xi.m, summed_rotations(xi.exps, b, n % p)), n * b % p)
 
     def commutator(self, other: KElement) -> KElement:
         """[self, other] = M N M^-1 N^-1; always diagonal, with table

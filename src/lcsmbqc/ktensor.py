@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclo import Phase, reduced_phase
 from .errors import LevelError, PrimeMismatchError, ShapeMismatchError
-from .kgroup import KElement, _commutator_row
+from .kgroup import KElement, _commutator_row, summed_rotations
 from .phase_fn import at_level, canonical_table, digit_row, modinv, row_coefficient
 
 
@@ -162,18 +162,17 @@ class TensorElement:
         (M^(1/b), scaled back by b): the shift action moves the linear
         coefficient of non-affine polynomials, so reading it off the site's
         own table would break the commutator law for shift parts >= 2.  For
-        diagonals and unit shifts the two readings coincide.
+        diagonals and unit shifts the two readings coincide.  The
+        representative's exponents are the summed rotations of the site's,
+        read at its level, so no element is built.
         """
         p = self.p
         fbar = []
         for site in self.sites:
-            if site.b in (0, 1):
-                rep = site
-                scale = 1
-            else:
-                rep = site ** modinv(site.b, p)
-                scale = site.b
-            fbar.append(scale * row_coefficient(digit_row(rep.xi, 1), p, 1))
+            xi, b = site.xi, site.b
+            eta = summed_rotations(xi.exps, b, modinv(b, p)) if b > 1 else xi.exps
+            top = p ** max(xi.m - 1, 0)
+            fbar.append((b or 1) * row_coefficient([e // top % p for e in eta], p, 1))
         return SymplecticVector(p, tuple(fbar), self.b_vector)
 
     def canonical_key(self) -> tuple:

@@ -20,8 +20,9 @@ from .errors import (
     PrimeMismatchError,
     ShapeMismatchError,
     UnsupportedModulusError,
+    refuse_over_budget,
 )
-from .kgroup import KElement, refuse_over_budget
+from .kgroup import KElement
 from .ktensor import TensorElement
 from .mbqc import MbqcSpec, OutputTable, _row_sums, _settings
 from .phase_fn import PhaseFunction, at_level, modinv, rotate

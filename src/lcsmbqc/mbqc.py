@@ -24,8 +24,9 @@ from .errors import (
     PrimeMismatchError,
     ShapeMismatchError,
     TorusMembershipError,
+    refuse_over_budget,
 )
-from .kgroup import KElement, refuse_over_budget
+from .kgroup import KElement
 from .ktensor import TensorElement
 from .phase_fn import PhaseFunction, _lagrange_basis, at_level, rotate
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cyclo import MAX_LEVEL, Phase, is_prime, reduced_phase
-from .errors import LevelError, PrimeMismatchError, TorusMembershipError
+from .errors import LevelError, PrimeMismatchError, TorusMembershipError, refuse_over_budget
 
 _new = object.__new__
 _set = object.__setattr__
@@ -42,7 +42,9 @@ def _lagrange_basis(p: int) -> tuple[tuple[int, ...], ...]:
     x^a coefficients of the Lagrange basis polynomials L_0, ..., L_{p-1}.
     By Fermat, L_q(x) = 1 - (x - q)^(p-1); since C(p-1, a) = (-1)^a mod p,
     the x^a coefficient of (x - q)^(p-1) is q^(p-1-a) (with 0^0 = 1), so
-    row a is [a == 0] - q^(p-1-a): p^2 modular powers, once per prime."""
+    row a is [a == 0] - q^(p-1-a): p^2 modular powers, once per prime.
+    Those p^2 entries are refused over the budget before they are built."""
+    refuse_over_budget(p * p, f"{p}x{p} Lagrange basis entries")
     return tuple(
         tuple((int(a == 0) - pow(q, p - 1 - a, p)) % p for q in range(p)) for a in range(p)
     )

@@ -1,18 +1,21 @@
 """Exhaustive and randomized verification suites.
 
-Exhaustive sweeps over an enumerated group run on integer index tables
-(Cayley table, scalar-commutant table, per-element projection data).  The
-Cayley table is computed from the elements' exponent arrays, each product's
-index in closed form, and so are the projection images (``phi_data``); the
-scalar test and the exponent rows come once per element from the object API.
-The homomorphism law is decided exhaustively for every site count: cyclic
-convolutions of per-site defect histograms count the commuting torsion
-pairs and their failures, and no tuple of sites is listed.  Randomized
-suites draw from seeded generators, so re-running a suite with the same
-configuration reproduces it bit for bit.  One routine makes the integer
-draws of a site pair (``draw_site_pair``); the object-API generators build
-elements from them, and the commutator check of ``suite_phi`` turns them
-into table indices with no element built.
+Exhaustive sweeps over a group run on integer index tables (``KGroupTable``)
+built from integers: an element's index is a closed form of its exponents
+and shift, and the exponent rows, the scalar test, the p-th powers and the
+projection images (``phi_data``) are closed forms on those integers.  The
+scalar-commuting pairs come from a join on exponents (``scalar_pairs``),
+and the products of those pairs from ``index_of`` on summed exponents, so
+the exhaustive homomorphism law needs no Cayley table and no object-API
+element; the Cayley table and the commutant table built on it serve the
+lemma1, commuting-pairs and symplectic suites and the tests.  The homomorphism law is decided exhaustively for every site
+count: cyclic convolutions of per-site defect histograms count the commuting
+torsion pairs and their failures, and no tuple of sites is listed.
+Randomized suites draw from seeded generators, so re-running a suite with
+the same configuration reproduces it bit for bit.  One routine makes the
+integer draws of a site pair (``draw_site_pair``); the object-API generators
+build elements from them, and the commutator check of ``suite_phi`` turns
+them into table indices with no element built.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cyclo import Phase
-from .errors import BudgetExceededError, EvenPrimeError, LevelError
+from .errors import BudgetExceededError, EvenPrimeError, LevelError, refuse_over_budget
 from .kgroup import (
     KElement,
     classify_commuting_pair,
@@ -36,7 +39,6 @@ from .kgroup import (
     maximal_p_torsion_abelian,
     power_over_budget,
     power_text,
-    refuse_over_budget,
     structural_p_torsion,
 )
 from .ktensor import (
@@ -118,16 +120,20 @@ def _refuse_negative_samples(samples: int) -> None:
 
 
 class KGroupTable:
-    """Integer index tables for one enumerated single-site group.
+    """Integer index tables for one single-site group, built from integers.
 
     Elements are listed in ``itertools.product`` order of their p - 1 head
     exponents at level m (det 1 fixes the last exponent), then by shift, so
     an element's index is a closed form of its integers (``index_of``), and
-    the identity is index 0.  The per-element arrays are
-    computed on first use and kept.  The Cayley table ``mul`` is built
-    lazily from the level-m exponent array with no object-API product; a
+    the identity is index 0.  The exponent rows and shifts are read off that
+    closed form, and the scalar test and the p-th powers are closed forms on
+    them; the object-API ``elements`` are enumerated only when read.  The
+    per-element arrays are computed on first use and kept.  The
+    scalar-commuting pairs come from a join on exponents
+    (``scalar_pairs``); the Cayley table ``mul`` and the commutant table
+    built on it are made only for the suites and tests that read them.  A
     group whose n x n table exceeds the enumeration budget is refused before
-    it is enumerated.
+    anything is built.
     """
 
     def __init__(self, p: int, m: int):
@@ -135,8 +141,7 @@ class KGroupTable:
         self.p = p
         self.m = m
         self.pm = p**m
-        self.elements = enumerate_kgroup(p, m)
-        self.n = len(self.elements)
+        self.n = p ** kgroup_order_exponent(p, m)
         self._mul: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pair_groups: dict[str, dict[tuple[int, int, int], _PairGroup]] = {}
@@ -151,18 +156,112 @@ class KGroupTable:
         return index * self.p + b
 
     @cached_property
+    def elements(self) -> list[KElement]:
+        """The object-API elements in index order, checked once against
+        ``exps`` and ``b``."""
+        elements = enumerate_kgroup(self.p, self.m)
+        exps = np.array([at_level(e.xi, self.m) for e in elements], dtype=np.int32)
+        shifts = np.array([e.b for e in elements])
+        if not ((exps == self.exps).all() and (shifts == self.b).all()):
+            raise AssertionError("the elements are not listed in index order")
+        return elements
+
+    @cached_property
     def b(self) -> np.ndarray:
-        return np.array([e.b for e in self.elements], dtype=np.int16)
+        return (np.arange(self.n) % self.p).astype(np.int16)
 
     @cached_property
     def exps(self) -> np.ndarray:
-        """The level-m exponents of every element, one row each; checked
-        once against ``index_of``, which the index tables rely on.  They are
+        """The level-m exponents of every element, one row each: the head
+        digits of index // p in base p^m, and minus their sum.  They are
         int32 like the tables: every exponent, and every index, is below n."""
-        exps = np.array([at_level(e.xi, self.m) for e in self.elements], dtype=np.int32)
-        if not (self.index_of(exps.T[:-1], self.b) == np.arange(self.n)).all():
-            raise AssertionError("the elements are not listed in index order")
-        return exps
+        p, pm = self.p, self.pm
+        torus = np.arange(self.n // p)[:, None] // pm ** np.arange(p - 2, -1, -1) % pm
+        torus = np.concatenate([torus, -torus.sum(axis=1, keepdims=True) % pm], axis=1)
+        return np.repeat(torus.astype(np.int32), p, axis=0)
+
+    @cached_property
+    def scal(self) -> np.ndarray:
+        """omega exponent when the element is a central scalar, else -1: a
+        diagonal with one exponent x, which det 1 makes a multiple of
+        p^(m-1)."""
+        x = self.exps
+        central = (self.b == 0) & (x == x[:, :1]).all(axis=1)
+        return np.where(central, x[:, 0] // (self.pm // self.p), -1).astype(np.int16)
+
+    def power_indices(self, max_power: int) -> np.ndarray:
+        """pow[k, i] = index of elements[i] ** k for k = 0..max_power."""
+        out = np.empty((max_power + 1, self.n), dtype=np.int32)
+        out[0] = 0
+        idx_all = np.arange(self.n)
+        for k in range(1, max_power + 1):
+            out[k] = self.mul[out[k - 1], idx_all]
+        return out
+
+    @cached_property
+    def ppow(self) -> np.ndarray:
+        """t with element^p = omega^t * 1 when that power is central, else -1.
+        A shifted element's p-th power is the identity: its p shifts run
+        through Z_p, so it is the constant det 1.  A diagonal's has exponents
+        p x mod p^m, central exactly when they are one value y, and then t is
+        y / p^(m-1)."""
+        p, pm = self.p, self.pm
+        y = self.exps * p % pm
+        central = (y == y[:, :1]).all(axis=1)
+        t = np.where(central, y[:, 0] // (pm // p), -1)
+        return np.where(self.b != 0, 0, t).astype(np.int16)
+
+    @cached_property
+    def torsion(self) -> np.ndarray:
+        return self.ppow == 0
+
+    @cached_property
+    def scalar_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, c) for every pair whose commutator is omega^c, in row-major
+        order, from a join on exponents with no n x n table.
+
+        With x, y the exponents of i = (x, b) and j = (y, b'), the commutator
+        has exponents x[q] + y[q - b] - x[q - b'] - y[q].  It is constant
+        exactly when x - shift_b' x and y - shift_b y agree after each
+        subtracts its q = 0 entry, and c is then the difference of those q = 0
+        entries over p^(m-1).  So i is keyed once per partner shift b', and j
+        once per partner shift b, by (b, b', that vector); the keys of j are
+        sorted once and each key of i is matched by ``searchsorted``."""
+        p, pm, n = self.p, self.pm, self.n
+        torus = self.exps[::p]
+        size = len(torus)
+        q = np.arange(p)
+        # diff[s, t]: the exponents of x - shift_s x for the diagonal part t
+        diff = np.stack([torus - torus[:, (q - s) % p] for s in range(p)]) % pm
+        key = np.zeros((p, size), dtype=np.int32)
+        for k in range(1, p):
+            key = key * pm + (diff[:, :, k] - diff[:, :, 0]) % pm
+        first = diff[:, :, 0]
+        # block[b, b']: the key offset of the shift pair (b, b')
+        block = (q[:, None] * p + q) * size
+        # left[t, b, b'] for i = t p + b; right[b, b', t'] for j = t' p + b'
+        left = (block + key.T[:, None, :]).ravel()
+        right = (block[:, :, None] + key[:, None, :]).ravel()
+        order = np.argsort(right, kind="stable").astype(np.int32)
+        right = right[order]
+        lo = np.searchsorted(right, left, "left").astype(np.int32)
+        counts = np.searchsorted(right, left, "right") - lo
+        ends = np.cumsum(counts)
+        # picks: for each match, in order of (i, b'), the matched entry of right
+        picks = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1], dtype=np.int32)
+        picks = order[picks]
+        shifts, t = np.divmod(picks, size)
+        # c from the q = 0 entries: first[b', t] of i, first[b, t'] of j
+        firsts = np.broadcast_to(first.T[:, None, :], (size, p, p)).ravel()
+        c = (np.repeat(firsts, counts) - first[shifts // p, t]) % pm // (pm // p)
+        i = np.repeat(np.arange(n, dtype=np.int64), counts.reshape(n, p).sum(axis=1))
+        # row-major: (i, j, c) packed into one key, each row's runs of one b'
+        # merged by a stable sort
+        packed = np.sort((i * n + t * p + shifts % p) * p + c, kind="stable")
+        del picks, shifts, t, c, i
+        i, rest = np.divmod(packed, n * p)
+        j, c = np.divmod(rest, p)
+        return i.astype(np.int32), j.astype(np.int32), c.astype(np.int16)
 
     @property
     def mul(self) -> np.ndarray:
@@ -197,39 +296,10 @@ class KGroupTable:
         return self.index_of(exps.T[:-1], -b % self.p).astype(np.int32)
 
     @cached_property
-    def scal(self) -> np.ndarray:
-        """omega exponent when the element is a central scalar, else -1."""
-        out = np.full(self.n, -1, dtype=np.int16)
-        for i, e in enumerate(self.elements):
-            s = e.as_scalar()
-            if s is not None:
-                w = s.as_omega_power()
-                if w is not None:
-                    out[i] = w
-        return out
-
-    def power_indices(self, max_power: int) -> np.ndarray:
-        """pow[k, i] = index of elements[i] ** k for k = 0..max_power."""
-        out = np.empty((max_power + 1, self.n), dtype=np.int32)
-        out[0] = 0
-        idx_all = np.arange(self.n)
-        for k in range(1, max_power + 1):
-            out[k] = self.mul[out[k - 1], idx_all]
-        return out
-
-    @cached_property
-    def ppow(self) -> np.ndarray:
-        """t with element^p = omega^t * 1 when that power is central, else -1."""
-        powers = self.power_indices(self.p)[self.p]
-        return self.scal[powers]
-
-    @cached_property
-    def torsion(self) -> np.ndarray:
-        return self.ppow == 0
-
-    @cached_property
     def commutant(self) -> np.ndarray:
-        """Pairwise scalar commutant exponent, -1 where non-scalar."""
+        """Pairwise scalar commutant exponent, -1 where non-scalar, from three
+        n x n gathers of the Cayley table: the pairs of the commuting-pairs
+        and symplectic suites, and the test oracle of ``scalar_pairs``."""
         mul, inv = self.mul, self.inv
         return self.scal[mul[mul, mul[inv[:, None], inv[None, :]]]]
 
@@ -251,9 +321,7 @@ class KGroupTable:
                 raise EvenPrimeError("single-site projection is defined for odd primes")
             x, b = self.exps.astype(np.int64), self.b.astype(np.int64)
             # eta: the exponents of (xi, b)^y, y = b^-1 mod p (y = 1 for b = 0)
-            y = np.array([1] + [modinv(k, p) for k in range(1, p)])[b][:, None]
-            q, rows = np.arange(p), np.arange(self.n)[:, None]
-            eta = sum(np.where(i < y, x[rows, (q - i * b[:, None]) % p], 0) for i in range(p - 1))
+            eta = _rotation_sums(x, b, np.array([1] + [modinv(k, p) for k in range(1, p)])[b])
             level1 = eta % self.pm // p ** (m - 1)
             theta10, theta11 = level1[:, 0], level1 @ _lagrange_basis(p)[1] % p
             level = max(2, m)
@@ -273,6 +341,15 @@ class KGroupTable:
                 np.where(ok, b, 0).astype(np.int16),
             )
         return self._phi[variant]
+
+
+def _rotation_sums(x: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row by row, sum_{i<y} x[q - i b]: ``kgroup.summed_rotations`` on
+    arrays, the exponents (unreduced) of (x, b)^y for 0 <= y < p."""
+    p = x.shape[1]
+    q, rows = np.arange(p), np.arange(len(x))[:, None]
+    rotated = (x[rows, (q - i * b[:, None]) % p] for i in range(p - 1))
+    return sum(np.where(i < y[:, None], row, 0) for i, row in enumerate(rotated))
 
 
 def _refuse_cayley_table(p: int, m: int) -> None:
@@ -316,9 +393,17 @@ def _below(bits: Callable[[int], int], n: int) -> int:
 
 def _draw_head(rng: random.Random, p: int, m: int) -> list[int]:
     """The p - 1 free level-m exponents of a det-1 diagonal: the values, and
-    the generator state, of p - 1 calls ``rng.randrange(p**m)``."""
+    the generator state, of p - 1 calls ``rng.randrange(p**m)``, each the
+    rejection loop of ``_below`` run inline."""
     bits, pm = rng.getrandbits, p**m
-    return [_below(bits, pm) for _ in range(p - 1)]
+    k = pm.bit_length()
+    head = []
+    for _ in range(p - 1):
+        r = bits(k)
+        while r >= pm:
+            r = bits(k)
+        head.append(r)
+    return head
 
 
 def _torus_table(p: int, m: int, head: Sequence[int]) -> PhaseFunction:
@@ -597,7 +682,10 @@ def suite_torsion(p: int = 3, m: int = 2) -> SuiteReport:
 
 
 def suite_commuting_pairs(p: int = 3, m: int = 2) -> SuiteReport:
-    """Classify every scalar-commuting pair and verify all case witnesses."""
+    """Classify every scalar-commuting pair and verify all case witnesses.
+    The case split is that of odd primes, so p = 2 is refused."""
+    if p == 2:
+        raise EvenPrimeError("commuting-pair classification needs an odd prime")
     table = group_table(p, m)
     elements = table.elements
     pairs = np.argwhere(table.commutant >= 0).tolist()
@@ -771,30 +859,34 @@ class _PairGroup(NamedTuple):
 def _phi_pair_groups(table: KGroupTable, variant: str) -> dict[tuple[int, int, int], _PairGroup]:
     """Scalar-commuting pairs of projection-capable elements grouped by
     (commutant, t, t'), in order of first appearance in row-major order;
-    built once per table and variant."""
+    built once per table and variant from ``scalar_pairs``, with no Cayley
+    table: the product of (x, b) and (y, b') has exponents x[q] + y[q - b]
+    mod p^m and shift b + b', and its index comes from ``index_of``."""
     if variant in table._pair_groups:
         return table._pair_groups[variant]
-    p = table.p
+    p, pm = table.p, table.pm
     ok, s2, a, b = table.phi_data(variant)
-    commutant = table.commutant
-    first, second = np.nonzero(ok[:, None] & ok[None, :] & (commutant >= 0))
+    i, j, c = table.scalar_pairs
+    keep = ok[i] & ok[j]
+    i, j, c = i[keep], j[keep], c[keep]
+    x, shift = table.exps.ravel(), table.b[i]
+    head = np.zeros(len(i), dtype=np.int32)
+    for q in range(p - 1):
+        head = head * pm + (x[i * p + q] + x[j * p + (q - shift) % p]) % pm
+    prod = head * p + (shift + table.b[j]) % p
+    good = ok[prod] & (a[prod] == (a[i] + a[j]) % p) & (b[prod] == (b[i] + b[j]) % p)
+    defect = (s2[prod] - s2[i] - s2[j] + p * a[j].astype(np.int32) * b[i]) % (p * p)
     # c p^2 + t p + t', all three in [0, p): capable elements have central p-th powers
-    keys = (commutant[first, second].astype(np.int64) * p + table.ppow[first]) * p
-    keys += table.ppow[second]
+    keys = (c.astype(np.int32) * p + table.ppow[i]) * p + table.ppow[j]
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     groups = {}
     # a stable sort keeps each group in row-major order, so a group's first
     # row is its first appearance
     for rows in sorted(np.split(order, starts[1:]), key=lambda rows: rows[0]):
-        i, j = first[rows], second[rows]
-        prod = table.mul[i, j]
-        good = ok[prod] & (a[prod] == (a[i] + a[j]) % p) & (b[prod] == (b[i] + b[j]) % p)
-        defect = (
-            s2[prod].astype(np.int64) - s2[i] - s2[j] + p * a[j].astype(np.int64) * b[i]
-        ) % (p * p)
-        c, t = divmod(int(keys[rows[0]]), p * p)
-        groups[c, t // p, t % p] = _PairGroup(np.stack([i, j], axis=1), good, defect)
+        key = int(keys[rows[0]])
+        pairs = np.stack([i[rows], j[rows]], axis=1)
+        groups[key // (p * p), key // p % p, key % p] = _PairGroup(pairs, good[rows], defect[rows])
     table._pair_groups[variant] = groups
     return groups
 
@@ -857,30 +949,39 @@ def _site_pair_indices(
     table: KGroupTable, rng: random.Random, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Table indices (i1, i2) and commutant c of ``count`` pairs from
-    ``draw_site_pair``, each computed from the integers of its draw as it is
-    drawn: M and the diagonals from ``index_of``, and a shifted partner
-    omega^central (M chi)^y from ``mul`` and the power table."""
-    p, m = table.p, table.m
-    scale = table.pm // p
-    mul, powers = table.mul, table.power_indices(p - 1)
+    ``draw_site_pair``, computed from the integers of the draws with no
+    Cayley table: M and the diagonals from ``index_of`` as they are drawn,
+    and each shifted partner omega^central (M chi)^y from the closed-form
+    power on exponents, for all of them at once after the draws."""
+    p, m, pm = table.p, table.m, table.pm
+    scale = pm // p
+    index_of = table.index_of
     # affine[a][s]: the index of the diagonal omega^(a + s q)
     affine = [
-        [table.index_of([(a + s * q) % p * scale for q in range(p - 1)], 0) for s in range(p)]
+        [index_of([(a + s * q) % p * scale for q in range(p - 1)], 0) for s in range(p)]
         for a in range(p)
     ]
-    drawn = []
-    for _ in range(count):
+    drawn, shifted = [], []
+    for k in range(count):
         kind, head, b, c, partner, swapped = draw_site_pair(rng, p, m)
-        i1 = table.index_of(head, b)
+        i1 = index_of(head, b)
         if kind == "diag":
-            i2 = table.index_of(partner, 0)
-        else:
+            drawn += (i1, index_of(partner, 0), c)
+        elif kind == "mixed":
             i2 = affine[partner[0]][partner[1]]
-            if kind == "shifted":
-                i2 = int(mul[affine[partner[3]][0], powers[partner[2], mul[i1, i2]]])
-        drawn.append((i2, i1, c) if swapped else (i1, i2, c))
-    i1s, i2s, cs = np.array(drawn, dtype=np.int64).reshape(count, 3).T
-    return i1s, i2s, cs
+            drawn += (i2, i1, c) if swapped else (i1, i2, c)
+        else:
+            drawn += (i1, 0, c)
+            shifted += (k, *head, b, *partner)
+    i1, i2, c = np.array(drawn, dtype=np.int64).reshape(count, 3).T
+    k, *head, b, a, s, y, central = np.array(shifted, dtype=np.int64).reshape(-1, p + 5).T
+    # M chi = (x + shift_b chi, b) with chi = omega^(a + s q) at level m
+    q = np.arange(p)
+    x = np.stack([*head, -sum(head) % pm], axis=1)
+    x += (a[:, None] + s[:, None] * (q - b[:, None])) % p * scale
+    power = (_rotation_sums(x, b, y) + central[:, None] * scale) % pm
+    i2[k] = index_of(power.T[:-1], y * b % p)
+    return i1, i2, c
 
 
 def _phi_commutators(table: KGroupTable, variant: str, rng: random.Random) -> tuple[int, int]:
@@ -914,13 +1015,13 @@ def suite_phi(
     _refuse_negative_samples(samples)
     checks = []
     table = group_table(p, m)
-    elements = table.elements
     torsion_idx = np.flatnonzero(table.torsion)
     s2, a, b = (x.astype(np.int64) for x in table.phi_data(variant)[1:])
 
     for k, (total, failures, sites) in enumerate(_phi_site_tuples(table, variant, n), 1):
         detail = ""
         if failures:
+            elements = table.elements
             left, right = (", ".join(repr(elements[x]) for x in side) for side in zip(*sites))
             witness = f"{left} vs {right}" if k == 1 else f"E = ({left}), E' = ({right})"
             detail = f"{failures} failures, e.g. {witness}"
@@ -1022,8 +1123,14 @@ def suite_symplectic(
     p: int = 3, m: int = 2, samples: int = 10000, seed: int = 37
 ) -> SuiteReport:
     """Commutator exponent equals the symplectic form of extracted vectors:
-    exhaustive for single sites, randomized for two and three sites."""
+    exhaustive for single sites, randomized for two and three sites.  The
+    randomized pairs are drawn across the odd-prime cases, so p = 2 is
+    refused when there are samples."""
     _refuse_negative_samples(samples)
+    if p == 2 and samples:
+        raise EvenPrimeError(
+            "the randomized symplectic pairs need an odd prime; at p = 2 only 0 samples run"
+        )
     table = group_table(p, m)
     elements = table.elements
     checks = []

@@ -322,6 +322,8 @@ def _non_torsion_tensor():
         (["verify", "pipeline", "--p", "7"], None),
         (["mbqc", "run", "--spec", "{f}"], '{"p": 3, "n_inputs": 1, "sites": []}'),
         (["verify", "phi", "--n", "1", "--samples", "-5"], None),
+        (["verify", "commuting-pairs", "--p", "2", "--m", "1"], None),
+        (["verify", "symplectic", "--p", "2"], None),
     ],
     ids=[
         "composite-modulus",
@@ -339,6 +341,8 @@ def _non_torsion_tensor():
         "pipeline-p",
         "mbqc-no-sites",
         "phi-negative-samples",
+        "commuting-pairs-even-prime",
+        "symplectic-even-prime-samples",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
@@ -351,6 +355,19 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_even_prime_refusals_name_the_odd_prime_requirement(capsys):
+    """At p = 2 the commuting-pair classification and the randomized
+    symplectic pairs are refused as even-prime input, not counted as failed
+    laws; the symplectic suite without samples still runs and passes."""
+    assert run(["verify", "commuting-pairs", "--p", "2", "--m", "1"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "invalid input: EvenPrimeError: commuting-pair classification needs an odd prime"
+    )
+    assert run(["verify", "symplectic", "--p", "2"]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: EvenPrimeError: the randomized")
+    assert run(["verify", "symplectic", "--p", "2", "--samples", "0"]) == 0
 
 
 def test_verify_names_the_flags_a_suite_does_not_take(capsys):

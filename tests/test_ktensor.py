@@ -13,7 +13,7 @@ from lcsmbqc import (
     symplectic_form,
 )
 from lcsmbqc.errors import LevelError, PrimeMismatchError, ShapeMismatchError
-from lcsmbqc.phase_fn import modinv
+from lcsmbqc.phase_fn import digit_row, modinv, row_coefficient
 from lcsmbqc.verify import (
     _remark_pair,
     random_k_element,
@@ -298,6 +298,24 @@ def ref_fbar(site: KElement) -> int:
     p, b = site.p, site.b
     rep, scale = (site, 1) if b in (0, 1) else (site ** modinv(b, p), b)
     return scale * rep.xi.decompose(max(1, rep.xi.m)).coefficient(1, 1) % p
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 1)])
+def test_symplectic_vector_equals_the_power_reading(monkeypatch, p, m):
+    """On every element, ``symplectic_vector`` reads the linear level-1
+    coefficient that the unit-shift representative site ** b^-1 has, scaled
+    by b, without raising any element to a power."""
+    elements = enumerate_kgroup(p, m)
+    expected = []
+    for e in elements:
+        rep, scale = (e, 1) if e.b in (0, 1) else (e ** modinv(e.b, p), e.b)
+        expected.append(scale * row_coefficient(digit_row(rep.xi, 1), p, 1) % p)
+
+    def forbidden(*args):
+        raise AssertionError("an element was raised to a power")
+
+    monkeypatch.setattr(KElement, "__pow__", forbidden)
+    assert [TensorElement.of_sites([e]).symplectic_vector().fbar[0] for e in elements] == expected
 
 
 def ref_structural_torsion(tensor: TensorElement) -> bool:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lcsmbqc import LevelCoefficients, Phase, PhaseFunction, lagrange_coeffs
-from lcsmbqc.errors import LevelError, PrimeMismatchError, TorusMembershipError
-from lcsmbqc.phase_fn import digit_row, eval_poly, row_coefficient
+from lcsmbqc.errors import BudgetExceededError, LevelError, PrimeMismatchError, TorusMembershipError
+from lcsmbqc.phase_fn import _lagrange_basis, digit_row, eval_poly, row_coefficient
 
 
 def omega_q(p):
@@ -196,3 +196,17 @@ def test_lagrange_basis_inverts_the_vandermonde_matrix():
         for a in range(p):
             row = [sum(c * pow(q, b, p) for q, c in enumerate(basis[a])) % p for b in range(p)]
             assert row == [int(a == b) for b in range(p)], (p, a)
+
+
+def test_lagrange_basis_is_refused_over_the_budget(monkeypatch):
+    """The memoised basis of p^2 entries is refused before it is built: at a
+    budget of 10,000 the basis at p = 97 is built, and at p = 103 both
+    ``lagrange_coeffs`` and ``decompose`` end in ``BudgetExceededError``."""
+    monkeypatch.setenv("LCSMBQC_BUDGET", "10000")
+    _lagrange_basis.cache_clear()
+    assert lagrange_coeffs([1] * 97, 97) == (1,) + (0,) * 96
+    table = PhaseFunction.from_exponents(103, 1, [0] * 103)
+    for read in (lambda: lagrange_coeffs([1] * 103, 103), lambda: table.decompose(1)):
+        with pytest.raises(BudgetExceededError, match="the 103x103 Lagrange basis entries exceed"):
+            read()
+    assert _lagrange_basis.cache_info().currsize == 1

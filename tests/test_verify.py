@@ -344,7 +344,7 @@ def _assert_commutant_zero_is_commuting(table, rows):
 
 @pytest.mark.parametrize("p, m", [(2, 3), (3, 1), (3, 2)])
 def test_commutant_zero_selects_the_commuting_pairs(p, m):
-    """``suite_phi`` takes its commuting pairs from pair groups built on the
+    """The commuting-pairs and symplectic suites take their pairs from the
     commutant table; on every pair that table agrees with the object API."""
     table = verify.KGroupTable(p, m)
     _assert_commutant_zero_is_commuting(table, range(table.n))
@@ -628,6 +628,62 @@ def test_cayley_table_equals_object_api_products(p, m):
     index = _element_index(table)
     expected = [[index[a * c] for c in table.elements] for a in table.elements]
     assert table.mul.tolist() == expected
+
+
+TABLE_CONFIGS = [(2, 3), (3, 1), (3, 2), (3, 3), (5, 1)]
+
+
+@pytest.mark.parametrize("p, m", TABLE_CONFIGS)
+def test_integer_tables_equal_the_object_api(p, m):
+    """``exps``, ``b``, ``scal`` and ``ppow``, built from integers, equal the
+    object API's exponent rows, shifts, scalar test and p-th powers."""
+    table = verify.KGroupTable(p, m)
+    elements = kgroup.enumerate_kgroup(p, m)
+    assert table.exps.tolist() == [list(at_level(e.xi, m)) for e in elements]
+    assert table.b.tolist() == [e.b for e in elements]
+
+    def omega_power(element):
+        scalar = element.as_scalar()
+        return -1 if scalar is None else scalar.as_omega_power()
+
+    assert table.scal.tolist() == [omega_power(e) for e in elements]
+    assert table.ppow.tolist() == [omega_power(e**p) for e in elements]
+
+
+@pytest.mark.parametrize("p, m", TABLE_CONFIGS)
+def test_scalar_pairs_equal_the_commutant_table(p, m):
+    """The join lists exactly the pairs of the three-gather commutant table,
+    in row-major order, with the same commutants."""
+    table = verify.KGroupTable(p, m)
+    i, j, c = table.scalar_pairs
+    assert table._mul is None
+    expected = np.argwhere(table.commutant >= 0)
+    assert (np.stack([i, j], axis=1) == expected).all()
+    assert (c == table.commutant[i, j]).all()
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 1)])
+def test_cold_phi_suite_builds_no_cayley_table_and_no_element(monkeypatch, p, m):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(verify, "enumerate_kgroup", enumerated)
+    verify.group_table.cache_clear()
+    try:
+        assert verify.suite_phi(p, m, n=2, samples=0).passed
+        table = verify.group_table(p, m)
+        assert table._mul is None and "elements" not in vars(table)
+    finally:
+        verify.group_table.cache_clear()
+
+
+def test_site_pair_indices_leave_the_generator_state_of_the_draws():
+    table = verify.group_table(3, 2)
+    fast, slow = random.Random(31), random.Random(31)
+    verify._site_pair_indices(table, fast, 2000)
+    for _ in range(2000):
+        verify.draw_site_pair(slow, 3, 2)
+    assert fast.getstate() == slow.getstate()
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
