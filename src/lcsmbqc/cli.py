@@ -4,9 +4,10 @@ and constraint-system utilities.
 Reports are JSON (sorted keys, no timestamps) so identical configurations
 produce identical bytes; tables are CSV.  Exit codes: 0 all verdicts hold,
 1 a property or expected verdict failed, 2 usage errors and bad input
-(unreadable or malformed files, invalid values, exhausted budgets), each
-reported on one stderr line.  ``verify`` forwards every flag that is given
-to the suite and refuses a flag that the suite's signature does not accept.
+(files that cannot be read or written, malformed files, invalid values,
+exhausted budgets), each reported on one stderr line.  ``verify`` forwards
+every flag that is given to the suite and refuses a flag that the suite's
+signature does not accept.
 """
 
 from __future__ import annotations
@@ -408,8 +409,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("lcs check needs --x or --assignment")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"missing input file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a path that is missing, a directory, or not readable or writable
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

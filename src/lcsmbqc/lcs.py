@@ -96,11 +96,18 @@ def row_reduce(
     column becomes a unit vector, each later column that is nonzero in the
     pivot row is cleared in one pass over its rows, and the columns left of
     the pivot are 0 in that row.  Its rows x width x min(rows, n_cols) entry
-    updates are refused over the budget before any work."""
-    n_rows, width = len(matrix), len(matrix[0]) if matrix else 0
+    updates are refused over the budget before any elimination."""
+    return _reduce_columns([[v % p for v in col] for col in zip(*matrix)], len(matrix), p, n_cols)
+
+
+def _reduce_columns(
+    cols: list[list[int]], n_rows: int, p: int, n_cols: int
+) -> tuple[list[list[int]], list[int]]:
+    """The elimination of ``row_reduce`` on its columns, given as lists of
+    ``n_rows`` entries already reduced mod p; it overwrites them."""
+    width = len(cols)
     steps = min(n_rows, n_cols)
     refuse_over_budget(n_rows * width * steps, f"{n_rows}x{width}x{steps} row-reduction steps")
-    cols = [[v % p for v in col] for col in zip(*matrix)]
     pivots: list[int] = []
     for c, col in enumerate(cols[:n_cols]):
         r = len(pivots)
@@ -118,7 +125,7 @@ def row_reduce(
             if w:
                 other[:] = [(v - f * w) % p for v, f in zip(other, factors)]
         pivots.append(c)
-    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in matrix]
+    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n_rows)]
     return rows, pivots
 
 
@@ -142,7 +149,9 @@ def solve_classical(system: LCS) -> Optional[tuple[int, ...]]:
     d, n = system.d, system.n_cols
     if not is_prime(d):
         raise UnsupportedModulusError(f"solving needs a prime modulus, got {d}")
-    rows, pivots = row_reduce([[*row, rhs] for row, rhs in zip(system.A, system.b)], d, n)
+    # LCS entries are reduced mod d, so the columns go to the elimination as they are
+    cols = [list(col) for col in zip(*system.A)] + [list(system.b)]
+    rows, pivots = _reduce_columns(cols, system.n_rows, d, n)
     if any(row[-1] for row in rows[len(pivots):]):
         return None
     x = [0] * n

@@ -8,14 +8,20 @@ scalar-commuting pairs come from a join on exponents (``scalar_pairs``),
 and the products of those pairs from ``index_of`` on summed exponents, so
 the exhaustive homomorphism law needs no Cayley table and no object-API
 element; the Cayley table and the commutant table built on it serve the
-lemma1, commuting-pairs and symplectic suites and the tests.  The homomorphism law is decided exhaustively for every site
-count: cyclic convolutions of per-site defect histograms count the commuting
-torsion pairs and their failures, and no tuple of sites is listed.
+lemma1, commuting-pairs and symplectic suites and the tests.  The
+homomorphism law is decided exhaustively for every site count: cyclic
+convolutions of per-site defect histograms count the commuting torsion pairs
+and their failures, and no tuple of sites is listed.
 Randomized suites draw from seeded generators, so re-running a suite with
 the same configuration reproduces it bit for bit.  One routine makes the
 integer draws of a site pair (``draw_site_pair``); the object-API generators
 build elements from them, and the commutator check of ``suite_phi`` turns
 them into table indices with no element built.
+
+numpy is loaded on first use: ``np`` starts as a stand-in whose first
+attribute read imports numpy and rebinds ``np`` to it, so a process that
+builds no index table (the CLI's object-API commands, the reduction
+pipeline) never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .cyclo import Phase
 from .errors import BudgetExceededError, EvenPrimeError, LevelError, refuse_over_budget
@@ -66,6 +70,21 @@ from .projection import (
     even_prime_counterexample,
     phi,
 )
+
+
+class _NumpyOnFirstUse:
+    """numpy until it is first needed: the first attribute read imports it
+    and rebinds this module's ``np`` to it, so later reads go straight to
+    numpy."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,15 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["lcs", "solve", "--lcs", "/nonexistent.json"]) == 2
 
 
+def test_an_unwritable_out_path_is_not_called_an_input_file(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["demo", "mermin-square", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("file error: ") and str(out) in err
+    assert "input" not in err.replace(str(out), "")
+
+
 def test_check_requires_candidate_or_assignment(tmp_path):
     system_file = tmp_path / "system.json"
     system_file.write_text(json.dumps({"d": 3, "A": [[1]], "b": [0]}))
@@ -324,6 +333,10 @@ def _non_torsion_tensor():
         (["verify", "phi", "--n", "1", "--samples", "-5"], None),
         (["verify", "commuting-pairs", "--p", "2", "--m", "1"], None),
         (["verify", "symplectic", "--p", "2"], None),
+        (["demo", "qudit-star", "--p", "3", "--out", "{d}"], None),
+        (["verify", "even-prime", "--out", "{d}"], None),
+        (["mbqc", "demo", "qudit-star", "--p", "3", "--out", "{d}"], None),
+        (["lcs", "solve", "--lcs", "{d}"], None),
     ],
     ids=[
         "composite-modulus",
@@ -343,6 +356,10 @@ def _non_torsion_tensor():
         "phi-negative-samples",
         "commuting-pairs-even-prime",
         "symplectic-even-prime-samples",
+        "demo-out-is-a-directory",
+        "verify-out-is-a-directory",
+        "mbqc-csv-out-is-a-directory",
+        "lcs-input-is-a-directory",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
@@ -351,7 +368,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
         path.write_text(content if isinstance(content, str) else json.dumps(content()))
     system = tmp_path / "system.json"
     system.write_text('{"d": 3, "A": [[1]], "b": [1]}')
-    assert run([a.format(f=path, s=system) for a in args]) == 2
+    assert run([a.format(f=path, s=system, d=tmp_path) for a in args]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,6 @@
 """Import hygiene: every public name resolves, no module imports a name it
-never uses, and importing the package does not load numpy."""
+never uses, and importing the package, the CLI or ``verify``, or running a
+command that builds no index table, does not load numpy."""
 
 import ast
 import os
@@ -44,16 +45,38 @@ def test_module_uses_every_imported_name(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def test_import_does_not_load_numpy():
-    """numpy loads on first use: compiling and importing the package with it
-    loaded costs start-up time and peak memory on every command."""
-    code = "import sys, lcsmbqc; print('numpy' in sys.modules)"
+def _loads_numpy(code: str) -> bool:
+    """Whether numpy is loaded after ``code`` runs in a fresh interpreter."""
     src = pathlib.Path(lcsmbqc.__file__).parent.parent
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"{code}\nimport sys; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
         check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_import_does_not_load_numpy():
+    """numpy loads on first use: importing the package, the CLI or
+    ``verify`` with it loaded costs start-up time and peak memory on every
+    command."""
+    assert not _loads_numpy("import lcsmbqc, lcsmbqc.cli, lcsmbqc.verify")
+
+
+@pytest.mark.parametrize("args", [["demo", "mermin-square"], ["verify", "even-prime"]])
+def test_object_api_commands_do_not_load_numpy(args):
+    """Commands that build no index table run without numpy."""
+    assert not _loads_numpy(f"from lcsmbqc import cli\nassert cli.main({args!r}) == 0")
+
+
+def test_verify_np_is_numpy_once_a_table_is_built():
+    """The first read of ``verify.np`` rebinds it to numpy, so no stand-in is
+    left between the index tables and numpy."""
+    import numpy
+
+    from lcsmbqc import verify
+
+    verify.group_table(3, 1).mul
+    assert verify.np is numpy

@@ -174,6 +174,14 @@ def test_qudit_star_systems_reduce_as_the_reference_and_have_no_solution(p):
         assert brute_force_solve(system) is None
 
 
+def test_solver_handles_systems_with_no_rows_or_no_columns():
+    """The solver hands the elimination the columns of A and b as they are,
+    so an empty A still carries b."""
+    assert solve_classical(LCS(3, (), ())) == ()
+    assert solve_classical(LCS(3, ((), ()), (0, 0))) == ()
+    assert solve_classical(LCS(3, ((), ()), (0, 1))) is None
+
+
 def test_solver_sets_free_variables_to_zero():
     assert solve_classical(LCS(3, ((1, 1),), (2,))) == (2, 0)
     assert solve_classical(LCS(5, ((1, 2, 0, 3), (0, 0, 1, 4)), (3, 2))) == (3, 0, 2, 0)
