@@ -4,14 +4,14 @@ Exhaustive sweeps over a group run on integer index tables (``KGroupTable``)
 built from integers: an element's index is a closed form of its exponents
 and shift, and the exponent rows, the scalar test, the p-th powers and the
 projection images (``phi_data``) are closed forms on those integers.  The
-scalar-commuting pairs come from a join on exponents (``scalar_pairs``),
-and the products of those pairs from ``index_of`` on summed exponents, so
-the exhaustive homomorphism law needs no Cayley table and no object-API
-element; the Cayley table and the commutant table built on it serve the
-lemma1, commuting-pairs and symplectic suites and the tests.  The
-homomorphism law is decided exhaustively for every site count: cyclic
-convolutions of per-site defect histograms count the commuting torsion pairs
-and their failures, and no tuple of sites is listed.
+scalar-commuting pairs of every suite come from one join on exponents
+(``scalar_pairs``), and the products of those pairs from ``index_of`` on
+summed exponents, so the exhaustive homomorphism law needs no Cayley table
+and no object-API element; the Cayley table serves the lemma1 suite and the
+tests, and no other suite builds an n x n array.  The homomorphism law is
+decided exhaustively for every site count: cyclic convolutions of per-site
+defect histograms count the commuting torsion pairs and their failures, and
+no tuple of sites is listed.
 Randomized suites draw from seeded generators, so re-running a suite with
 the same configuration reproduces it bit for bit.  One routine makes the
 integer draws of a site pair (``draw_site_pair``); the object-API generators
@@ -148,11 +148,10 @@ class KGroupTable:
     closed form, and the scalar test and the p-th powers are closed forms on
     them; the object-API ``elements`` are enumerated only when read.  The
     per-element arrays are computed on first use and kept.  The
-    scalar-commuting pairs come from a join on exponents
-    (``scalar_pairs``); the Cayley table ``mul`` and the commutant table
-    built on it are made only for the suites and tests that read them.  A
-    group whose n x n table exceeds the enumeration budget is refused before
-    anything is built.
+    scalar-commuting pairs come from a join on exponents (``scalar_pairs``);
+    the Cayley table ``mul`` is made only for the lemma1 suite and the
+    tests that read it.  A group whose n x n table exceeds the enumeration
+    budget is refused before anything is built.
     """
 
     def __init__(self, p: int, m: int):
@@ -305,22 +304,6 @@ class KGroupTable:
                 np.add(self.index_of(prod[:-1], 0)[:, :, None], (b + shifts) % p, out=blocks[:, b])
             self._mul = table
         return self._mul
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        """(xi, b)^-1 has exponents -xi[q + b] mod p^m and shift -b."""
-        b = self.b.astype(np.int64)
-        rows = np.arange(self.n)[:, None]
-        exps = -self.exps[rows, (np.arange(self.p) + b[:, None]) % self.p] % self.pm
-        return self.index_of(exps.T[:-1], -b % self.p).astype(np.int32)
-
-    @cached_property
-    def commutant(self) -> np.ndarray:
-        """Pairwise scalar commutant exponent, -1 where non-scalar, from three
-        n x n gathers of the Cayley table: the pairs of the commuting-pairs
-        and symplectic suites, and the test oracle of ``scalar_pairs``."""
-        mul, inv = self.mul, self.inv
-        return self.scal[mul[mul, mul[inv[:, None], inv[None, :]]]]
 
     def phi_data(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(defined, s2, a, b) arrays of the single-site projection: s2 is the
@@ -639,7 +622,10 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
 
 def suite_torsion(p: int = 3, m: int = 2) -> SuiteReport:
     """Direct p-th-power torsion versus the structural characterizations,
-    exhaustively for single sites and for two-site tensors."""
+    exhaustively for single sites and for two-site tensors, at level <= 2,
+    where the structural characterizations are stated."""
+    if m >= 3:
+        raise LevelError(f"the torsion suite is stated for level <= 2; got m = {m}")
     table = group_table(p, m)
     elements = table.elements
     checks = []
@@ -656,20 +642,22 @@ def suite_torsion(p: int = 3, m: int = 2) -> SuiteReport:
         )
     )
 
-    # per-site structural data: no non-constant level-2 part, and its constant
+    # one key per site for each predicate, -1 where it cannot hold: the
+    # constant of a constant level-2 part (structural), and the p-th power's
+    # omega exponent (direct); a two-site tensor is torsion when both keys
+    # are set and sum to 0 mod p, so the predicates are compared on pairs of
+    # key classes, weighted by the class sizes
+    def torsion_pair(s, t):
+        return (s >= 0) & (t >= 0) & ((s + t) % p == 0)
+
     ppow = table.ppow
-    capable = np.zeros(table.n, dtype=bool)
-    theta20 = np.zeros(table.n, dtype=np.int16)
+    theta20 = np.empty(table.n, dtype=np.int64)
     for i, e in enumerate(elements):
         row = (0,) if e.b else digit_row(e.xi, 2)
-        if len(set(row)) == 1:
-            capable[i] = True
-            theta20[i] = row[0]
-    structural = capable[:, None] & capable[None, :]
-    structural &= (theta20[:, None] + theta20[None, :]) % p == 0
-    direct = (ppow[:, None] >= 0) & (ppow[None, :] >= 0)
-    direct &= (np.where(ppow < 0, 0, ppow)[:, None] + np.where(ppow < 0, 0, ppow)[None, :]) % p == 0
-    mismatch = int((structural != direct).sum())
+        theta20[i] = row[0] if len(set(row)) == 1 else -1
+    (structural, direct), sizes = np.unique(np.stack([theta20, ppow]), axis=1, return_counts=True)
+    differ = torsion_pair(structural[:, None], structural) != torsion_pair(direct[:, None], direct)
+    mismatch = int(sizes @ differ @ sizes)
     checks.append(
         CheckResult(
             "two-site structural torsion equals direct computation",
@@ -684,7 +672,7 @@ def suite_torsion(p: int = 3, m: int = 2) -> SuiteReport:
     for _ in range(500):
         i, j = spot.randrange(len(elements)), spot.randrange(len(elements))
         tensor = TensorElement.of_sites([elements[i], elements[j]])
-        expect = bool(direct[i, j])
+        expect = bool(torsion_pair(ppow[i], ppow[j]))
         if tensor.is_p_torsion() != expect:
             spot_bad += 1
         if structural_tensor_p_torsion(tensor) != expect:
@@ -707,21 +695,21 @@ def suite_commuting_pairs(p: int = 3, m: int = 2) -> SuiteReport:
         raise EvenPrimeError("commuting-pair classification needs an odd prime")
     table = group_table(p, m)
     elements = table.elements
-    pairs = np.argwhere(table.commutant >= 0).tolist()
+    left, right, _ = table.scalar_pairs
     checks = []
     counts = {1: 0, 2: 0, 3: 0}
     failures = 0
-    for i, j in pairs:
+    for i, j in zip(left.tolist(), right.tolist()):
         try:
             case = classify_commuting_pair(elements[i], elements[j])
             counts[case.case] += 1
-        except Exception:
+        except ValueError:
             failures += 1
     checks.append(
         CheckResult(
             "every scalar-commuting pair classifies with verified witnesses",
             failures == 0,
-            count=len(pairs),
+            count=len(left),
             detail=f"case counts {counts}" if not failures else f"{failures} failures",
         )
     )
@@ -1157,8 +1145,8 @@ def suite_symplectic(
     vectors = [TensorElement.of_sites([e]).symplectic_vector() for e in elements]
     fbar = np.array([v.fbar[0] for v in vectors], dtype=np.int64)
     bbar = np.array([v.bbar[0] for v in vectors], dtype=np.int64)
-    i, j = np.argwhere(table.commutant >= 0).T
-    bad = (fbar[i] * bbar[j] - fbar[j] * bbar[i]) % p != table.commutant[i, j]
+    i, j, c = table.scalar_pairs
+    bad = (fbar[i] * bbar[j] - fbar[j] * bbar[i]) % p != c
     detail = ""
     if bad.any():
         k = int(np.argmax(bad))

@@ -321,6 +321,7 @@ def _non_torsion_tensor():
         (["lcs", "solve", "--lcs", "{f}"], '{"d": 3, "A": [[1]]}'),
         (["verify", "phi", "--p", "2", "--n", "1", "--samples", "0"], None),
         (["verify", "torsion", "--p", "0"], None),
+        (["verify", "torsion", "--p", "3", "--m", "3"], None),
         (["verify", "subgroups", "--m", "0"], None),
         (["phi", "--tensor", "{f}"], _non_torsion_tensor),
         (["lcs", "check", "--lcs", "{s}", "--assignment", "{f}"], "[1, 2]"),
@@ -344,6 +345,7 @@ def _non_torsion_tensor():
         "missing-key",
         "phi-even-prime",
         "torsion-p0",
+        "torsion-level-3",
         "subgroups-m0",
         "phi-non-torsion",
         "assignment-not-an-object",

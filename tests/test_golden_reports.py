@@ -14,8 +14,11 @@ found its commuting single-site pairs through object-API commutators and
 re-checked tensor torsion with p-th powers; the three-site ``phi`` digests
 were made by the suite that first decided every site count with cyclic
 convolutions of per-site defect histograms, and check the counts that
-brute-force and object-API references confirm in ``test_verify``.  Each
-case runs at a small
+brute-force and object-API references confirm in ``test_verify``; the
+torsion digests at p = 5 and p = 2, the level-1 commuting-pairs digest and
+the exhaustive symplectic digests at (5, 1) and (2, 3) were made by the
+suites that took their pairs from the three-gather commutant table and
+compared two-site torsion on n x n arrays.  Each case runs at a small
 configuration so that the whole file stays fast, except the exhaustive
 two- and three-site checks at levels 2 and 3 and at p = 5, which are the
 cases those digests exist for.
@@ -106,7 +109,25 @@ SUITE_DIGESTS = {
         lambda: verify.suite_phi(5, 1, n=3, samples=0),
         "5e3d8028e611691b77d51db3b49e1513fe1f5240b1e3a7a8b4a238bdb6331a55",
     ),
+    "torsion-5-1": (
+        lambda: verify.suite_torsion(5, 1),
+        "635dd18bb347f68c7c949180dcd904ab4d18fbbe65e463ed8c1815c70d314bf6",
+    ),
+    "torsion-2-2": (
+        lambda: verify.suite_torsion(2, 2),
+        "8cd8b3023f9b34139f1ffaadf20a2a7dad88b715c866631b93aec5ba1be7dbb0",
+    ),
+    "commuting-pairs-3-1": (
+        lambda: verify.suite_commuting_pairs(3, 1),
+        "74f0548fc629e4102c464562876e1d4601f339d6ea853f28b3c4617ff9ef2d32",
+    ),
+    "symplectic-5-1": (
+        lambda: verify.suite_symplectic(5, 1, samples=0),
+        "d130d8f53bc77d5b06efa6d908ca68213df6e1b2c1483fa9cb4ecfa8e5770985",
+    ),
 }
+
+EVEN_PRIME_SYMPLECTIC_DIGEST = "18479a4ea69f50d9b851c6ef0d4163b52e0be8eebd1b19931f2103f5520a344d"
 
 DISPLAYED_TWO_SITE_DIGEST = "96c5f79fc7808d06fca04891d1ccecf440e66369c117664786dd0339a9eab648"
 
@@ -150,6 +171,19 @@ def test_displayed_three_site_report_matches_golden_digest():
     assert (three_site.count, three_site.detail.split(",")[0]) == (69_262_174_089, "181752822 failures")
     assert _sha256(json.dumps(report.to_json(), sort_keys=True).encode()) == (
         DISPLAYED_THREE_SITE_DIGEST
+    )
+
+
+def test_even_prime_symplectic_report_matches_golden_digest():
+    """At p = 2 the single-site symplectic law fails on 8 of the 160
+    scalar-commuting pairs of level 3; the digest pins that verdict and its
+    first counterexample."""
+    report = verify.suite_symplectic(2, 3, samples=0)
+    single_site = report.checks[0]
+    assert not single_site.passed
+    assert (single_site.count, single_site.detail.split(",")[0]) == (160, "8 mismatches")
+    assert _sha256(json.dumps(report.to_json(), sort_keys=True).encode()) == (
+        EVEN_PRIME_SYMPLECTIC_DIGEST
     )
 
 

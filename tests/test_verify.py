@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ from lcsmbqc import (
     verify,
 )
 from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError
-from lcsmbqc.phase_fn import at_level
+from lcsmbqc.phase_fn import at_level, digit_row
 
 
 def test_suite_registry_names():
@@ -232,6 +233,23 @@ def _element_index(table):
     return {e: i for i, e in enumerate(table.elements)}
 
 
+def _inverse(table):
+    """The index of every element's inverse: (xi, b)^-1 has exponents
+    -xi[q + b] mod p^m and shift -b."""
+    b = table.b.astype(np.int64)
+    rows = np.arange(table.n)[:, None]
+    exps = -table.exps[rows, (np.arange(table.p) + b[:, None]) % table.p] % table.pm
+    return table.index_of(exps.T[:-1], -b % table.p).astype(np.int32)
+
+
+def _commutant(table):
+    """Pairwise scalar commutant exponent, -1 where non-scalar, from three
+    n x n gathers of the Cayley table: the oracle of the ``scalar_pairs``
+    join."""
+    mul, inv = table.mul, _inverse(table)
+    return table.scal[mul[mul, mul[inv[:, None], inv[None, :]]]]
+
+
 def _lemma1_loops(table, max_power):
     """Checks 2 and 3 of ``suite_lemma1`` as element-by-element loops over
     the index tables: the reference for the suite's gathers over (element,
@@ -268,11 +286,12 @@ def _symplectic_loop(table):
     ``suite_symplectic``.  Returns its count and detail."""
     elements = table.elements
     vectors = [TensorElement.of_sites([e]).symplectic_vector() for e in elements]
+    commutant = _commutant(table)
     bad = count = 0
     witness = ""
     for i in range(table.n):
         for j in range(table.n):
-            c = table.commutant[i, j]
+            c = commutant[i, j]
             if c < 0:
                 continue
             count += 1
@@ -282,70 +301,92 @@ def _symplectic_loop(table):
     return count, f"{bad} mismatches, e.g. {witness}" if bad else ""
 
 
-def _lemma1_and_symplectic_against_loops(table, monkeypatch, max_power):
-    """Run both suites on ``table`` and compare their table checks with the
-    loops; returns the loops' results."""
+def _lemma1_against_loops(table, monkeypatch, max_power):
+    """Run the lemma1 suite on ``table`` and compare its table checks with
+    the loops; returns the loops' results."""
     monkeypatch.setattr(verify, "group_table", lambda p, m: table)
     slide, product = _lemma1_loops(table, max_power)
     checks = verify.suite_lemma1(table.p, table.m, max_power).checks
     for check, (count, bad) in zip(checks[1:], (slide, product)):
         detail = f"{bad} mismatches" if bad else ""
         assert (check.count, check.passed, check.detail) == (count, bad == 0, detail)
+    return slide, product
+
+
+def _symplectic_against_loop(table, monkeypatch):
+    """Run the symplectic suite on ``table`` and compare its single-site
+    check with the loop; returns the loop's result."""
+    monkeypatch.setattr(verify, "group_table", lambda p, m: table)
     symplectic = _symplectic_loop(table)
     check = verify.suite_symplectic(table.p, table.m, samples=0).checks[0]
     assert (check.count, check.detail) == symplectic
-    return slide, product, symplectic
+    return symplectic
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
 def test_lemma1_and_symplectic_sweeps_equal_the_loops(monkeypatch, p, m):
-    slide, product, symplectic = _lemma1_and_symplectic_against_loops(
-        verify.group_table(p, m), monkeypatch, 9
-    )
+    table = verify.group_table(p, m)
+    slide, product = _lemma1_against_loops(table, monkeypatch, 9)
+    symplectic = _symplectic_against_loop(table, monkeypatch)
     assert slide[1] == product[1] == 0 and symplectic[1] == ""
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
 def test_lemma1_and_symplectic_sweeps_equal_the_loops_on_a_planted_fault(monkeypatch, p, m):
-    """One Cayley-table entry of a fresh table, the product of a
-    scalar-commuting element and diagonal, is multiplied by omega: both
-    lemma1 table checks and the symplectic check then fail, and the sweeps
-    count the same mismatches, and name the same first witness, as the
-    loops."""
+    """Each suite gets a fault in what it reads, on a fresh table, and the
+    sweeps count the same mismatches, and name the same first witness, as
+    the loops.  lemma1: one Cayley-table entry, the product of a
+    scalar-commuting element z and diagonal, is multiplied by omega, and
+    both table checks fail.  symplectic: the clock part of the symplectic
+    vector of z is off by one, and the single-site law fails."""
     table = verify.KGroupTable(p, m)
     i = table.n // 2
-    diag = np.flatnonzero((table.b == 0) & (verify.group_table(p, m).commutant[i] >= 0))
+    diag = np.flatnonzero((table.b == 0) & (_commutant(verify.group_table(p, m))[i] >= 0))
     j = diag[len(diag) // 2]
     product = table.elements[table.mul[i, j]] * KElement.central(p, 1)
     table._mul[i, j] = _element_index(table)[product]
-    slide, product, symplectic = _lemma1_and_symplectic_against_loops(table, monkeypatch, 4)
-    assert slide[1] and product[1] and symplectic[1]
+    slide, product = _lemma1_against_loops(table, monkeypatch, 4)
+    assert slide[1] and product[1]
+
+    table = verify.KGroupTable(p, m)
+    z = table.elements[i]
+    vector = TensorElement.symplectic_vector
+
+    def planted(tensor):
+        v = vector(tensor)
+        return dataclasses.replace(v, fbar=(v.fbar[0] + 1,)) if tensor.sites == (z,) else v
+
+    monkeypatch.setattr(TensorElement, "symplectic_vector", planted)
+    assert _symplectic_against_loop(table, monkeypatch)[1]
 
 
 def test_group_table_matches_object_api():
     table = verify.group_table(3, 2)
+    commutant = _commutant(table)
     rng = random.Random(2)
     for _ in range(200):
         i, j = rng.randrange(table.n), rng.randrange(table.n)
         a, b = table.elements[i], table.elements[j]
         assert table.elements[table.mul[i, j]] == a * b
-        comm = table.commutant[i, j]
+        comm = commutant[i, j]
         expected = a.scalar_commutant(b)
         assert (comm < 0 and expected is None) or comm == expected
 
 
 def _assert_commutant_zero_is_commuting(table, rows):
     identity = KElement.identity(table.p)
+    commutant = _commutant(table)
     for i in rows:
         a = table.elements[i]
         expected = [a.commutator(b) == identity for b in table.elements]
-        assert (table.commutant[i] == 0).tolist() == expected
+        assert (commutant[i] == 0).tolist() == expected
 
 
 @pytest.mark.parametrize("p, m", [(2, 3), (3, 1), (3, 2)])
 def test_commutant_zero_selects_the_commuting_pairs(p, m):
-    """The commuting-pairs and symplectic suites take their pairs from the
-    commutant table; on every pair that table agrees with the object API."""
+    """The commutant table, the oracle of the ``scalar_pairs`` join that
+    every suite takes its pairs from, selects exactly the pairs whose
+    object-API commutator is the identity."""
     table = verify.KGroupTable(p, m)
     _assert_commutant_zero_is_commuting(table, range(table.n))
 
@@ -365,7 +406,7 @@ def test_commutant_zero_selects_the_commuting_pairs_sampled_at_level3():
 def _torsion_pairs_by_commutant(table):
     """Torsion pairs with commutant 0 in the index table, in row-major order."""
     torsion_idx = np.flatnonzero(table.torsion)
-    commuting = table.commutant[np.ix_(torsion_idx, torsion_idx)] == 0
+    commuting = _commutant(table)[np.ix_(torsion_idx, torsion_idx)] == 0
     return torsion_idx[np.argwhere(commuting)].tolist()
 
 
@@ -534,10 +575,11 @@ def _listed_pairs(table, variant):
     """Scalar-commuting pairs of projection-capable elements grouped by
     (commutant, t, t'), listed in row-major order."""
     ok = table.phi_data(variant)[0]
+    commutant = _commutant(table)
     groups = {}
     for i in range(table.n):
         for j in range(table.n):
-            c = table.commutant[i, j]
+            c = commutant[i, j]
             if ok[i] and ok[j] and c >= 0:
                 key = (int(c), int(table.ppow[i]), int(table.ppow[j]))
                 groups.setdefault(key, []).append((i, j))
@@ -657,9 +699,9 @@ def test_scalar_pairs_equal_the_commutant_table(p, m):
     table = verify.KGroupTable(p, m)
     i, j, c = table.scalar_pairs
     assert table._mul is None
-    expected = np.argwhere(table.commutant >= 0)
-    assert (np.stack([i, j], axis=1) == expected).all()
-    assert (c == table.commutant[i, j]).all()
+    commutant = _commutant(table)
+    assert (np.stack([i, j], axis=1) == np.argwhere(commutant >= 0)).all()
+    assert (c == commutant[i, j]).all()
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 1)])
@@ -675,6 +717,86 @@ def test_cold_phi_suite_builds_no_cayley_table_and_no_element(monkeypatch, p, m)
         assert table._mul is None and "elements" not in vars(table)
     finally:
         verify.group_table.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [verify.suite_commuting_pairs, lambda p, m: verify.suite_symplectic(p, m, samples=0)],
+    ids=["commuting-pairs", "symplectic"],
+)
+def test_cold_commuting_pairs_and_symplectic_suites_build_no_cayley_table(run):
+    """Both suites enumerate the elements, but take their pairs from the
+    join."""
+    verify.group_table.cache_clear()
+    try:
+        assert run(3, 2).passed
+        assert verify.group_table(3, 2)._mul is None
+    finally:
+        verify.group_table.cache_clear()
+
+
+def test_commuting_pairs_counts_value_errors_and_raises_the_rest(monkeypatch):
+    """Every failure the classifier raises by design is a ``ValueError``, a
+    failed witness counted in the verdict; any other exception is a fault
+    of the program and propagates."""
+
+    def refused(m1, m2):
+        raise ValueError("no witness")
+
+    monkeypatch.setattr(verify, "classify_commuting_pair", refused)
+    check = verify.suite_commuting_pairs(3, 1).checks[0]
+    assert (check.passed, check.count, check.detail) == (False, 729, "729 failures")
+
+    def broken(m1, m2):
+        raise TypeError("a fault of the program")
+
+    monkeypatch.setattr(verify, "classify_commuting_pair", broken)
+    with pytest.raises(TypeError, match="a fault of the program"):
+        verify.suite_commuting_pairs(3, 1)
+
+
+def _two_site_torsion_mismatches(table):
+    """The two-site check of ``suite_torsion`` on n x n arrays, one entry
+    per pair of sites: the reference for its count over key classes."""
+    p, ppow = table.p, table.ppow
+    capable = np.zeros(table.n, dtype=bool)
+    theta20 = np.zeros(table.n, dtype=np.int16)
+    for i, e in enumerate(table.elements):
+        row = (0,) if e.b else digit_row(e.xi, 2)
+        if len(set(row)) == 1:
+            capable[i] = True
+            theta20[i] = row[0]
+    structural = capable[:, None] & capable[None, :]
+    structural &= (theta20[:, None] + theta20[None, :]) % p == 0
+    direct = (ppow[:, None] >= 0) & (ppow[None, :] >= 0)
+    direct &= (np.where(ppow < 0, 0, ppow)[:, None] + np.where(ppow < 0, 0, ppow)[None, :]) % p == 0
+    return int((structural != direct).sum())
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 1), (3, 2), (5, 1)])
+def test_two_site_torsion_count_equals_the_pairwise_arrays_on_a_planted_fault(monkeypatch, p, m):
+    """The p-th powers of a fresh table are made wrong on some elements,
+    some of them set, some cleared and some moved: the two-site check
+    counts over key classes the mismatches of the n x n comparison."""
+    table = verify.KGroupTable(p, m)
+    assert _two_site_torsion_mismatches(table) == 0
+    ppow = table.ppow.copy()
+    ppow[::5] = np.where(ppow[::5] < 0, 0, (ppow[::5] + 1) % p)
+    ppow[1::11] = -1
+    table.ppow = ppow
+    monkeypatch.setattr(verify, "group_table", lambda p, m: table)
+    expected = _two_site_torsion_mismatches(table)
+    check = verify.suite_torsion(p, m).checks[1]
+    assert expected and (check.count, check.detail) == (table.n**2, f"{expected} mismatches")
+
+
+def test_torsion_suite_refuses_level_3_before_building_a_table(monkeypatch):
+    def built(p, m):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(verify, "group_table", built)
+    with pytest.raises(LevelError, match="the torsion suite is stated for level <= 2"):
+        verify.suite_torsion(3, 3)
 
 
 def test_site_pair_indices_leave_the_generator_state_of_the_draws():
@@ -698,7 +820,7 @@ def test_index_formula_equals_the_element_index(p, m):
 def test_inverse_table_equals_object_api_inverses(p, m):
     table = verify.KGroupTable(p, m)
     index = _element_index(table)
-    assert table.inv.tolist() == [index[e.inverse()] for e in table.elements]
+    assert _inverse(table).tolist() == [index[e.inverse()] for e in table.elements]
 
 
 def test_a_product_outside_the_group_is_refused():
