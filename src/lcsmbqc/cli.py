@@ -7,7 +7,7 @@ produce identical bytes; tables are CSV.  Exit codes: 0 all verdicts hold,
 (files that cannot be read or written, malformed files, invalid values,
 exhausted budgets), each reported on one stderr line.  ``verify`` forwards
 every flag that is given to the suite and refuses a flag that the suite's
-signature does not accept.
+signature does not accept; the qubit fixtures refuse ``--p`` likewise.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import inspect
 import json
 import sys
@@ -165,13 +166,7 @@ def cmd_demo(args) -> int:
         "matches_closed_form": table.outputs == expected_star_outputs(p),
         "degree": witness.degree,
         "contextual": witness.contextual,
-        "family": {
-            "all_torsion": family.all_torsion,
-            "ghz_rows_match_outputs": family.ghz_rows_match_outputs,
-            "all_pairs_commute_on_ghz": family.all_pairs_commute_on_ghz,
-            "exact_commutativity": family.exact_commutativity,
-            "noncommuting_pair": family.noncommuting_pair,
-        },
+        "family": dataclasses.asdict(family),
     }
     ok = (
         summary["matches_closed_form"]
@@ -263,14 +258,9 @@ def cmd_lcs(args) -> int:
         report = check_solution_conditions(system, assignment)
         _emit(
             {
-                "torsion": report.torsion,
-                "commutativity": report.commutativity,
-                "constraints": report.constraints,
+                **dataclasses.asdict(report),
                 "operator_solution": report.is_operator_solution,
                 "quantum_solution": report.is_quantum_solution,
-                "torsion_failures": list(report.torsion_failures),
-                "commuting_failures": [list(x) for x in report.commuting_failures],
-                "constraint_failures": list(report.constraint_failures),
             },
             args.out,
         )
@@ -407,6 +397,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         and args.assignment is None
     ):
         parser.error("lcs check needs --x or --assignment")
+    if getattr(args, "name", "qudit-star") != "qudit-star" and args.p is not None:
+        # the qubit fixtures are fixed at p = 2
+        command = "mbqc demo" if args.command == "mbqc" else "demo"
+        print(f"{command} {args.name} does not take --p", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except OSError as exc:

@@ -2,16 +2,17 @@
 
 Exhaustive sweeps over a group run on integer index tables (``KGroupTable``)
 built from integers: an element's index is a closed form of its exponents
-and shift, and the exponent rows, the scalar test, the p-th powers and the
-projection images (``phi_data``) are closed forms on those integers.  The
+and shift, and the exponent rows, the p-th powers and the projection
+images (``phi_data``) are closed forms on those integers.  The
 scalar-commuting pairs of every suite come from one join on exponents
 (``scalar_pairs``), and the products of those pairs from ``index_of`` on
 summed exponents, so the exhaustive homomorphism law needs no Cayley table
 and no object-API element; the Cayley table serves the lemma1 suite and the
 tests, and no other suite builds an n x n array.  The homomorphism law is
-decided exhaustively for every site count: cyclic convolutions of per-site
-defect histograms count the commuting torsion pairs and their failures, and
-no tuple of sites is listed.
+decided exhaustively for every site count from flat pair rows
+(``_phi_pair_rows``): cyclic convolutions of per-key defect histograms
+count the commuting torsion pairs and their failures, and no tuple of sites
+is listed.
 Randomized suites draw from seeded generators, so re-running a suite with
 the same configuration reproduces it bit for bit.  One routine makes the
 integer draws of a site pair (``draw_site_pair``); the object-API generators
@@ -30,7 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cyclo import Phase
 from .errors import BudgetExceededError, EvenPrimeError, LevelError, refuse_over_budget
@@ -145,8 +146,8 @@ class KGroupTable:
     exponents at level m (det 1 fixes the last exponent), then by shift, so
     an element's index is a closed form of its integers (``index_of``), and
     the identity is index 0.  The exponent rows and shifts are read off that
-    closed form, and the scalar test and the p-th powers are closed forms on
-    them; the object-API ``elements`` are enumerated only when read.  The
+    closed form, and the p-th powers and projection images are closed forms
+    on them; the object-API ``elements`` are enumerated only when read.  The
     per-element arrays are computed on first use and kept.  The
     scalar-commuting pairs come from a join on exponents (``scalar_pairs``);
     the Cayley table ``mul`` is made only for the lemma1 suite and the
@@ -162,7 +163,6 @@ class KGroupTable:
         self.n = p ** kgroup_order_exponent(p, m)
         self._mul: Optional[np.ndarray] = None
         self._phi: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._pair_groups: dict[str, dict[tuple[int, int, int], _PairGroup]] = {}
 
     def index_of(self, head, b):
         """The index of the element with level-m head exponents ``head`` (the
@@ -197,15 +197,6 @@ class KGroupTable:
         torus = np.arange(self.n // p)[:, None] // pm ** np.arange(p - 2, -1, -1) % pm
         torus = np.concatenate([torus, -torus.sum(axis=1, keepdims=True) % pm], axis=1)
         return np.repeat(torus.astype(np.int32), p, axis=0)
-
-    @cached_property
-    def scal(self) -> np.ndarray:
-        """omega exponent when the element is a central scalar, else -1: a
-        diagonal with one exponent x, which det 1 makes a multiple of
-        p^(m-1)."""
-        x = self.exps
-        central = (self.b == 0) & (x == x[:, :1]).all(axis=1)
-        return np.where(central, x[:, 0] // (self.pm // self.p), -1).astype(np.int16)
 
     def power_indices(self, max_power: int) -> np.ndarray:
         """pow[k, i] = index of elements[i] ** k for k = 0..max_power."""
@@ -852,30 +843,29 @@ def suite_decomposition(p: int = 3, m: int = 2, samples: int = 1000, seed: int =
     )
 
 
-class _PairGroup(NamedTuple):
-    """Site pairs (i, j) of one (commutant, t, t') group with the per-site
-    part of the homomorphism test: ``good`` where the product ij lies in the
-    projection domain and phi(ij) has the clock and shift parts of
-    phi(i) phi(j), and the level-2 scalar ``defect`` mod p^2."""
-
-    pairs: np.ndarray
-    good: np.ndarray
-    defect: np.ndarray
-
-
-def _phi_pair_groups(table: KGroupTable, variant: str) -> dict[tuple[int, int, int], _PairGroup]:
-    """Scalar-commuting pairs of projection-capable elements grouped by
-    (commutant, t, t'), in order of first appearance in row-major order;
-    built once per table and variant from ``scalar_pairs``, with no Cayley
-    table: the product of (x, b) and (y, b') has exponents x[q] + y[q - b]
-    mod p^m and shift b + b', and its index comes from ``index_of``."""
-    if variant in table._pair_groups:
-        return table._pair_groups[variant]
+def _phi_pair_rows(table: KGroupTable, variant: str) -> tuple[np.ndarray, ...]:
+    """(i, j, key, good, defect): one row per scalar-commuting pair (i, j) of
+    projection-capable elements, from ``scalar_pairs`` with no Cayley table.
+    ``key`` is (c p + t) p + t' for the commutant omega^c and the p-th powers
+    omega^t, omega^t' (capable elements have central p-th powers); ``good``
+    holds where the product ij lies in the projection domain and phi(ij) has
+    the clock and shift parts of phi(i) phi(j); ``defect`` is the level-2
+    scalar defect mod p^2.  The product of (x, b) and (y, b') has exponents
+    x[q] + y[q - b] mod p^m and shift b + b', and its index comes from
+    ``index_of``.  Rows are listed key by key, keys in order of first
+    appearance in row-major order, and row-major within a key."""
     p, pm = table.p, table.pm
     ok, s2, a, b = table.phi_data(variant)
     i, j, c = table.scalar_pairs
     keep = ok[i] & ok[j]
     i, j, c = i[keep], j[keep], c[keep]
+    key = (c.astype(np.int32) * p + table.ppow[i]) * p + table.ppow[j]
+    # keys ranked by their first row; a stable sort keeps each key's rows in order
+    first = np.full(p**3, len(key))
+    np.minimum.at(first, key, np.arange(len(key)))
+    rank = np.argsort(np.argsort(first)).astype(np.min_scalar_type(p**3))
+    order = np.argsort(rank[key], kind="stable")
+    i, j, key = i[order], j[order], key[order]
     x, shift = table.exps.ravel(), table.b[i]
     head = np.zeros(len(i), dtype=np.int32)
     for q in range(p - 1):
@@ -883,19 +873,7 @@ def _phi_pair_groups(table: KGroupTable, variant: str) -> dict[tuple[int, int, i
     prod = head * p + (shift + table.b[j]) % p
     good = ok[prod] & (a[prod] == (a[i] + a[j]) % p) & (b[prod] == (b[i] + b[j]) % p)
     defect = (s2[prod] - s2[i] - s2[j] + p * a[j].astype(np.int32) * b[i]) % (p * p)
-    # c p^2 + t p + t', all three in [0, p): capable elements have central p-th powers
-    keys = (c.astype(np.int32) * p + table.ppow[i]) * p + table.ppow[j]
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    groups = {}
-    # a stable sort keeps each group in row-major order, so a group's first
-    # row is its first appearance
-    for rows in sorted(np.split(order, starts[1:]), key=lambda rows: rows[0]):
-        key = int(keys[rows[0]])
-        pairs = np.stack([i[rows], j[rows]], axis=1)
-        groups[key // (p * p), key // p % p, key % p] = _PairGroup(pairs, good[rows], defect[rows])
-    table._pair_groups[variant] = groups
-    return groups
+    return i, j, key, good, defect
 
 
 def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int, int, Optional[list]]]:
@@ -903,24 +881,24 @@ def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int
     torsion pairs: the pairs decided, the failures, and the site pairs
     (i, j) of the first failure (None when there is none).
 
-    A k-site pair takes one pair-group row per site.  It is a commuting
-    torsion pair exactly when the group keys (c, t, t') sum to 0 in Z_p^3,
-    and it passes when every row is good and the defects sum to 0 mod p^2.
-    So the k-fold cyclic convolutions of the group sizes and of the good
+    A k-site pair takes one pair row per site.  It is a commuting torsion
+    pair exactly when the row keys (c, t, t') sum to 0 in Z_p^3, and it
+    passes when every row is good and the defects sum to 0 mod p^2.  So the
+    k-fold cyclic convolutions of the per-key row counts and of the good
     rows' defect histograms, read at 0, count the pairs decided and passed.
-    The first failure, in lexicographic order of (group order, row) per
-    site, is found site by site from the convolutions of the sites still
-    open; no tuple is listed."""
+    The first failure, in lexicographic order of rows per site, is found
+    site by site from the convolutions of the sites still open; no tuple is
+    listed."""
     p, p2 = table.p, table.p**2
     if not table.phi_data(variant)[0][table.torsion].all():
         raise AssertionError("a torsion element left the projection domain")
-    groups = _phi_pair_groups(table, variant)
-    # counts[c, t, t', 0, 0] is the size of each group, counts[c, t, t', d, 1]
-    # the number of its good rows with defect d
+    i, j, key, good, defect = _phi_pair_rows(table, variant)
+    # counts[c, t, t', 0, 0] is the number of rows of each key, counts[c, t,
+    # t', d, 1] the number of its good rows with defect d
     counts = np.zeros((p, p, p, p2, 2), dtype=object)
-    for key, group in groups.items():
-        counts[key][0, 0] = len(group.pairs)
-        counts[key][:, 1] = np.bincount(group.defect[group.good], minlength=p2).astype(object)
+    counts[..., 0, 0] = np.bincount(key, minlength=p**3).reshape(p, p, p)
+    hist = np.bincount(key[good] * p2 + defect[good], minlength=p**3 * p2)
+    counts[..., 1] = hist.reshape(p, p, p, p2)
     work = n * np.count_nonzero(counts) * p**5
     refuse_over_budget(work, f"{work} products of the {n}-site convolutions")
     # powers[r]: the r-fold cyclic convolutions over Z_p^3 x Z_{p^2}, of the
@@ -928,6 +906,7 @@ def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int
     powers = [np.zeros_like(counts)]
     powers[0][0, 0, 0, 0] = 1
     cells = list(zip(*np.nonzero(counts.any(axis=-1))))
+    parts = np.stack([key // p2, key // p % p, key % p])
     results = []
     for k in range(1, n + 1):
         powers.append(np.zeros_like(counts))
@@ -936,18 +915,17 @@ def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int
         total, passed = powers[k][0, 0, 0, 0]
         sites = None
         if total > passed:
-            sites, key, defect, good = [], np.zeros(3, dtype=np.int64), 0, True
+            sites, summed, defects, all_good = [], 0, 0, True
             for rest in reversed(powers[:k]):
-                for group_key, group in groups.items():
-                    cell = tuple(-(key + group_key) % p)
-                    completions = rest[cell][0, 0]
-                    passing = np.where(group.good & good, rest[cell][-(defect + group.defect) % p2, 1], 0)
-                    failing = np.flatnonzero(passing != completions)
-                    if len(failing):
-                        r = failing[0]
-                        sites.append(tuple(group.pairs[r].tolist()))
-                        key, defect, good = key + group_key, defect + group.defect[r], good & group.good[r]
-                        break
+                # at every row at once, the tuples that complete the sites
+                # chosen and that row, and those of them that pass
+                rest = rest.reshape(p**3, p2, 2)
+                cell = np.ravel_multi_index(tuple(-(summed + parts) % p), (p, p, p))
+                passing = np.where(good & all_good, rest[cell, -(defects + defect) % p2, 1], 0)
+                r = np.flatnonzero(passing != rest[cell, 0, 0])[0]
+                sites.append((int(i[r]), int(j[r])))
+                summed, defects = summed + parts[:, r, None], defects + defect[r]
+                all_good &= good[r]
         results.append((total, total - passed, sites))
     return results
 
@@ -1131,13 +1109,11 @@ def suite_symplectic(
 ) -> SuiteReport:
     """Commutator exponent equals the symplectic form of extracted vectors:
     exhaustive for single sites, randomized for two and three sites.  The
-    randomized pairs are drawn across the odd-prime cases, so p = 2 is
-    refused when there are samples."""
+    law is stated for odd primes, so p = 2 is refused at every sample
+    count."""
     _refuse_negative_samples(samples)
-    if p == 2 and samples:
-        raise EvenPrimeError(
-            "the randomized symplectic pairs need an odd prime; at p = 2 only 0 samples run"
-        )
+    if p == 2:
+        raise EvenPrimeError("the symplectic law needs an odd prime")
     table = group_table(p, m)
     elements = table.elements
     checks = []

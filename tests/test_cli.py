@@ -338,6 +338,9 @@ def _non_torsion_tensor():
         (["verify", "even-prime", "--out", "{d}"], None),
         (["mbqc", "demo", "qudit-star", "--p", "3", "--out", "{d}"], None),
         (["lcs", "solve", "--lcs", "{d}"], None),
+        (["demo", "mermin-square", "--p", "7"], None),
+        (["demo", "mermin-star", "--p", "7"], None),
+        (["mbqc", "demo", "qubit-star", "--p", "7"], None),
     ],
     ids=[
         "composite-modulus",
@@ -362,6 +365,9 @@ def _non_torsion_tensor():
         "verify-out-is-a-directory",
         "mbqc-csv-out-is-a-directory",
         "lcs-input-is-a-directory",
+        "mermin-square-p",
+        "mermin-star-p",
+        "qubit-star-p",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
@@ -377,21 +383,33 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
 
 
 def test_even_prime_refusals_name_the_odd_prime_requirement(capsys):
-    """At p = 2 the commuting-pair classification and the randomized
-    symplectic pairs are refused as even-prime input, not counted as failed
-    laws; the symplectic suite without samples still runs and passes."""
+    """At p = 2 the commuting-pair classification and the symplectic law are
+    refused as even-prime input, not counted as failed laws, the symplectic
+    suite at every sample count."""
     assert run(["verify", "commuting-pairs", "--p", "2", "--m", "1"]) == 2
     assert capsys.readouterr().err.strip() == (
         "invalid input: EvenPrimeError: commuting-pair classification needs an odd prime"
     )
-    assert run(["verify", "symplectic", "--p", "2"]) == 2
-    assert capsys.readouterr().err.startswith("invalid input: EvenPrimeError: the randomized")
-    assert run(["verify", "symplectic", "--p", "2", "--samples", "0"]) == 0
+    for samples in ([], ["--samples", "0"], ["--m", "3", "--samples", "0"]):
+        assert run(["verify", "symplectic", "--p", "2", *samples]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "invalid input: EvenPrimeError: the symplectic law needs an odd prime"
+        )
 
 
 def test_verify_names_the_flags_a_suite_does_not_take(capsys):
     assert run(["verify", "even-prime", "--samples", "5", "--p", "7"]) == 2
     assert capsys.readouterr().err.strip() == "verify even-prime does not take --p, --samples"
+
+
+@pytest.mark.parametrize(
+    "args", [["demo", "mermin-square"], ["demo", "mermin-star"], ["mbqc", "demo", "qubit-star"]]
+)
+def test_qubit_fixtures_name_the_p_they_do_not_take(capsys, args):
+    assert run([*args, "--p", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"{' '.join(args)} does not take --p"
 
 
 def test_cayley_table_over_budget_exits_2(monkeypatch, capsys):

@@ -16,9 +16,10 @@ were made by the suite that first decided every site count with cyclic
 convolutions of per-site defect histograms, and check the counts that
 brute-force and object-API references confirm in ``test_verify``; the
 torsion digests at p = 5 and p = 2, the level-1 commuting-pairs digest and
-the exhaustive symplectic digests at (5, 1) and (2, 3) were made by the
-suites that took their pairs from the three-gather commutant table and
-compared two-site torsion on n x n arrays.  Each case runs at a small
+the exhaustive symplectic digest at (5, 1) were made by the suites that
+took their pairs from the three-gather commutant table and compared
+two-site torsion on n x n arrays; the symplectic suite at p = 2 is refused,
+so no digest pins it.  Each case runs at a small
 configuration so that the whole file stays fast, except the exhaustive
 two- and three-site checks at levels 2 and 3 and at p = 5, which are the
 cases those digests exist for.
@@ -43,6 +44,7 @@ from lcsmbqc import (
     mermin_fixtures,
     verify,
 )
+from lcsmbqc.errors import EvenPrimeError
 
 SUITE_DIGESTS = {
     "torsion": (
@@ -127,8 +129,6 @@ SUITE_DIGESTS = {
     ),
 }
 
-EVEN_PRIME_SYMPLECTIC_DIGEST = "18479a4ea69f50d9b851c6ef0d4163b52e0be8eebd1b19931f2103f5520a344d"
-
 DISPLAYED_TWO_SITE_DIGEST = "96c5f79fc7808d06fca04891d1ccecf440e66369c117664786dd0339a9eab648"
 
 DISPLAYED_THREE_SITE_DIGEST = "159d49a88a6a4e5b2a474c17cfd767714b37030408e1d98145ba2e66ffadb1be"
@@ -174,17 +174,12 @@ def test_displayed_three_site_report_matches_golden_digest():
     )
 
 
-def test_even_prime_symplectic_report_matches_golden_digest():
-    """At p = 2 the single-site symplectic law fails on 8 of the 160
-    scalar-commuting pairs of level 3; the digest pins that verdict and its
-    first counterexample."""
-    report = verify.suite_symplectic(2, 3, samples=0)
-    single_site = report.checks[0]
-    assert not single_site.passed
-    assert (single_site.count, single_site.detail.split(",")[0]) == (160, "8 mismatches")
-    assert _sha256(json.dumps(report.to_json(), sort_keys=True).encode()) == (
-        EVEN_PRIME_SYMPLECTIC_DIGEST
-    )
+def test_even_prime_symplectic_suite_is_refused():
+    """The symplectic law is stated for odd primes: at p = 2 the suite is
+    refused at every sample count, so it reports no verdict to pin."""
+    for m, samples in ((3, 0), (2, 0), (2, 10)):
+        with pytest.raises(EvenPrimeError, match="the symplectic law needs an odd prime"):
+            verify.suite_symplectic(2, m, samples=samples)
 
 
 def test_qudit_star_demo_report_matches_golden_digest(tmp_path):

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -242,12 +243,19 @@ def _inverse(table):
     return table.index_of(exps.T[:-1], -b % table.p).astype(np.int32)
 
 
+def _omega_power(element):
+    """t with ``element`` = omega^t * 1, or -1 when it is not a scalar."""
+    scalar = element.as_scalar()
+    return -1 if scalar is None else scalar.as_omega_power()
+
+
 def _commutant(table):
     """Pairwise scalar commutant exponent, -1 where non-scalar, from three
-    n x n gathers of the Cayley table: the oracle of the ``scalar_pairs``
-    join."""
+    n x n gathers of the Cayley table and the object API's scalar test: the
+    oracle of the ``scalar_pairs`` join."""
     mul, inv = table.mul, _inverse(table)
-    return table.scal[mul[mul, mul[inv[:, None], inv[None, :]]]]
+    scalars = np.array([_omega_power(e) for e in table.elements])
+    return scalars[mul[mul, mul[inv[:, None], inv[None, :]]]]
 
 
 def _lemma1_loops(table, max_power):
@@ -486,7 +494,7 @@ def test_single_site_check_equals_object_api_loop_on_sampled_rows_at_p5():
     table = verify.group_table(5, 1)
     rows = sorted(random.Random(29).sample(np.flatnonzero(table.torsion).tolist(), 10))
     pairs = _torsion_pairs_by_commutator(table, rows)
-    group = verify._phi_pair_groups(table, PROOF)[(0, 0, 0)]
+    group = _row_groups(verify._phi_pair_rows(table, PROOF), 5)[(0, 0, 0)]
     listed = group.pairs[np.isin(group.pairs[:, 0], rows)]
     assert listed.tolist() == [list(pair) for pair in pairs]
     assert _object_api_single_site(table, PROOF, pairs) == (len(pairs), 0, None)
@@ -571,6 +579,37 @@ def test_phi_suite_projects_no_one_site_tensor(monkeypatch):
     assert one_site == []
 
 
+class _Group(NamedTuple):
+    """The pair rows of one key (c, t, t'), as (i, j) pairs."""
+
+    pairs: np.ndarray
+    good: np.ndarray
+    defect: np.ndarray
+
+
+def _row_groups(rows, p):
+    """The pair rows of ``verify._phi_pair_rows`` regrouped by key, keys in
+    listed order; checks that each key's rows are one run."""
+    i, j, key, good, defect = rows
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    groups = {}
+    for lo, hi in zip(starts, [*starts[1:], len(key)]):
+        k = int(key[lo])
+        group_key = (k // (p * p), k // p % p, k % p)
+        assert group_key not in groups, "a key's rows are not listed together"
+        groups[group_key] = _Group(np.stack([i[lo:hi], j[lo:hi]], axis=1), good[lo:hi], defect[lo:hi])
+    return groups
+
+
+def _pair_rows(groups, p):
+    """The flat pair rows of ``groups``, listed group by group."""
+    keys = [(c * p + t) * p + u for (c, t, u), group in groups.items() for _ in group.good]
+    pairs = np.concatenate([group.pairs for group in groups.values()])
+    good = np.concatenate([group.good for group in groups.values()])
+    defect = np.concatenate([group.defect for group in groups.values()])
+    return pairs[:, 0], pairs[:, 1], np.array(keys), good, defect
+
+
 def _listed_pairs(table, variant):
     """Scalar-commuting pairs of projection-capable elements grouped by
     (commutant, t, t'), listed in row-major order."""
@@ -637,7 +676,7 @@ def test_two_site_histogram_count_equals_per_quadruple_sweep(variant):
 def test_pair_groups_follow_the_row_major_listing(p, m):
     table = verify.group_table(p, m)
     listed = _listed_pairs(table, PROOF)
-    groups = verify._phi_pair_groups(table, PROOF)
+    groups = _row_groups(verify._phi_pair_rows(table, PROOF), p)
     assert list(groups) == list(listed)
     for key, pairs in listed.items():
         assert groups[key].pairs.tolist() == pairs.tolist()
@@ -660,7 +699,7 @@ def test_two_site_planted_fault_matches_per_quadruple_sweep(monkeypatch, variant
     assert expected[1] > 0 and expected[2]
     results = verify._phi_site_tuples(table, variant, 4)
     assert results[1] == expected
-    groups = verify._phi_pair_groups(table, variant)
+    groups = _row_groups(verify._phi_pair_rows(table, variant), 3)
     assert [r[:2] for r in results] == [_folded_site_tuples(groups, 3, k) for k in (1, 2, 3, 4)]
 
 
@@ -677,19 +716,13 @@ TABLE_CONFIGS = [(2, 3), (3, 1), (3, 2), (3, 3), (5, 1)]
 
 @pytest.mark.parametrize("p, m", TABLE_CONFIGS)
 def test_integer_tables_equal_the_object_api(p, m):
-    """``exps``, ``b``, ``scal`` and ``ppow``, built from integers, equal the
-    object API's exponent rows, shifts, scalar test and p-th powers."""
+    """``exps``, ``b`` and ``ppow``, built from integers, equal the object
+    API's exponent rows, shifts and p-th powers."""
     table = verify.KGroupTable(p, m)
     elements = kgroup.enumerate_kgroup(p, m)
     assert table.exps.tolist() == [list(at_level(e.xi, m)) for e in elements]
     assert table.b.tolist() == [e.b for e in elements]
-
-    def omega_power(element):
-        scalar = element.as_scalar()
-        return -1 if scalar is None else scalar.as_omega_power()
-
-    assert table.scal.tolist() == [omega_power(e) for e in elements]
-    assert table.ppow.tolist() == [omega_power(e**p) for e in elements]
+    assert table.ppow.tolist() == [_omega_power(e**p) for e in elements]
 
 
 @pytest.mark.parametrize("p, m", TABLE_CONFIGS)
@@ -930,8 +963,8 @@ def test_cayley_table_and_two_site_check_make_no_object_products(monkeypatch):
 
 
 def _brute_force_site_tuples(groups, p, k):
-    """Every k-site tuple of pair-group rows, in lexicographic order of
-    (group order, row) per site: the reference for the k-site result of
+    """Every k-site tuple of pair rows, in lexicographic order of (group
+    order, row) per site: the reference for the k-site result of
     ``verify._phi_site_tuples``.  Returns the tuples whose keys sum to 0,
     the failures among them and the site pairs of the first failure (None
     if there is none)."""
@@ -963,7 +996,7 @@ def _synthetic_pair_groups(rng):
         defect = np.array([rng.choice((0, 0, 0, 1, 3, 6)) for _ in range(size)])
         if key == (0, 0, 0):
             good[0], defect[0] = True, 0
-        groups[key] = verify._PairGroup(np.arange(start, start + 2 * size).reshape(size, 2), good, defect)
+        groups[key] = _Group(np.arange(start, start + 2 * size).reshape(size, 2), good, defect)
         start += 2 * size
     return groups
 
@@ -976,7 +1009,8 @@ def test_site_tuples_equal_a_brute_force_loop_on_synthetic_groups(monkeypatch):
     rng = random.Random(43)
     for _ in range(16):
         groups = _synthetic_pair_groups(rng)
-        monkeypatch.setattr(verify, "_phi_pair_groups", lambda table, variant: groups)
+        rows = _pair_rows(groups, 3)
+        monkeypatch.setattr(verify, "_phi_pair_rows", lambda table, variant: rows)
         expected = [_brute_force_site_tuples(groups, 3, k) for k in range(1, 5)]
         assert all(0 < failures < total for total, failures, _ in expected[1:])
         assert verify._phi_site_tuples(table, PROOF, 4) == expected
@@ -1009,7 +1043,7 @@ def _folded_site_tuples(groups, p, k):
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
 def test_site_tuple_counts_equal_a_folded_reference(p, m, variant):
     table = verify.group_table(p, m)
-    groups = verify._phi_pair_groups(table, variant)
+    groups = _row_groups(verify._phi_pair_rows(table, variant), p)
     results = verify._phi_site_tuples(table, variant, 3)
     assert [r[:2] for r in results] == [_folded_site_tuples(groups, p, k) for k in (1, 2, 3)]
 
@@ -1022,13 +1056,13 @@ def _site_tensors(table, sites):
 @pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
 def test_sampled_three_site_pairs_follow_the_object_api(p, m, variant):
-    """Seeded three-site pairs with one row of a pair group per site, the
-    last group completing the keys, are commuting torsion pairs, and the
+    """Seeded three-site pairs with one pair row per site, the last row's
+    key completing the keys, are commuting torsion pairs, and the
     object-API projection is a homomorphism on one exactly when its rows are
     good and its defects sum to 0 mod p^2, which is what the convolutions
     count."""
     table = verify.group_table(p, m)
-    groups = verify._phi_pair_groups(table, variant)
+    groups = _row_groups(verify._phi_pair_rows(table, variant), p)
     rng = random.Random(47)
     checked = 0
     while checked < 40:
