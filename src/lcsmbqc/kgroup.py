@@ -9,8 +9,9 @@ the closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).
 The table xi is a ``PhaseFunction`` of integer exponents, so the group law
 is a rotation plus an addition mod p^m.  A power is one summed pass over
 rotated exponent lists, and a commutator is one integer row
-(``_commutator_row``) at a common level, canonicalised once; ``ktensor``
-reads tensor commutator scalars from the same rows.  Only the public
+(``_commutator_row``) at a common level, canonicalised once; a single-site
+scalar commutant and ``ktensor``'s tensor commutator scalars are read off
+the same rows, with no commutator element built.  Only the public
 constructor checks det == 1; the closed operations build their results
 without that check.
 """
@@ -153,15 +154,18 @@ class KElement:
             return _element(xi**n, 0)
         return _element(canonical_table(p, xi.m, summed_rotations(xi.exps, b, n % p)), n * b % p)
 
+    def _commutator_at_common_level(self, other: KElement) -> tuple[int, list[int]]:
+        """The common level L of both tables and the commutator row at L."""
+        if self.p != other.p:
+            raise PrimeMismatchError("commutator needs matching primes")
+        level = max(self.xi.m, other.xi.m)
+        x, y = at_level(self.xi, level), at_level(other.xi, level)
+        return level, _commutator_row(x, self.b, y, other.b)
+
     def commutator(self, other: KElement) -> KElement:
         """[self, other] = M N M^-1 N^-1; always diagonal, with table
         xi(q) eta(q - b) / (xi(q - c) eta(q))."""
-        p = self.p
-        if p != other.p:
-            raise PrimeMismatchError("commutator needs matching primes")
-        level = max(self.xi.m, other.xi.m)
-        row = _commutator_row(at_level(self.xi, level), self.b, at_level(other.xi, level), other.b)
-        return _element(canonical_table(p, level, row), 0)
+        return _element(canonical_table(self.p, *self._commutator_at_common_level(other)), 0)
 
     def is_p_torsion(self) -> bool:
         power = self**self.p
@@ -178,12 +182,14 @@ class KElement:
         return None
 
     def scalar_commutant(self, other: KElement) -> Optional[int]:
-        """c with [self, other] == omega^c, or None if the commutator is not
-        a constant table."""
-        scalar = self.commutator(other).as_scalar()
-        if scalar is None:
+        """c with [self, other] == omega^c, or None when the commutator row at
+        the common level L is not constant mod p^L.  The row sums to 0 over
+        q, so a constant v has p v = 0 mod p^L: it is c p^(L-1)."""
+        level, row = self._commutator_at_common_level(other)
+        pl = self.p**level
+        if len({e % pl for e in row}) > 1:
             return None
-        return scalar.as_omega_power()
+        return row[0] % pl * self.p // pl
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KElement):

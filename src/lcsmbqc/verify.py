@@ -4,7 +4,7 @@ Exhaustive sweeps over a group run on integer index tables (``KGroupTable``)
 built from integers: an element's index is a closed form of its exponents
 and shift, and the exponent rows, the p-th powers and the projection
 images (``phi_data``) are closed forms on those integers.  The
-scalar-commuting pairs of every suite come from one join on exponents
+scalar-commuting pairs of every suite come from one self-join on exponents
 (``scalar_pairs``), and the products of those pairs from ``index_of`` on
 summed exponents, so the exhaustive homomorphism law needs no Cayley table
 and no object-API element; the Cayley table serves the lemma1 suite and the
@@ -149,7 +149,7 @@ class KGroupTable:
     closed form, and the p-th powers and projection images are closed forms
     on them; the object-API ``elements`` are enumerated only when read.  The
     per-element arrays are computed on first use and kept.  The
-    scalar-commuting pairs come from a join on exponents (``scalar_pairs``);
+    scalar-commuting pairs come from a self-join on exponents (``scalar_pairs``);
     the Cayley table ``mul`` is made only for the lemma1 suite and the
     tests that read it.  A group whose n x n table exceeds the enumeration
     budget is refused before anything is built.
@@ -227,47 +227,37 @@ class KGroupTable:
     @cached_property
     def scalar_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, c) for every pair whose commutator is omega^c, in row-major
-        order, from a join on exponents with no n x n table.
+        order, from a self-join on exponents with no n x n table.
 
         With x, y the exponents of i = (x, b) and j = (y, b'), the commutator
         has exponents x[q] + y[q - b] - x[q - b'] - y[q].  It is constant
         exactly when x - shift_b' x and y - shift_b y agree after each
         subtracts its q = 0 entry, and c is then the difference of those q = 0
-        entries over p^(m-1).  So i is keyed once per partner shift b', and j
-        once per partner shift b, by (b, b', that vector); the keys of j are
-        sorted once and each key of i is matched by ``searchsorted``."""
+        entries over p^(m-1).  So the join has n entries (s, t), one per shift
+        s and diagonal part x_t, keyed by x_t - shift_s x_t less its q = 0
+        entry: i = t p + b and j = t' p + b' give omega^c exactly when the
+        entries (b', t) and (b, t') share a key.  One sort of the keys and two
+        ``searchsorted`` calls list every ordered pair of entries that do."""
         p, pm, n = self.p, self.pm, self.n
-        torus = self.exps[::p]
-        size = len(torus)
+        torus = self.exps[::p].astype(np.int64)
         q = np.arange(p)
-        # diff[s, t]: the exponents of x - shift_s x for the diagonal part t
-        diff = np.stack([torus - torus[:, (q - s) % p] for s in range(p)]) % pm
-        key = np.zeros((p, size), dtype=np.int32)
-        for k in range(1, p):
-            key = key * pm + (diff[:, :, k] - diff[:, :, 0]) % pm
-        first = diff[:, :, 0]
-        # block[b, b']: the key offset of the shift pair (b, b')
-        block = (q[:, None] * p + q) * size
-        # left[t, b, b'] for i = t p + b; right[b, b', t'] for j = t' p + b'
-        left = (block + key.T[:, None, :]).ravel()
-        right = (block[:, :, None] + key[:, None, :]).ravel()
-        order = np.argsort(right, kind="stable").astype(np.int32)
-        right = right[order]
-        lo = np.searchsorted(right, left, "left").astype(np.int32)
-        counts = np.searchsorted(right, left, "right") - lo
+        # diff[t, s]: the exponents of x_t - shift_s x_t, entry (s, t)
+        diff = (torus[:, None, :] - torus[:, (q - q[:, None]) % p]) % pm
+        key = ((diff[:, :, 1:] - diff[:, :, :1]) % pm @ pm ** q[p - 2 :: -1]).ravel()
+        first = diff[:, :, 0].ravel()
+        order = np.argsort(key, kind="stable")
+        lo = np.searchsorted(key[order], key, "left")
+        counts = np.searchsorted(key[order], key, "right") - lo
         ends = np.cumsum(counts)
-        # picks: for each match, in order of (i, b'), the matched entry of right
-        picks = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1], dtype=np.int32)
-        picks = order[picks]
-        shifts, t = np.divmod(picks, size)
-        # c from the q = 0 entries: first[b', t] of i, first[b, t'] of j
-        firsts = np.broadcast_to(first.T[:, None, :], (size, p, p)).ravel()
-        c = (np.repeat(firsts, counts) - first[shifts // p, t]) % pm // (pm // p)
-        i = np.repeat(np.arange(n, dtype=np.int64), counts.reshape(n, p).sum(axis=1))
-        # row-major: (i, j, c) packed into one key, each row's runs of one b'
-        # merged by a stable sort
-        packed = np.sort((i * n + t * p + shifts % p) * p + c, kind="stable")
-        del picks, shifts, t, c, i
+        # for each entry e, in index order, every entry f of its key's run
+        e = np.repeat(np.arange(n), counts)
+        f = order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
+        # e = (b', t), f = (b, t'): i = t p + b, j = t' p + b'
+        shift = f % p - e % p
+        c = (first[e] - first[f]) % pm // (pm // p)
+        # row-major: (i, j, c) packed into one key and sorted
+        packed = np.sort(((e + shift) * n + f - shift) * p + c, kind="stable")
+        del e, f, shift, c
         i, rest = np.divmod(packed, n * p)
         j, c = np.divmod(rest, p)
         return i.astype(np.int32), j.astype(np.int32), c.astype(np.int16)
@@ -680,19 +670,21 @@ def suite_torsion(p: int = 3, m: int = 2) -> SuiteReport:
 
 
 def suite_commuting_pairs(p: int = 3, m: int = 2) -> SuiteReport:
-    """Classify every scalar-commuting pair and verify all case witnesses.
-    The case split is that of odd primes, so p = 2 is refused."""
+    """Classify every scalar-commuting pair, check its c against the join's
+    and verify all case witnesses; p = 2 is refused (the split is for odd primes)."""
     if p == 2:
         raise EvenPrimeError("commuting-pair classification needs an odd prime")
     table = group_table(p, m)
     elements = table.elements
-    left, right, _ = table.scalar_pairs
+    left, right, commutant = table.scalar_pairs
     checks = []
     counts = {1: 0, 2: 0, 3: 0}
     failures = 0
-    for i, j in zip(left.tolist(), right.tolist()):
+    for i, j, c in zip(left.tolist(), right.tolist(), commutant.tolist()):
         try:
             case = classify_commuting_pair(elements[i], elements[j])
+            if case.c != c:
+                raise ValueError("the classified commutant is not the join's")
             counts[case.case] += 1
         except ValueError:
             failures += 1

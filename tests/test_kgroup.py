@@ -13,7 +13,13 @@ from lcsmbqc import (
     maximal_p_torsion_abelian,
     structural_p_torsion,
 )
-from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError, TorusMembershipError
+from lcsmbqc.errors import (
+    BudgetExceededError,
+    EvenPrimeError,
+    LevelError,
+    PrimeMismatchError,
+    TorusMembershipError,
+)
 from lcsmbqc import kgroup
 from lcsmbqc.kgroup import enumerate_torus, power_over_budget, power_text
 from lcsmbqc.phase_fn import digit_row, row_coefficient
@@ -107,6 +113,12 @@ def test_scalar_commutant_absent_for_nonconstant_commutator():
     X = shift()
     quad = KElement(PhaseFunction.from_exponents(3, 2, (1, 4, 4)), 0)
     assert X.scalar_commutant(quad) is None
+
+
+def test_commutator_and_scalar_commutant_refuse_mixed_primes():
+    for fn in (KElement.commutator, KElement.scalar_commutant):
+        with pytest.raises(PrimeMismatchError):
+            fn(shift(3), clock(5))
 
 
 def test_torsion_examples():

@@ -381,6 +381,21 @@ def test_group_table_matches_object_api():
         assert (comm < 0 and expected is None) or comm == expected
 
 
+@pytest.mark.parametrize("p, m, samples", [(2, 2, None), (3, 1, None), (3, 2, 2000), (5, 1, 2000)])
+def test_scalar_commutant_equals_the_element_route(p, m, samples):
+    """``scalar_commutant``, read off the commutator row, equals the scalar
+    test on the commutator element: on every pair, or on seeded pairs."""
+    elements = verify.group_table(p, m).elements
+    if samples is None:
+        pairs = itertools.product(elements, elements)
+    else:
+        rng = random.Random(p * 10 + m)
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(samples)]
+    for a, b in pairs:
+        want = _omega_power(a.commutator(b))
+        assert a.scalar_commutant(b) == (None if want == -1 else want)
+
+
 def _assert_commutant_zero_is_commuting(table, rows):
     identity = KElement.identity(table.p)
     commutant = _commutant(table)
@@ -711,7 +726,7 @@ def test_cayley_table_equals_object_api_products(p, m):
     assert table.mul.tolist() == expected
 
 
-TABLE_CONFIGS = [(2, 3), (3, 1), (3, 2), (3, 3), (5, 1)]
+TABLE_CONFIGS = [(2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1)]
 
 
 @pytest.mark.parametrize("p, m", TABLE_CONFIGS)
@@ -728,10 +743,11 @@ def test_integer_tables_equal_the_object_api(p, m):
 @pytest.mark.parametrize("p, m", TABLE_CONFIGS)
 def test_scalar_pairs_equal_the_commutant_table(p, m):
     """The join lists exactly the pairs of the three-gather commutant table,
-    in row-major order, with the same commutants."""
+    in row-major order, with the same commutants and dtypes."""
     table = verify.KGroupTable(p, m)
     i, j, c = table.scalar_pairs
     assert table._mul is None
+    assert (i.dtype, j.dtype, c.dtype) == (np.int32, np.int32, np.int16)
     commutant = _commutant(table)
     assert (np.stack([i, j], axis=1) == np.argwhere(commutant >= 0)).all()
     assert (c == commutant[i, j]).all()
@@ -779,6 +795,18 @@ def test_commuting_pairs_counts_value_errors_and_raises_the_rest(monkeypatch):
     monkeypatch.setattr(verify, "classify_commuting_pair", refused)
     check = verify.suite_commuting_pairs(3, 1).checks[0]
     assert (check.passed, check.count, check.detail) == (False, 729, "729 failures")
+
+    classify = kgroup.classify_commuting_pair
+
+    def wrong_c_for_a_diagonal_first(m1, m2):
+        case = classify(m1, m2)
+        return dataclasses.replace(case, c=case.c + 1) if m1.b == 0 else case
+
+    # a classified c that is not the join's is a failed witness: at (3, 1)
+    # every pair commutes up to a scalar, 9 x 27 of them with a diagonal first
+    monkeypatch.setattr(verify, "classify_commuting_pair", wrong_c_for_a_diagonal_first)
+    check = verify.suite_commuting_pairs(3, 1).checks[0]
+    assert (check.passed, check.count, check.detail) == (False, 729, "243 failures")
 
     def broken(m1, m2):
         raise TypeError("a fault of the program")
