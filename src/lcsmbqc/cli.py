@@ -291,7 +291,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_subgroups(args) -> int:
-    report = maximal_p_torsion_abelian(args.p, args.m, args.budget)
+    report = maximal_p_torsion_abelian(args.p, args.m)
     summary = {
         "p": args.p,
         "m": args.m,
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--variant", choices=VARIANTS, default=None)
     ver.add_argument("--samples", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--budget", type=int, default=None)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     subgroups = sub.add_parser("subgroups", help="classify maximal torsion abelian subgroups")
     subgroups.add_argument("--p", type=int, required=True)
     subgroups.add_argument("--m", type=int, required=True)
-    subgroups.add_argument("--budget", type=int, default=None)
     subgroups.add_argument("--out", default=None)
     subgroups.set_defaults(func=cmd_subgroups)
 

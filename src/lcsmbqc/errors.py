@@ -1,10 +1,9 @@
-"""Shared exception types, and the work budget that ``BudgetExceededError``
-enforces."""
+"""Shared exception types, and the whole work-budget policy: the budget is
+read from ``LCSMBQC_BUDGET`` alone, and ``BudgetExceededError`` enforces it."""
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "LCSMBQC_BUDGET"
@@ -41,9 +40,7 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured element budget."""
 
 
-def resolve_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
+def resolve_budget() -> int:
     env = os.environ.get(BUDGET_ENV_VAR)
     if env:
         return int(env)
@@ -55,6 +52,26 @@ def refuse_over_budget(work: int, what: str) -> None:
     ``work`` exceeds the budget, before the work starts."""
     if work > resolve_budget():
         raise BudgetExceededError(f"the {what} exceed the budget")
+
+
+def power_over_budget(p: int, k: int) -> bool:
+    """Whether p^k, for p >= 2, exceeds the budget.  The exponent is compared
+    with that of the largest power of p within the budget, so a huge p^k is
+    never formed."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    limit = resolve_budget()
+    top, power = -1, 1
+    while power <= limit:
+        top, power = top + 1, power * p
+    return k > top
+
+
+def power_text(p: int, k: int) -> str:
+    """p^k in decimal when it fits 64 bits, else as ``p^k``: the size in a
+    budget message, never converted to a decimal string of unbounded
+    length."""
+    return str(p**k) if k * p.bit_length() <= 64 else f"{p}^{k}"
 
 
 class NondeterministicTableError(ValueError):

@@ -10,10 +10,10 @@ The table xi is a ``PhaseFunction`` of integer exponents, so the group law
 is a rotation plus an addition mod p^m.  A power is one summed pass over
 rotated exponent lists, and a commutator is one integer row
 (``_commutator_row``) at a common level, canonicalised once; a single-site
-scalar commutant and ``ktensor``'s tensor commutator scalars are read off
-the same rows, with no commutator element built.  Only the public
-constructor checks det == 1; the closed operations build their results
-without that check.
+scalar commutant, the commutation test of the subgroup search and
+``ktensor``'s tensor commutator scalars are read off the same rows, with no
+commutator element built.  Only the public constructor checks det == 1; the
+closed operations build their results without that check.
 """
 
 from __future__ import annotations
@@ -30,32 +30,13 @@ from .errors import (
     LevelError,
     PrimeMismatchError,
     TorusMembershipError,
-    resolve_budget,
+    power_over_budget,
+    power_text,
 )
 from .phase_fn import PhaseFunction, at_level, canonical_table, modinv, rotate
 
 _new = object.__new__
 _set = object.__setattr__
-
-
-def power_over_budget(p: int, k: int, budget: Optional[int] = None) -> bool:
-    """Whether p^k, for p >= 2, exceeds the budget.  The exponent is compared
-    with that of the largest power of p within the budget, so a huge p^k is
-    never formed."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    limit = resolve_budget(budget)
-    top, power = -1, 1
-    while power <= limit:
-        top, power = top + 1, power * p
-    return k > top
-
-
-def power_text(p: int, k: int) -> str:
-    """p^k in decimal when it fits 64 bits, else as ``p^k``: the size in a
-    budget message, never converted to a decimal string of unbounded
-    length."""
-    return str(p**k) if k * p.bit_length() <= 64 else f"{p}^{k}"
 
 
 def _element(xi: PhaseFunction, b: int) -> KElement:
@@ -106,10 +87,6 @@ class KElement:
     @property
     def p(self) -> int:
         return self.xi.p
-
-    @property
-    def level(self) -> int:
-        return self.xi.m
 
     @classmethod
     def identity(cls, p: int) -> KElement:
@@ -286,9 +263,9 @@ def classify_commuting_pair(m1: KElement, m2: KElement) -> CommutingPairCase:
     return CommutingPairCase(case=3, c=c, a=a, y=y, chi_slope=cprime)
 
 
-def enumerate_torus(p: int, m: int, budget: Optional[int] = None) -> list[PhaseFunction]:
+def enumerate_torus(p: int, m: int) -> list[PhaseFunction]:
     """All det-1 diagonal tables with p^m-th-root values."""
-    if power_over_budget(p, m * (p - 1), budget):
+    if power_over_budget(p, m * (p - 1)):
         raise BudgetExceededError(
             f"|torus| = {power_text(p, m * (p - 1))} exceeds the enumeration budget"
         )
@@ -310,12 +287,12 @@ def kgroup_order_exponent(p: int, m: int) -> int:
     return m * (p - 1) + 1
 
 
-def enumerate_kgroup(p: int, m: int, budget: Optional[int] = None) -> list[KElement]:
+def enumerate_kgroup(p: int, m: int) -> list[KElement]:
     """All elements of the level-m group."""
     k = kgroup_order_exponent(p, m)
-    if power_over_budget(p, k, budget):
+    if power_over_budget(p, k):
         raise BudgetExceededError(f"|K| = {power_text(p, k)} exceeds the enumeration budget")
-    torus = enumerate_torus(p, m, budget)
+    torus = enumerate_torus(p, m)
     return [_element(xi, b) for xi in torus for b in range(p)]
 
 
@@ -354,23 +331,23 @@ class SubgroupReport:
         return sum(1 for k in self.kinds if k == "center_and_shift")
 
 
-def maximal_p_torsion_abelian(p: int, m: int, budget: Optional[int] = None) -> SubgroupReport:
+def maximal_p_torsion_abelian(p: int, m: int) -> SubgroupReport:
     """Enumerate all p-torsion elements, extract the maximal abelian
     subgroups among them, and classify each one.  The |torsion|^2
     commutator checks are bounded by |K|^2 and refused over the budget
     before the group is enumerated."""
     k2 = 2 * kgroup_order_exponent(p, m)
-    if power_over_budget(p, k2, budget):
+    if power_over_budget(p, k2):
         raise BudgetExceededError(
             f"the {power_text(p, k2)} element-pair commutator checks exceed the budget"
         )
-    elements = enumerate_kgroup(p, m, budget)
+    elements = enumerate_kgroup(p, m)
     torsion = [e for e in elements if e.is_p_torsion()]
     identity = KElement.identity(p)
     center = frozenset(KElement.central(p, c) for c in range(p))
 
     def commutes(a: KElement, b: KElement) -> bool:
-        return a.commutator(b) == identity
+        return a.scalar_commutant(b) == 0
 
     candidates: set[frozenset[KElement]] = set()
     for e in torsion:
@@ -378,7 +355,7 @@ def maximal_p_torsion_abelian(p: int, m: int, budget: Optional[int] = None) -> S
             continue
         commuting = frozenset(t for t in torsion if commutes(e, t))
         closed = _close_under_multiplication(tuple(commuting))
-        if closed == commuting and all(t.is_p_torsion() for t in closed):
+        if closed == commuting:
             candidates.add(closed)
     # drop any candidate strictly contained in another
     maximal = [

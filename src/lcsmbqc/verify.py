@@ -29,12 +29,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .cyclo import Phase
-from .errors import BudgetExceededError, EvenPrimeError, LevelError, refuse_over_budget
+from .errors import (
+    BudgetExceededError,
+    EvenPrimeError,
+    LevelError,
+    power_over_budget,
+    power_text,
+    refuse_over_budget,
+)
 from .kgroup import (
     KElement,
     classify_commuting_pair,
@@ -42,8 +49,6 @@ from .kgroup import (
     enumerate_kgroup,
     kgroup_order_exponent,
     maximal_p_torsion_abelian,
-    power_over_budget,
-    power_text,
     structural_p_torsion,
 )
 from .ktensor import (
@@ -96,12 +101,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "count": self.count,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -699,11 +699,11 @@ def suite_commuting_pairs(p: int = 3, m: int = 2) -> SuiteReport:
     return _report("commuting-pairs", {"p": p, "m": m}, checks)
 
 
-def suite_subgroups(p: int = 3, m: int = 2, budget: Optional[int] = None) -> SuiteReport:
+def suite_subgroups(p: int = 3, m: int = 2) -> SuiteReport:
     """Maximal p-torsion abelian classification; dihedral structure at p=2."""
     checks = []
     if p == 2:
-        report = maximal_p_torsion_abelian(p, m, budget)
+        report = maximal_p_torsion_abelian(p, m)
         klein = all(k == "center_and_shift" for k in report.kinds)
         checks.append(
             CheckResult(
@@ -729,7 +729,7 @@ def suite_subgroups(p: int = 3, m: int = 2, budget: Optional[int] = None) -> Sui
         )
         return _report("subgroups", {"p": p, "m": m}, checks)
 
-    report = maximal_p_torsion_abelian(p, m, budget)
+    report = maximal_p_torsion_abelian(p, m)
     expected_shift = p ** (m * (p - 1) - 1)
     checks.append(
         CheckResult(

@@ -62,7 +62,7 @@ def test_verify_command(tmp_path, capsys):
     assert [c["count"] for c in randomized] == [50]
 
 
-def test_verify_zero_counts_are_not_the_default(tmp_path, capsys):
+def test_verify_zero_counts_are_not_the_default(tmp_path, monkeypatch, capsys):
     out_file = tmp_path / "report.json"
     code = run(
         ["verify", "phi", "--n", "1", "--samples", "0", "--out", str(out_file)]
@@ -73,7 +73,8 @@ def test_verify_zero_counts_are_not_the_default(tmp_path, capsys):
     randomized = [c for c in data["checks"] if c["name"].startswith("randomized")]
     assert [c["count"] for c in randomized] == [0]
     # a zero budget admits no enumeration at all
-    assert run(["verify", "subgroups", "--p", "3", "--m", "1", "--budget", "0"]) == 2
+    monkeypatch.setenv("LCSMBQC_BUDGET", "0")
+    assert run(["verify", "subgroups", "--p", "3", "--m", "1"]) == 2
 
 
 def test_verify_even_prime(capsys):
@@ -275,16 +276,28 @@ def test_subgroups_command(capsys):
     assert "4 maximal p-torsion abelian subgroups" in out
 
 
-def test_subgroups_over_budget_exits_2(capsys):
+def test_subgroups_over_budget_exits_2(monkeypatch, capsys):
     """The 27 elements of the level-1 qutrit group fit a budget of 100, the
     729 commutator checks of its element pairs, which bound those of its
     torsion pairs, do not."""
-    assert run(["subgroups", "--p", "3", "--m", "1", "--budget", "100"]) == 2
+    monkeypatch.setenv("LCSMBQC_BUDGET", "100")
+    assert run(["subgroups", "--p", "3", "--m", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
         "budget exceeded: the 729 element-pair commutator checks exceed the budget"
     ]
+
+
+@pytest.mark.parametrize(
+    "args", [["verify", "subgroups"], ["subgroups", "--p", "3", "--m", "1"]]
+)
+def test_the_budget_is_not_a_flag(args):
+    """The budget is set with LCSMBQC_BUDGET alone: a --budget flag is a
+    usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--budget", "5"])
+    assert exc.value.code == 2
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -19,9 +19,11 @@ from lcsmbqc.errors import (
     LevelError,
     PrimeMismatchError,
     TorusMembershipError,
+    power_over_budget,
+    power_text,
 )
 from lcsmbqc import kgroup
-from lcsmbqc.kgroup import enumerate_torus, power_over_budget, power_text
+from lcsmbqc.kgroup import enumerate_torus
 from lcsmbqc.phase_fn import digit_row, row_coefficient
 from lcsmbqc.verify import random_k_element
 
@@ -198,9 +200,10 @@ def test_enumeration_counts():
         enumerate_kgroup(3, 0)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setenv("LCSMBQC_BUDGET", "1000")
     with pytest.raises(BudgetExceededError):
-        enumerate_kgroup(5, 2, budget=1000)
+        enumerate_kgroup(5, 2)
 
 
 def test_group_axioms_against_matrix_oracle():
@@ -279,11 +282,13 @@ def test_subgroup_classification_heisenberg_weyl():
     assert report.intersections_equal_center
 
 
-def test_subgroup_pairs_are_refused_over_budget():
+def test_subgroup_pairs_are_refused_over_budget(monkeypatch):
     """All 27 level-1 qutrit elements are torsion: 729 commutator checks."""
+    monkeypatch.setenv("LCSMBQC_BUDGET", "728")
     with pytest.raises(BudgetExceededError, match="the 729 element-pair"):
-        maximal_p_torsion_abelian(3, 1, budget=728)
-    assert len(maximal_p_torsion_abelian(3, 1, budget=729).subgroups) == 4
+        maximal_p_torsion_abelian(3, 1)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "729")
+    assert len(maximal_p_torsion_abelian(3, 1).subgroups) == 4
 
 
 def test_subgroups_are_refused_before_the_group_is_enumerated(monkeypatch):
@@ -295,7 +300,7 @@ def test_subgroups_are_refused_before_the_group_is_enumerated(monkeypatch):
     class Enumerated(Exception):
         pass
 
-    def enumerated(p, m, budget=None):
+    def enumerated(p, m):
         raise Enumerated
 
     monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
@@ -327,12 +332,16 @@ def test_json_round_trip():
     assert KElement.from_json(M.to_json()) == M
 
 
-def test_power_budget_compares_exponents():
-    assert not power_over_budget(3, 4, budget=81)
-    assert power_over_budget(3, 5, budget=81)
-    assert power_over_budget(2, 0, budget=0)
-    assert not power_over_budget(1000003, 0, budget=1)
-    assert power_over_budget(1000003, 10**12, budget=10**7)
+def test_power_budget_compares_exponents(monkeypatch):
+    for budget, p, k, over in [
+        (81, 3, 4, False),
+        (81, 3, 5, True),
+        (0, 2, 0, True),
+        (1, 1000003, 0, False),
+        (10**7, 1000003, 10**12, True),
+    ]:
+        monkeypatch.setenv("LCSMBQC_BUDGET", str(budget))
+        assert power_over_budget(p, k) is over
     assert power_text(5, 9) == "1953125"
     assert power_text(1000003, 1000003) == "1000003^1000003"
 
