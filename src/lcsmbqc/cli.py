@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import verify
-from .errors import BudgetExceededError, NondeterministicTableError
+from .errors import BudgetExceededError, NondeterministicTableError, resolve_budget
 from .kgroup import maximal_p_torsion_abelian
 from .lcs import (
     GeneratorAssignment,
@@ -401,6 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{command} {args.name} does not take --p", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # a malformed budget is refused before any work, also on the paths
+        # that report a ValueError of their own as a failed verdict
+        resolve_budget()
         return args.func(args)
     except OSError as exc:
         # a path that is missing, a directory, or not readable or writable

@@ -41,10 +41,19 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_budget() -> int:
+    """The budget: ``LCSMBQC_BUDGET`` when it is set and not empty, else
+    ``DEFAULT_BUDGET``.  The value must be a non-negative base-10 integer;
+    0 refuses every guarded sweep."""
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env, 10)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative base-10 integer, got {env!r}")
+    return budget
 
 
 def refuse_over_budget(work: int, what: str) -> None:

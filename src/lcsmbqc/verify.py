@@ -14,10 +14,11 @@ decided exhaustively for every site count from flat pair rows
 count the commuting torsion pairs and their failures, and no tuple of sites
 is listed.
 Randomized suites draw from seeded generators, so re-running a suite with
-the same configuration reproduces it bit for bit.  One routine makes the
-integer draws of a site pair (``draw_site_pair``); the object-API generators
-build elements from them, and the commutator check of ``suite_phi`` turns
-them into table indices with no element built.
+the same configuration reproduces it bit for bit.  One loop draws the
+integers of site pairs into flat columns of kinds, head exponents, shifts,
+commutants, partner fields and swaps (``draw_site_pairs``); the object-API
+generators build elements from one pair of it, and the commutator check of
+``suite_phi`` reads the columns into table indices with numpy.
 
 numpy is loaded on first use: ``np`` starts as a stand-in whose first
 attribute read imports numpy and rebinds ``np`` to it, so a process that
@@ -375,18 +376,9 @@ def _below(bits: Callable[[int], int], n: int) -> int:
 
 
 def _draw_head(rng: random.Random, p: int, m: int) -> list[int]:
-    """The p - 1 free level-m exponents of a det-1 diagonal: the values, and
-    the generator state, of p - 1 calls ``rng.randrange(p**m)``, each the
-    rejection loop of ``_below`` run inline."""
+    """The p - 1 free level-m exponents of a det-1 diagonal, as ``randrange(p**m)`` draws them."""
     bits, pm = rng.getrandbits, p**m
-    k = pm.bit_length()
-    head = []
-    for _ in range(p - 1):
-        r = bits(k)
-        while r >= pm:
-            r = bits(k)
-        head.append(r)
-    return head
+    return [_below(bits, pm) for _ in range(p - 1)]
 
 
 def _torus_table(p: int, m: int, head: Sequence[int]) -> PhaseFunction:
@@ -417,36 +409,81 @@ def random_capable_diagonal(rng: random.Random, p: int, t: Optional[int] = None)
             return KElement(coeffs.reconstruct(), 0)
 
 
+SITE_PAIR_KINDS = ("diag", "mixed", "shifted")
+
+
+def draw_site_pairs(rng: random.Random, p: int, m: int, count: int) -> tuple[list, ...]:
+    """The integers of ``count`` pairs (M, N) with [M, N] = omega^c, in flat
+    columns (kind, head, b, c, partner, swapped): every random draw of
+    ``count`` calls of ``random_scalar_commuting_site_pair``, each integer by
+    the rejection loop of ``_below`` run inline.
+
+    Pair k is a ``SITE_PAIR_KINDS[kind[k]]`` pair.  M has shift b[k] and the
+    p - 1 level-m head exponents (det 1 fixes the last) that pair k adds to
+    ``head``.  N is made from the fields it adds to ``partner``: the diagonal
+    with those p - 1 head exponents ("diag"), the affine diagonal omega^(a +
+    s q) from (a, s) ("mixed"), or omega^central (M chi)^y with chi that
+    affine diagonal from (a, s, y, central) ("shifted").  The pair is listed
+    as (N, M) when swapped[k]; c[k] is its commutant as listed."""
+    bits, coin, pm = rng.getrandbits, rng.random, p**m
+    kp, kq, km = p.bit_length(), (p - 1).bit_length(), pm.bit_length()
+    columns = kind, head, b, c, partner, swapped = [], [], [], [], [], []
+    alone, both = (head,), (head, partner)
+    for _ in range(count):
+        r = bits(2)
+        while r == 3:
+            r = bits(2)
+        kind.append(r)
+        shift = cc = 0
+        flip = False
+        if r:
+            shift = bits(kq)
+            while shift >= p - 1:
+                shift = bits(kq)
+            shift += 1
+            # the slope s (mixed) or b' - 1, for the shift b' of N (shifted)
+            lead = bits(kp if r == 1 else kq)
+            while lead >= p + 1 - r:
+                lead = bits(kp if r == 1 else kq)
+        b.append(shift)
+        for out in alone if r else both:
+            for _ in range(p - 1):
+                e = bits(km)
+                while e >= pm:
+                    e = bits(km)
+                out.append(e)
+        if r:
+            # a (mixed) or c' (shifted)
+            x = bits(kp)
+            while x >= p:
+                x = bits(kp)
+        if r == 1:
+            partner.append(x)
+            partner.append(lead)
+            flip = coin() < 0.5
+            cc = lead * shift % p if flip else -lead * shift % p
+        elif r == 2:
+            a = bits(kp)
+            while a >= p:
+                a = bits(kp)
+            central = bits(kp)
+            while central >= p:
+                central = bits(kp)
+            partner.append(a)
+            partner.append(x)
+            partner.append((lead + 1) * shift ** (p - 2) % p)
+            partner.append(central)
+            cc = -(lead + 1) * x % p
+        c.append(cc)
+        swapped.append(flip)
+    return columns
+
+
 def draw_site_pair(rng: random.Random, p: int, m: int) -> tuple:
-    """The integers of a pair (M, N) with [M, N] = omega^c, sampled across
-    the three case shapes: every random draw of
-    ``random_scalar_commuting_site_pair``, in order.
-
-    Returns (kind, head, b, c, partner, swapped).  M has the level-m head
-    exponents ``head`` (det 1 fixes the last) and shift ``b``.  N is, by
-    ``kind``: "diag", the diagonal with head exponents ``partner``; "mixed",
-    the affine diagonal omega^(a + s q), partner = (a, s); "shifted",
-    omega^central (M chi)^y with chi that affine diagonal, partner = (a, s,
-    y, central).  The pair is listed as (N, M) when ``swapped``; c is its
-    commutant as listed.
-
-    Every integer comes from ``_below``, which draws what ``rng.choice`` of
-    the kind and ``rng.randrange`` of each integer would draw, so the pairs
-    and the generator state are theirs."""
-    bits = rng.getrandbits
-    kind = ("diag", "mixed", "shifted")[_below(bits, 3)]
-    if kind == "diag":
-        return kind, _draw_head(rng, p, m), 0, 0, _draw_head(rng, p, m), False
-    if kind == "mixed":
-        b = 1 + _below(bits, p - 1)
-        slope = _below(bits, p)
-        head = _draw_head(rng, p, m)
-        line = (_below(bits, p), slope)
-        cc = (-slope * b) % p
-        if rng.random() < 0.5:
-            return kind, head, b, (-cc) % p, line, True
-        return kind, head, b, cc, line, False
-    return draw_shifted_pair(rng, p, m, None)
+    """One pair of ``draw_site_pairs``: (kind name, head, b, c, partner, swapped),
+    partner a list of head exponents ("diag") or a tuple of fields."""
+    (kind,), head, (b,), (c,), partner, (swapped,) = draw_site_pairs(rng, p, m, 1)
+    return SITE_PAIR_KINDS[kind], head, b, c, tuple(partner) if kind else partner, swapped
 
 
 def draw_shifted_pair(rng: random.Random, p: int, m: int, c: Optional[int]) -> tuple:
@@ -925,40 +962,33 @@ def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int
 def _site_pair_indices(
     table: KGroupTable, rng: random.Random, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Table indices (i1, i2) and commutant c of ``count`` pairs from
-    ``draw_site_pair``, computed from the integers of the draws with no
-    Cayley table: M and the diagonals from ``index_of`` as they are drawn,
-    and each shifted partner omega^central (M chi)^y from the closed-form
-    power on exponents, for all of them at once after the draws."""
-    p, m, pm = table.p, table.m, table.pm
-    scale = pm // p
-    index_of = table.index_of
-    # affine[a][s]: the index of the diagonal omega^(a + s q)
-    affine = [
-        [index_of([(a + s * q) % p * scale for q in range(p - 1)], 0) for s in range(p)]
-        for a in range(p)
-    ]
-    drawn, shifted = [], []
-    for k in range(count):
-        kind, head, b, c, partner, swapped = draw_site_pair(rng, p, m)
-        i1 = index_of(head, b)
-        if kind == "diag":
-            drawn += (i1, index_of(partner, 0), c)
-        elif kind == "mixed":
-            i2 = affine[partner[0]][partner[1]]
-            drawn += (i2, i1, c) if swapped else (i1, i2, c)
-        else:
-            drawn += (i1, 0, c)
-            shifted += (k, *head, b, *partner)
-    i1, i2, c = np.array(drawn, dtype=np.int64).reshape(count, 3).T
-    k, *head, b, a, s, y, central = np.array(shifted, dtype=np.int64).reshape(-1, p + 5).T
+    """Table indices (i1, i2) and commutant c of ``count`` pairs from the
+    columns of ``draw_site_pairs``, with no Cayley table: M and the diagonals
+    from ``index_of``, each shifted partner omega^central (M chi)^y from the
+    closed-form power on exponents."""
+    p, pm = table.p, table.pm
+    scale, q = pm // p, np.arange(p)
+    kind, head, b, c, partner, swapped = (
+        np.array(column, dtype=np.int64) for column in draw_site_pairs(rng, p, table.m, count)
+    )
+    head = head.reshape(count, p - 1)
+    # field j of each pair's partner is at start + j: its fields follow those
+    # of the pairs before it, p - 1, 2 or 4 of them by kind
+    width = np.array([p - 1, 2, 4])[kind]
+    start = np.cumsum(width) - width
+    i1, i2 = table.index_of(head.T, b), np.zeros(count, dtype=np.int64)
+    diag, mixed, shifted = (kind == k for k in range(3))
+    i2[diag] = table.index_of(partner[start[diag] + np.arange(p - 1)[:, None]], 0)
+    a, s = partner[start[mixed] + np.arange(2)[:, None]]
+    i2[mixed] = table.index_of((a + s * q[:-1, None]) % p * scale, 0)
     # M chi = (x + shift_b chi, b) with chi = omega^(a + s q) at level m
-    q = np.arange(p)
-    x = np.stack([*head, -sum(head) % pm], axis=1)
+    a, s, y, central = partner[start[shifted] + np.arange(4)[:, None]]
+    x, b = head[shifted], b[shifted]
+    x = np.concatenate([x, -x.sum(axis=1, keepdims=True) % pm], axis=1)
     x += (a[:, None] + s[:, None] * (q - b[:, None])) % p * scale
     power = (_rotation_sums(x, b, y) + central[:, None] * scale) % pm
-    i2[k] = index_of(power.T[:-1], y * b % p)
-    return i1, i2, c
+    i2[shifted] = table.index_of(power.T[:-1], y * b % p)
+    return np.where(swapped, i2, i1), np.where(swapped, i1, i2), c
 
 
 def _phi_commutators(table: KGroupTable, variant: str, rng: random.Random) -> tuple[int, int]:

@@ -20,6 +20,7 @@ from lcsmbqc import (
     verify,
 )
 from lcsmbqc.cli import main
+from lcsmbqc.errors import DEFAULT_BUDGET, BudgetExceededError, refuse_over_budget, resolve_budget
 
 
 def run(args):
@@ -298,6 +299,42 @@ def test_the_budget_is_not_a_flag(args):
     with pytest.raises(SystemExit) as exc:
         run([*args, "--budget", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "-5"])
+def test_a_malformed_budget_exits_2(tmp_path, monkeypatch, capsys, value):
+    """A budget that is not a non-negative base-10 integer is one usage
+    line naming the variable, also for ``lcs reduce``, whose own ValueErrors
+    are failed reductions (exit 1)."""
+    system_file = tmp_path / "system.json"
+    system_file.write_text(json.dumps({"d": 3, "A": [[1, 1]], "b": [2]}))
+    from lcsmbqc import GeneratorAssignment
+
+    assignment_file = tmp_path / "assignment.json"
+    assignment = GeneratorAssignment.from_classical(3, (1, 1), n_sites=1)
+    assignment_file.write_text(json.dumps(assignment.to_json()))
+    monkeypatch.setenv("LCSMBQC_BUDGET", value)
+    for args in [
+        ["subgroups", "--p", "3", "--m", "1"],
+        ["verify", "phi", "--p", "3", "--m", "1"],
+        ["lcs", "reduce", "--lcs", str(system_file), "--assignment", str(assignment_file)],
+    ]:
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid input: ValueError: LCSMBQC_BUDGET must be a non-negative"
+            f" base-10 integer, got {value!r}"
+        ]
+
+
+def test_a_zero_budget_is_valid_and_refuses_everything(monkeypatch):
+    monkeypatch.setenv("LCSMBQC_BUDGET", "0")
+    assert resolve_budget() == 0
+    with pytest.raises(BudgetExceededError):
+        refuse_over_budget(1, "elements")
+    monkeypatch.setenv("LCSMBQC_BUDGET", "")
+    assert resolve_budget() == DEFAULT_BUDGET
 
 
 def test_missing_file_is_usage_error(capsys):

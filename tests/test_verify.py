@@ -228,6 +228,46 @@ def test_site_pair_draws_equal_the_randrange_draws(p, m):
     assert fast.getstate() == slow.getstate()
 
 
+def _column_pairs(columns, p):
+    """The pairs of ``draw_site_pairs`` columns as ``draw_site_pair`` tuples,
+    read pair by pair: the reference for the column layout."""
+    kind, head, b, c, partner, swapped = columns
+    pairs, at = [], 0
+    for k, r in enumerate(kind):
+        fields = partner[at : at + (p - 1, 2, 4)[r]]
+        at += len(fields)
+        row = head[k * (p - 1) : (k + 1) * (p - 1)]
+        pairs.append((verify.SITE_PAIR_KINDS[r], row, b[k], c[k], tuple(fields) if r else fields, swapped[k]))
+    assert at == len(partner) and len(head) == len(kind) * (p - 1)
+    assert len(b) == len(c) == len(swapped) == len(kind)
+    return pairs
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (5, 1), (7, 1), (3, 4), (5, 2)])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 2000])
+def test_batch_site_pair_draws_equal_the_randrange_draws(p, m, count):
+    fast, slow = random.Random(count + p * 10 + m), random.Random(count + p * 10 + m)
+    columns = verify.draw_site_pairs(fast, p, m, count)
+    expected = [_randrange_site_pair(slow, p, m) for _ in range(count)]
+    assert _column_pairs(columns, p) == expected
+    assert fast.getstate() == slow.getstate()
+    assert all(type(v) is int for column in columns[:5] for v in column)
+    assert all(type(v) is bool for v in columns[5])
+
+
+def test_a_single_draw_is_one_pair_of_the_batch():
+    """``draw_site_pair`` gives the list and tuple types of the reference:
+    a list head, a list partner for "diag" and a tuple for the others."""
+    kinds = set()
+    for seed in range(40):
+        fast, slow = random.Random(seed), random.Random(seed)
+        drawn, expected = verify.draw_site_pair(fast, 5, 1), _randrange_site_pair(slow, 5, 1)
+        assert drawn == expected and fast.getstate() == slow.getstate()
+        assert [type(v) for v in drawn] == [type(v) for v in expected]
+        kinds.add(drawn[0])
+    assert kinds == set(verify.SITE_PAIR_KINDS)
+
+
 def _element_index(table):
     """The elements of ``table`` keyed by themselves: the object-API
     reference for its indices, built once per table."""
@@ -867,6 +907,32 @@ def test_site_pair_indices_leave_the_generator_state_of_the_draws():
     for _ in range(2000):
         verify.draw_site_pair(slow, 3, 2)
     assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (5, 1)])
+def test_site_pair_indices_of_few_draws_equal_the_object_api_pairs(p, m):
+    """Counts 0-7, where some batches have no pair of one kind: Random(1)
+    draws one "diag" pair first, so at count 1 no pair is "shifted"."""
+    assert verify.draw_site_pairs(random.Random(1), p, m, 1)[0] == [0]
+    table = verify.group_table(p, m)
+    index = _element_index(table)
+    for seed, count in [(1, 1), *((seed, count) for count in range(8) for seed in range(4))]:
+        i1, i2, c = verify._site_pair_indices(table, random.Random(seed), count)
+        rng = random.Random(seed)
+        pairs = [verify.random_scalar_commuting_site_pair(rng, p, m) for _ in range(count)]
+        expected = [(index[m1], index[m2], c) for m1, m2, c in pairs]
+        assert list(zip(i1.tolist(), i2.tolist(), c.tolist())) == expected
+
+
+def test_commutator_check_makes_no_single_draw(monkeypatch):
+    table = verify.group_table(3, 2)
+    expected = verify._phi_commutators(table, PROOF, random.Random(24))
+
+    def single(*args):
+        raise AssertionError("a single site pair was drawn")
+
+    monkeypatch.setattr(verify, "draw_site_pair", single)
+    assert verify._phi_commutators(table, PROOF, random.Random(24)) == expected
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
