@@ -58,8 +58,8 @@ def _commutator_row(x: Sequence[int], b: int, y: Sequence[int], c: int) -> list[
 def summed_rotations(exps: Sequence[int], b: int, n: int) -> list[int]:
     """sum_{i<n} exps[q - i b] for each q: the exponents, unreduced, of
     (xi, b)^n for n >= 0 when xi has exponents ``exps``."""
-    acc = [0] * len(exps)
-    for i in range(n):
+    acc = list(exps) if n else [0] * len(exps)
+    for i in range(1, n):
         acc = list(map(add, acc, rotate(exps, -i * b)))
     return acc
 

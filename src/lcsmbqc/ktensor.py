@@ -1,6 +1,12 @@
 """Tensor products of single-site monomial operators with a tracked global
 scalar, plus the symplectic bookkeeping of their commutators.
 
+Products are one routine, ``TensorElement.product_of_powers``: an ordered
+word g_1^(e_1) ... g_k^(e_k) is summed on integer exponent rows, one row per
+site, and each site is canonicalised once; ``*`` and ``**`` are its two- and
+one-factor words.  Closed results are built without the constructor's
+checks.
+
 Two tensors are equal when they induce the same operator: site tables may be
 rescaled by per-site omega powers as long as the global phase absorbs the
 inverse rescaling.  ``canonical_key`` fixes one representative per class
@@ -10,12 +16,25 @@ directly from the integer exponents of the site tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .cyclo import Phase, reduced_phase
 from .errors import LevelError, PrimeMismatchError, ShapeMismatchError
-from .kgroup import KElement, _commutator_row, summed_rotations
-from .phase_fn import at_level, canonical_table, digit_row, modinv, row_coefficient
+from .kgroup import KElement, _commutator_row, _element, summed_rotations
+from .phase_fn import at_level, canonical_table, digit_row, modinv, rotate, row_coefficient
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _tensor(global_phase: Phase, sites: tuple[KElement, ...]) -> TensorElement:
+    """A tensor from a global phase and a non-empty tuple of sites over its
+    prime, unchecked: the closed products of valid tensors."""
+    out = _new(TensorElement)
+    _set(out, "global_phase", global_phase)
+    _set(out, "sites", sites)
+    return out
 
 
 class TensorElement:
@@ -69,28 +88,65 @@ class TensorElement:
                 f"tensor operands have {self.n_sites} and {other.n_sites} sites"
             )
 
+    @classmethod
+    def product_of_powers(
+        cls, p: int, n_sites: int, factors: Sequence[tuple[TensorElement, int]]
+    ) -> TensorElement:
+        """prod_k g_k^(e_k) in the given order, over tensors of ``n_sites``
+        sites over p; the identity for no factors.
+
+        Each site is one exponent row at a common level L, the largest level
+        of that site among the factors (the global phases likewise share
+        theirs).  A power (x, b)^n of a site is the row n x when b = 0, and
+        the summed rotations of x over n % p shifts when b != 0 (a full cycle
+        of shifts sums to det = 1).  A product adds the next row rotated by
+        the shift so far.  Each site is brought to canonical form once, at
+        the end."""
+        if not factors:
+            return cls.identity(p, n_sites)
+        level = total = 0
+        for g, n in factors:
+            phase = g.global_phase
+            if phase.p != p:
+                raise PrimeMismatchError("tensor operands must share one prime")
+            if len(g.sites) != n_sites:
+                raise ShapeMismatchError(
+                    f"tensor operands have {n_sites} and {len(g.sites)} sites"
+                )
+            if phase.M > level:  # rescale the sum so far to the new level
+                total *= p ** (phase.M - level)
+                level = phase.M
+            total += n * phase.e * p ** (level - phase.M)
+        sites = []
+        for column in zip(*[g.sites for g, _ in factors]):
+            level_i = max([site.xi.m for site in column])
+            acc, shift = None, 0
+            for site, (_, n) in zip(column, factors):
+                x, b = at_level(site.xi, level_i), site.b
+                if b:
+                    row = summed_rotations(x, b, n % p)
+                else:
+                    row = x if n == 1 else [n * e for e in x]
+                acc = row if acc is None else list(map(add, acc, rotate(row, -shift)))
+                shift = (shift + n * b) % p
+            sites.append(_element(canonical_table(p, level_i, acc), shift))
+        return _tensor(reduced_phase(p, level, total), tuple(sites))
+
     def __mul__(self, other: TensorElement) -> TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
-        self._check_shape(other)
-        return TensorElement(
-            self.global_phase * other.global_phase,
-            [a * b for a, b in zip(self.sites, other.sites)],
-        )
+        return TensorElement.product_of_powers(self.p, len(self.sites), ((self, 1), (other, 1)))
 
     def inverse(self) -> TensorElement:
-        return TensorElement(
-            self.global_phase.inverse(), [s.inverse() for s in self.sites]
-        )
+        return _tensor(self.global_phase.inverse(), tuple(s.inverse() for s in self.sites))
 
     def __pow__(self, n: int) -> TensorElement:
-        return TensorElement(self.global_phase**n, [s**n for s in self.sites])
+        return TensorElement.product_of_powers(self.p, len(self.sites), ((self, n),))
 
     def commutator(self, other: TensorElement) -> TensorElement:
         self._check_shape(other)
-        return TensorElement(
-            Phase.one(self.p),
-            [a.commutator(b) for a, b in zip(self.sites, other.sites)],
+        return _tensor(
+            Phase.one(self.p), tuple(a.commutator(b) for a, b in zip(self.sites, other.sites))
         )
 
     def as_scalar(self) -> Optional[Phase]:
@@ -172,8 +228,8 @@ class TensorElement:
             xi, b = site.xi, site.b
             eta = summed_rotations(xi.exps, b, modinv(b, p)) if b > 1 else xi.exps
             top = p ** max(xi.m - 1, 0)
-            fbar.append((b or 1) * row_coefficient([e // top % p for e in eta], p, 1))
-        return SymplecticVector(p, tuple(fbar), self.b_vector)
+            fbar.append((b or 1) * row_coefficient([e // top % p for e in eta], p, 1) % p)
+        return _symplectic_vector(p, tuple(fbar), self.b_vector)
 
     def canonical_key(self) -> tuple:
         """A representative of the operator-equality class.  A det-1 site
@@ -244,6 +300,15 @@ class SymplecticVector:
     @property
     def n(self) -> int:
         return len(self.fbar)
+
+
+def _symplectic_vector(p: int, fbar: tuple[int, ...], bbar: tuple[int, ...]) -> SymplecticVector:
+    """A vector from equal-length entries already reduced mod p, unchecked."""
+    out = _new(SymplecticVector)
+    _set(out, "p", p)
+    _set(out, "fbar", fbar)
+    _set(out, "bbar", bbar)
+    return out
 
 
 def symplectic_form(v: SymplecticVector, w: SymplecticVector) -> int:

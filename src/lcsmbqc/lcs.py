@@ -2,8 +2,10 @@
 column-major Gauss-Jordan routine (``row_reduce``, shared with
 ``null_space``; entries come back reduced mod p, the row count kept), one
 checker of the three operator-solution conditions for tensor and
-Heisenberg-Weyl assignments, the reduction of operator assignments to
-classical solutions, and the standard two-qubit fixtures.
+Heisenberg-Weyl assignments (each constraint row is one
+``product_of_powers`` of the assignment's element type), the reduction of
+operator assignments to classical solutions, and the standard two-qubit
+fixtures.
 """
 
 from __future__ import annotations
@@ -174,15 +176,22 @@ def brute_force_solve(system: LCS) -> Optional[tuple[int, ...]]:
 @dataclass(frozen=True)
 class GeneratorAssignment:
     """Operators for the generators x_1..x_n, plus the central element J
-    realising the constraint scalar (omega * identity by default): tensors,
-    or their Heisenberg-Weyl images under the projection.  The checker uses
-    only ``identity``, ``*``, ``**``, ``==``, ``commutes_with`` and
-    ``is_p_torsion``; the JSON and lifting helpers are for tensors."""
+    realising the constraint scalar (omega * identity by default): all
+    tensors, or all their Heisenberg-Weyl images under the projection; a
+    mix is refused.  The checker uses only that type's ``identity``,
+    ``product_of_powers``, ``==``, ``commutes_with`` and ``is_p_torsion``;
+    the JSON and lifting helpers are for tensors."""
 
     generators: tuple[TensorElement | HWElement, ...]
     j: TensorElement | HWElement
 
     def __post_init__(self):
+        kinds = {type(g) for g in self.generators} | {type(self.j)}
+        if kinds != {TensorElement} and kinds != {HWElement}:
+            raise TypeError(
+                "assignment elements must be all tensors or all Heisenberg-Weyl elements, got "
+                + ", ".join(sorted(k.__name__ for k in kinds))
+            )
         ps = {g.p for g in self.generators} | {self.j.p}
         if len(ps) > 1:
             raise PrimeMismatchError("assignment elements must share one prime")
@@ -257,9 +266,9 @@ def check_solution_conditions(
     system: LCS, assignment: GeneratorAssignment
 ) -> SolutionConditionReport:
     """Evaluate the three conditions exactly, for tensor and Heisenberg-Weyl
-    assignments alike.  Row products are taken in ascending generator index;
-    on valid inputs co-row generators commute, so the fixed order only pins
-    down diagnostics for invalid ones."""
+    assignments alike.  Each row product is one ``product_of_powers`` in
+    ascending generator index; on valid inputs co-row generators commute, so
+    the fixed order only pins down diagnostics for invalid ones."""
     if system.d != assignment.p:
         raise PrimeMismatchError(
             f"system modulus {system.d} differs from assignment prime {assignment.p}"
@@ -283,13 +292,15 @@ def check_solution_conditions(
         if not assignment.generators[j].commutes_with(assignment.generators[k]):
             commuting_failures.append((j, k))
 
+    # row i holds when its word times J^(-b_i) is the identity
+    kind, p, n_sites = type(assignment.j), assignment.p, assignment.n_sites
+    identity = kind.identity(p, n_sites)
     constraint_failures = []
     for i, (row, rhs) in enumerate(zip(system.A, system.b)):
-        product = type(assignment.j).identity(assignment.p, assignment.n_sites)
-        for k, exponent in enumerate(row):
-            if exponent:
-                product = product * assignment.generators[k] ** exponent
-        if product != assignment.j**rhs:
+        word = [(g, e) for g, e in zip(assignment.generators, row) if e]
+        if rhs:
+            word.append((assignment.j, -rhs))
+        if kind.product_of_powers(p, n_sites, word) != identity:
             constraint_failures.append(i)
 
     return SolutionConditionReport(

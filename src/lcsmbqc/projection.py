@@ -16,7 +16,8 @@ Two variants of that scalar are implemented:
 
 Normal forms are integers: the scalar as its exponent mod p^2 (the carry
 level of ``proof``), the Z and X exponents mod p.  A ``Phase`` is built
-only where the scalar is read.  One routine gives the image of a site with
+only where the scalar is read; ``HWElement.product_of_powers`` folds an
+ordered word of closed-form powers the same way.  One routine gives the image of a site with
 shift 0 or 1 from base-p digits (no ``decompose``); larger shifts go through
 a power.  The torsion test of ``phi`` is ``TensorElement.is_p_torsion``,
 which reads the sites' integer exponents at every level.
@@ -25,7 +26,8 @@ which reads the sites' integer exponents at every level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 from .cyclo import Phase, reduced_phase
 from .errors import (
@@ -131,6 +133,29 @@ class HWElement:
             tuple(n * x % p for x in self.a),
             tuple(n * x % p for x in self.b),
         )
+
+    @classmethod
+    def product_of_powers(
+        cls, p: int, n_sites: int, factors: Sequence[tuple[HWElement, int]]
+    ) -> HWElement:
+        """prod_k g_k^(e_k) in the given order; the identity for no factors.
+        Each closed-form power c^n omega^{-a.b n(n-1)/2} Z^{na} X^{nb} is
+        moved past the X part so far (X^b Z^a' = omega^{-a'.b} Z^a' X^b),
+        all on integers, reduced once at the end."""
+        e = 0
+        a = [0] * n_sites
+        b = [0] * n_sites
+        for g, n in factors:
+            if g.p != p:
+                raise PrimeMismatchError("operands must share one prime")
+            if len(g.a) != n_sites:
+                raise ShapeMismatchError("operands must have the same number of sites")
+            ga, gb = g.a, g.b
+            cross = sum(map(mul, ga, gb)) * (n * (n - 1) // 2) + n * sum(map(mul, ga, b))
+            e += n * g.e - p * cross
+            a = [x + n * y for x, y in zip(a, ga)]
+            b = [x + n * y for x, y in zip(b, gb)]
+        return _hw(p, e % (p * p), tuple(x % p for x in a), tuple(x % p for x in b))
 
     def commutator_exponent(self, other: HWElement) -> int:
         """[self, other] = omega^(a.b' - a'.b)."""

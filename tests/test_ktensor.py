@@ -23,6 +23,7 @@ from lcsmbqc.verify import (
 from lcsmbqc.mbqc import star_measurement_op
 
 from exact_matrix import MonomialMatrix
+from fold_products import fold_tensor_product
 
 
 def X(p=3):
@@ -352,3 +353,84 @@ def test_digit_row_reads_equal_the_decompose_reads(p, m):
             tensor = TensorElement(Phase(p, 2, k), [e])
             expected = outcome(ref_structural_torsion, tensor)
             assert outcome(structural_tensor_p_torsion, tensor) == expected
+
+
+# ---------------------------------------------------------------------------
+# Ordered products of powers against the site-by-site left fold
+# ---------------------------------------------------------------------------
+
+
+def _tensor_at_level(rng, p, level, n_sites):
+    """A tensor with a nonzero global phase and det-1 sites at levels 1..level."""
+    return TensorElement(
+        Phase(p, level, rng.randrange(1, p**level)),
+        [random_k_element(rng, p, rng.randrange(1, level + 1)) for _ in range(n_sites)],
+    )
+
+
+def _representation(t: TensorElement) -> tuple:
+    return t.global_phase, t.sites
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_product_of_powers_equals_the_left_fold(p):
+    rng = random.Random(2600 + p)
+    for level in (1, 2, 3):
+        for n_sites in (1, 2, 3):
+            for _ in range(8):
+                factors = [
+                    (_tensor_at_level(rng, p, level, n_sites), rng.randrange(-2 * p, 2 * p + 1))
+                    for _ in range(rng.randrange(5))
+                ]
+                product = TensorElement.product_of_powers(p, n_sites, factors)
+                reference = fold_tensor_product(p, n_sites, factors)
+                assert _representation(product) == _representation(reference)
+                assert MonomialMatrix.from_tensor(product) == MonomialMatrix.from_tensor(reference)
+                if factors:
+                    (g, n), (h, _) = factors[0], factors[-1]
+                    assert _representation(g**n) == _representation(
+                        fold_tensor_product(p, n_sites, [(g, n)])
+                    )
+                    assert _representation(g * h) == _representation(
+                        fold_tensor_product(p, n_sites, [(g, 1), (h, 1)])
+                    )
+
+
+def test_product_of_powers_of_no_factors_is_the_identity():
+    for p, n_sites in ((2, 1), (3, 2), (7, 3)):
+        empty = TensorElement.product_of_powers(p, n_sites, [])
+        assert _representation(empty) == _representation(TensorElement.identity(p, n_sites))
+
+
+def test_product_of_powers_takes_negative_exponents():
+    rng = random.Random(2611)
+    for p in (3, 5):
+        g = _tensor_at_level(rng, p, 2, 2)
+        h = _tensor_at_level(rng, p, 3, 2)
+        identity = TensorElement.identity(p, 2)
+        assert TensorElement.product_of_powers(p, 2, [(g, -1), (g, 1)]) == identity
+        assert _representation(g**-1) == _representation(g.inverse())
+        word = [(g, -3), (h, 2), (g, -p - 1)]
+        assert _representation(TensorElement.product_of_powers(p, 2, word)) == _representation(
+            fold_tensor_product(p, 2, word)
+        )
+
+
+def test_product_of_powers_refuses_mismatched_factors():
+    with pytest.raises(PrimeMismatchError):
+        TensorElement.product_of_powers(3, 1, [(TensorElement.of_sites([X(5)]), 1)])
+    with pytest.raises(ShapeMismatchError):
+        TensorElement.product_of_powers(3, 1, [(TensorElement.of_sites([X(), X()]), 2)])
+
+
+def test_symplectic_vector_entries_come_reduced_like_the_public_constructor():
+    rng = random.Random(2612)
+    for p in (3, 5, 7):
+        for _ in range(40):
+            pairs = [
+                random_scalar_commuting_site_pair(rng, p, 2) for _ in range(rng.randrange(1, 4))
+            ]
+            for k in (0, 1):
+                v = TensorElement.of_sites([pair[k] for pair in pairs]).symplectic_vector()
+                assert all(0 <= x < p for x in v.fbar + v.bbar)
+                assert v == SymplecticVector(v.p, v.fbar, v.bbar)

@@ -29,12 +29,19 @@ from lcsmbqc.errors import (
     ShapeMismatchError,
     UnsupportedModulusError,
 )
-from lcsmbqc import lcs, mbqc
-from lcsmbqc.lcs import MeasurementFamilyReport, brute_force_solve, null_space, row_reduce
+from lcsmbqc import lcs, mbqc, verify
+from lcsmbqc.lcs import (
+    MeasurementFamilyReport,
+    SolutionConditionReport,
+    brute_force_solve,
+    null_space,
+    row_reduce,
+)
 from lcsmbqc.mbqc import MbqcSpec, OutputTable, SiteSpec, ghz_evaluate
 from lcsmbqc.phase_fn import modinv
 from lcsmbqc.projection import HWElement, phi, value_map_nu
 
+from fold_products import fold_hw_product, fold_tensor_product
 from random_specs import random_specs, random_torus_table
 
 
@@ -578,3 +585,111 @@ def test_lcs_rows_are_refused_over_budget(monkeypatch):
         lcs_from_mbqc(spec, table)
     monkeypatch.setenv("LCSMBQC_BUDGET", "27")
     assert lcs_from_mbqc(spec, table).A == tuple(spec.settings(i) for i in spec.inputs())
+
+
+# ---------------------------------------------------------------------------
+# The checker against a reference that folds each constraint row
+# ---------------------------------------------------------------------------
+
+
+def fold_check_solution_conditions(system, assignment) -> SolutionConditionReport:
+    """The three conditions with each row product the left fold
+    identity * g^e * ... in ascending generator order."""
+    gens, j, p, n_sites = assignment.generators, assignment.j, assignment.p, assignment.n_sites
+    fold = fold_tensor_product if isinstance(j, TensorElement) else fold_hw_product
+    torsion = [f"g{k + 1}" for k, g in enumerate(gens) if not g.is_p_torsion()]
+    if not j.is_p_torsion():
+        torsion.append("J")
+    commuting = [(-1, k) for k, g in enumerate(gens) if not j.commutes_with(g)]
+    co_row = {
+        (a, b)
+        for row in system.A
+        for a, b in itertools.combinations([k for k, v in enumerate(row) if v], 2)
+    }
+    commuting += [(a, b) for a, b in sorted(co_row) if not gens[a].commutes_with(gens[b])]
+    constraints = [
+        i
+        for i, (row, rhs) in enumerate(zip(system.A, system.b))
+        if fold(p, n_sites, [(g, e) for g, e in zip(gens, row) if e])
+        != fold(p, n_sites, [(j, rhs)])
+    ]
+    return SolutionConditionReport(
+        torsion=not torsion,
+        commutativity=not commuting,
+        constraints=not constraints,
+        torsion_failures=tuple(torsion),
+        commuting_failures=tuple(commuting),
+        constraint_failures=tuple(constraints),
+    )
+
+
+def _planted_failures(system, assignment):
+    """The assignment with a non-torsion generator, with a non-commuting
+    co-row pair, and the system with a violated row, each named by the kind
+    of failure the report must show."""
+    p, n_sites, gens, j = assignment.p, assignment.n_sites, assignment.generators, assignment.j
+    if isinstance(j, HWElement):
+        non_torsion = HWElement.scalar(Phase(p, 2, 1), n_sites)
+        zeros = (0,) * (n_sites - 1)
+        clock = HWElement(Phase.one(p), (1,) + zeros, (0,) + zeros)
+        shift = HWElement(Phase.one(p), (0,) + zeros, (1,) + zeros)
+    else:
+        row = (1, p * p - 1) + (0,) * (p - 2)
+        rest = [KElement.identity(p)] * (n_sites - 1)
+        non_torsion = TensorElement.of_sites(
+            [KElement(PhaseFunction.from_exponents(p, 2, row), 0)] + rest
+        )
+        # at p = 2 the clock has det -1; iZ stands in for it, as in the fixtures
+        iz = KElement(PhaseFunction.from_exponents(2, 2, (1, 3)), 0)
+        clock = TensorElement.of_sites([KElement.clock(p) if p > 2 else iz] + rest)
+        shift = TensorElement.of_sites([KElement.shift(p)] + rest)
+    yield "torsion", system, GeneratorAssignment((non_torsion,) + gens[1:], j)
+    support = next(
+        [k for k, v in enumerate(row) if v] for row in system.A if sum(map(bool, row)) > 1
+    )
+    a, b = support[:2]
+    planted = list(gens)
+    planted[a], planted[b] = clock, shift
+    yield "commutativity", system, GeneratorAssignment(tuple(planted), j)
+    violated = LCS(system.d, system.A, (system.b[0] + 1,) + system.b[1:])
+    yield "constraints", violated, assignment
+
+
+def _checker_cases():
+    rng = random.Random(2630)
+    for p in (3, 5):
+        for trial in range(12):
+            style = ("central", "diagonal", "cyclic")[trial % 3]
+            system, assignment = verify._random_solution_instance(rng, p, style)
+            yield system, assignment
+            yield system, GeneratorAssignment(
+                tuple(phi(g) for g in assignment.generators), phi(assignment.j)
+            )
+    fixtures = mermin_fixtures()
+    yield fixtures.square, fixtures.square_assignment
+
+
+def test_checker_equals_the_row_fold_reference_on_solutions_and_planted_failures():
+    planted = 0
+    for system, assignment in _checker_cases():
+        report = check_solution_conditions(system, assignment)
+        assert report.is_quantum_solution
+        assert report == fold_check_solution_conditions(system, assignment)
+        if not any(sum(map(bool, row)) > 1 for row in system.A):
+            continue
+        for kind, bad_system, bad in _planted_failures(system, assignment):
+            report = check_solution_conditions(bad_system, bad)
+            assert not getattr(report, kind)
+            assert report == fold_check_solution_conditions(bad_system, bad)
+            planted += 1
+    assert planted >= 60
+
+
+def test_assignment_refuses_a_mix_of_tensors_and_heisenberg_weyl_elements():
+    t = TensorElement.scalar(Phase.omega(3), 1)
+    h = HWElement.scalar(Phase.omega(3), 1)
+    for gens, j in (((t, h), t), ((t,), h), ((h, h), t)):
+        with pytest.raises(TypeError, match="all tensors or all Heisenberg-Weyl"):
+            GeneratorAssignment(gens, j)
+    GeneratorAssignment((h, h), h)
+    GeneratorAssignment((t, t), t)

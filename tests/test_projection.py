@@ -20,7 +20,13 @@ from lcsmbqc import (
     value_map_nu,
 )
 from lcsmbqc import cyclo
-from lcsmbqc.errors import EvenPrimeError, LevelError, NonTorsionError
+from lcsmbqc.errors import (
+    EvenPrimeError,
+    LevelError,
+    NonTorsionError,
+    PrimeMismatchError,
+    ShapeMismatchError,
+)
 from lcsmbqc.phase_fn import modinv
 from lcsmbqc.verify import (
     _remark_pair,
@@ -30,6 +36,7 @@ from lcsmbqc.verify import (
 )
 
 from exact_matrix import MonomialMatrix
+from fold_products import fold_hw_product
 
 
 # ---------------------------------------------------------------------------
@@ -529,3 +536,31 @@ def test_normal_form_arithmetic_builds_no_phase(monkeypatch):
     assert built == []
     forms[0].to_json()  # the JSON edge does build the scalar, and is counted
     assert built
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hw_product_of_powers_equals_the_left_fold(p):
+    rng = random.Random(2620 + p)
+    forms = list(_normal_forms(p, rng))
+    by_sites = {n: [h for h in forms if h.n_sites == n] for n in (1, 2, 3)}
+    for n_sites, group in by_sites.items():
+        for _ in range(30):
+            factors = [
+                (rng.choice(group), rng.randrange(-2 * p, 2 * p + 1))
+                for _ in range(rng.randrange(5))
+            ]
+            product = HWElement.product_of_powers(p, n_sites, factors)
+            assert product == fold_hw_product(p, n_sites, factors)
+            dense = hw_to_matrix(HWElement.identity(p, n_sites))
+            for h, n in factors:
+                dense = dense * hw_to_matrix(h) ** n
+            assert hw_to_matrix(product) == dense
+    assert HWElement.product_of_powers(p, 2, []) == HWElement.identity(p, 2)
+
+
+def test_hw_product_of_powers_refuses_mismatched_factors():
+    h = HWElement(Phase.omega(3), (1,), (1,))
+    with pytest.raises(PrimeMismatchError):
+        HWElement.product_of_powers(5, 1, [(h, 1)])
+    with pytest.raises(ShapeMismatchError):
+        HWElement.product_of_powers(3, 2, [(h, 1)])
