@@ -356,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_lcs)
     check = lcs_sub.add_parser("check")
     check.add_argument("--lcs", required=True)
-    check.add_argument("--x", default=None)
-    check.add_argument("--assignment", default=None)
+    candidate = check.add_mutually_exclusive_group(required=True)
+    candidate.add_argument("--x", default=None)
+    candidate.add_argument("--assignment", default=None)
     check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_lcs)
     from_mbqc = lcs_sub.add_parser("from-mbqc")
@@ -389,12 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        getattr(args, "lcs_command", None) == "check"
-        and args.x is None
-        and args.assignment is None
-    ):
-        parser.error("lcs check needs --x or --assignment")
     if getattr(args, "name", "qudit-star") != "qudit-star" and args.p is not None:
         # the qubit fixtures are fixed at p = 2
         command = "mbqc demo" if args.command == "mbqc" else "demo"

@@ -8,12 +8,13 @@ the closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).
 
 The table xi is a ``PhaseFunction`` of integer exponents, so the group law
 is a rotation plus an addition mod p^m.  A power is one summed pass over
-rotated exponent lists, and a commutator is one integer row
-(``_commutator_row``) at a common level, canonicalised once; a single-site
-scalar commutant, the commutation test of the subgroup search and
-``ktensor``'s tensor commutator scalars are read off the same rows, with no
-commutator element built.  Only the public constructor checks det == 1; the
-closed operations build their results without that check.
+rotated exponent lists, an inverse is the -1st power, and a commutator is
+one integer row at a common level, canonicalised once; the scalar commutant
+is read off the same row with no commutator element built, and it answers
+every commutation question: the subgroup search's, and ``ktensor``'s, whose
+tensor commutants are sums of site commutants.  Only the public constructor
+checks det == 1; the closed operations build their results without that
+check.
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ def _element(xi: PhaseFunction, b: int) -> KElement:
     _set(out, "xi", xi)
     _set(out, "b", b)
     return out
-
-
-def _commutator_row(x: Sequence[int], b: int, y: Sequence[int], c: int) -> list[int]:
-    """The exponents x[q] + y[q - b] - x[q - c] - y[q] of the commutator of
-    the sites (xi, b) and (eta, c), whose exponents x and y are read at one
-    level; the commutator is that table at that level."""
-    return [a + bb - cc - d for a, bb, cc, d in zip(x, rotate(y, -b), rotate(x, -c), y)]
 
 
 def summed_rotations(exps: Sequence[int], b: int, n: int) -> list[int]:
@@ -118,7 +112,7 @@ class KElement:
         return _element(self.xi * other.xi.shift(self.b), (self.b + other.b) % self.p)
 
     def inverse(self) -> KElement:
-        return _element(self.xi.inverse().shift(-self.b), -self.b % self.xi.p)
+        return self**-1
 
     def __pow__(self, n: int) -> KElement:
         """Closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb), summed in
@@ -132,12 +126,15 @@ class KElement:
         return _element(canonical_table(p, xi.m, summed_rotations(xi.exps, b, n % p)), n * b % p)
 
     def _commutator_at_common_level(self, other: KElement) -> tuple[int, list[int]]:
-        """The common level L of both tables and the commutator row at L."""
+        """The common level L of both tables and the commutator row at L: the
+        exponents x[q] + y[q - b] - x[q - c] - y[q] of [(xi, b), (eta, c)],
+        with x and y the exponents of xi and eta read at L."""
         if self.p != other.p:
             raise PrimeMismatchError("commutator needs matching primes")
         level = max(self.xi.m, other.xi.m)
         x, y = at_level(self.xi, level), at_level(other.xi, level)
-        return level, _commutator_row(x, self.b, y, other.b)
+        b, c = self.b, other.b
+        return level, [a + bb - cc - d for a, bb, cc, d in zip(x, rotate(y, -b), rotate(x, -c), y)]
 
     def commutator(self, other: KElement) -> KElement:
         """[self, other] = M N M^-1 N^-1; always diagonal, with table

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclo import Phase, reduced_phase
 from .errors import LevelError, PrimeMismatchError, ShapeMismatchError
-from .kgroup import KElement, _commutator_row, _element, summed_rotations
+from .kgroup import KElement, _element, summed_rotations
 from .phase_fn import at_level, canonical_table, digit_row, modinv, rotate, row_coefficient
 
 _new = object.__new__
@@ -138,7 +138,7 @@ class TensorElement:
         return TensorElement.product_of_powers(self.p, len(self.sites), ((self, 1), (other, 1)))
 
     def inverse(self) -> TensorElement:
-        return _tensor(self.global_phase.inverse(), tuple(s.inverse() for s in self.sites))
+        return self**-1
 
     def __pow__(self, n: int) -> TensorElement:
         return TensorElement.product_of_powers(self.p, len(self.sites), ((self, n),))
@@ -159,33 +159,22 @@ class TensorElement:
             acc = acc * s
         return acc
 
-    def commutator_scalar(self, other: TensorElement) -> Optional[Phase]:
-        """The scalar value of [self, other] when it is a multiple of the
-        identity (a power of omega when it exists), else None.  Each site's
-        commutator row is read at the common level L of both tensors; the
-        scalar is the sum of the rows' constants mod p^L, and the first row
-        that is not constant mod p^L gives None."""
+    def commutator_exponent(self, other: TensorElement) -> Optional[int]:
+        """c with [self, other] == omega^c, or None when it is not a scalar.
+        The commutator is the tensor of the site commutators, a scalar
+        exactly when every site's is, and then omega to the sum of the
+        sites' ``scalar_commutant``s."""
         self._check_shape(other)
-        p = self.p
-        level = max(s.xi.m for s in self.sites + other.sites)
-        pl = p**level
         total = 0
         for s, t in zip(self.sites, other.sites):
-            row = _commutator_row(at_level(s.xi, level), s.b, at_level(t.xi, level), t.b)
-            if len({e % pl for e in row}) > 1:
+            c = s.scalar_commutant(t)
+            if c is None:
                 return None
-            total += row[0]
-        return reduced_phase(p, level, total)
-
-    def commutator_exponent(self, other: TensorElement) -> Optional[int]:
-        scalar = self.commutator_scalar(other)
-        if scalar is None:
-            return None
-        return scalar.as_omega_power()
+            total += c
+        return total % self.p
 
     def commutes_with(self, other: TensorElement) -> bool:
-        c = self.commutator_scalar(other)
-        return c is not None and c.is_one()
+        return self.commutator_exponent(other) == 0
 
     def is_p_torsion(self) -> bool:
         """E^p == identity, decided from the integer exponents at every level.

@@ -26,8 +26,8 @@ from .errors import (
 )
 from .kgroup import KElement
 from .ktensor import TensorElement
-from .mbqc import MbqcSpec, OutputTable, _row_sums, _settings
-from .phase_fn import PhaseFunction, at_level, modinv, rotate
+from .mbqc import MbqcSpec, OutputTable, _row_sums, _settings, ghz_branch_exponents
+from .phase_fn import PhaseFunction, modinv
 from .projection import HWElement, PROOF, phi, value_map_nu
 
 
@@ -314,32 +314,15 @@ def check_solution_conditions(
 
 
 def commute_on_ghz(e1: TensorElement, e2: TensorElement) -> bool:
-    """Whether (E E') and (E' E) act identically on the GHZ state, decided by
-    comparing exact branch phases of both products.
-
-    Both products send the branch |q>^(x)N to the same basis state; per site
-    with E = S_xi X^b and E' = S_eta X^c, E E' picks up eta(q + c) xi(q + b + c)
-    and E' E picks up xi(q + b) eta(q + b + c), and the global phases agree.
-    So the products are compared as exponent sums at one common level.  With
-    every shift 1 the difference is H(E') - H(E) for the signature H(E)[q] =
-    sum_s xi_s(q + 1) - xi_s(q + 2): equal signatures mod p^level."""
+    """Whether E E' and E' E act identically on the GHZ state.  Both send
+    the branch |q>^(x)N to the same basis state, distinct for distinct q, so
+    they agree on GHZ exactly when their branch exponents
+    (``ghz_branch_exponents``) agree.  The products may sit at different
+    levels, so the turns y / p^l are compared cross-multiplied."""
     if e1.p != e2.p or e1.n_sites != e2.n_sites:
         raise ShapeMismatchError("operands must share prime and site count")
-    p = e1.p
-    level = max(site.xi.m for site in e1.sites + e2.sites)
-    diff = [0] * p
-    for s1, s2 in zip(e1.sites, e2.sites):
-        x = at_level(s1.xi, level)
-        y = at_level(s2.xi, level)
-        b, c = s1.b, s2.b
-        diff = [
-            d + y1 + x1 - x2 - y2
-            for d, y1, x1, x2, y2 in zip(
-                diff, rotate(y, c), rotate(x, b + c), rotate(x, b), rotate(y, b + c)
-            )
-        ]
-    pl = p**level
-    return all(d % pl == 0 for d in diff)
+    (l1, y1), (l2, y2) = ghz_branch_exponents(e1 * e2), ghz_branch_exponents(e2 * e1)
+    return [y * e1.p**l2 for y in y1] == [y * e1.p**l1 for y in y2]
 
 
 def lcs_from_mbqc(spec: MbqcSpec, table: OutputTable) -> LCS:
@@ -399,10 +382,15 @@ def measurement_family_report(spec: MbqcSpec, table: OutputTable) -> Measurement
     """The flags read from the row exponents, every shift being 1: a row is
     torsion iff its determinants multiply to 1, matches o iff its site sum is
     the constant omega^o, and all pairs commute on GHZ iff the p^n signatures
-    H[q] = sum_s e_s(q + 1) - e_s(q + 2) agree mod p^L (see ``commute_on_ghz``).
-    The witness is the first pair in ``itertools.combinations`` order that
-    fails exact commutation on the object API; its p^{2n}/2 pairs are
-    refused over the enumeration budget beforehand."""
+    H[q] = sum_s e_s(q + 1) - e_s(q + 2) agree mod p^L.  For the last, with
+    E = (x)_s S_xi_s X and E' = (x)_s S_eta_s X: E E' and E' E take the branch
+    |q>^(x)N to |q + 2>^(x)N, with the factor eta_s(q + 1) xi_s(q + 2) at site
+    s for E E' and xi_s(q + 1) eta_s(q + 2) for E' E, and equal global
+    phases; so their branch exponents differ by H(E')[q] - H(E)[q] (the
+    object-API oracle is ``commute_on_ghz``).  The witness is the first pair
+    in ``itertools.combinations`` order that fails exact commutation on the
+    object API; its p^{2n}/2 pairs are refused over the enumeration budget
+    beforehand."""
     import numpy as np  # on first use, like ``mbqc._row_sums``
     n_rows = spec.p**spec.n_inputs
     if (table.p, table.n_inputs, len(table.outputs)) != (spec.p, spec.n_inputs, n_rows):

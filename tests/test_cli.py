@@ -350,12 +350,22 @@ def test_an_unwritable_out_path_is_not_called_an_input_file(tmp_path, capsys):
     assert "input" not in err.replace(str(out), "")
 
 
-def test_check_requires_candidate_or_assignment(tmp_path):
+def test_check_requires_candidate_or_assignment(tmp_path, capsys):
+    """``lcs check`` takes exactly one of --x and --assignment; given both,
+    it exits 2 before it reads either (the assignment file does not
+    exist)."""
     system_file = tmp_path / "system.json"
     system_file.write_text(json.dumps({"d": 3, "A": [[1]], "b": [0]}))
-    with pytest.raises(SystemExit) as exc:
-        run(["lcs", "check", "--lcs", str(system_file)])
-    assert exc.value.code == 2
+    check = ["lcs", "check", "--lcs", str(system_file)]
+    both = ["--x", "0", "--assignment", str(tmp_path / "missing.json")]
+    for extra, message in (
+        ([], "one of the arguments --x --assignment is required"),
+        (both, "argument --assignment: not allowed with argument --x"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(check + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def _non_torsion_tensor():

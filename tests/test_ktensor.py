@@ -102,11 +102,7 @@ def test_shape_and_prime_guards():
         TensorElement.of_sites([X()]) * TensorElement.of_sites([X(), X()])
     with pytest.raises(PrimeMismatchError):
         TensorElement(Phase.one(5), [X()])
-    for fn in (
-        TensorElement.commutator_scalar,
-        TensorElement.commutator_exponent,
-        TensorElement.commutes_with,
-    ):
+    for fn in (TensorElement.commutator_exponent, TensorElement.commutes_with):
         with pytest.raises(PrimeMismatchError):
             fn(TensorElement.of_sites([X(3)]), TensorElement.of_sites([X(5)]))
         with pytest.raises(ShapeMismatchError):
@@ -142,7 +138,7 @@ def test_commutator_nonscalar_reports_none():
     assert m1.commutator_exponent(m2) is None
 
 
-def _commutator_scalar_cases(rng, p):
+def _commutator_cases(rng, p):
     """Tensor pairs of 1-3 sites at levels 1 and 2, mostly built from
     scalar-commuting site pairs; a site pair of two random elements makes
     the commutator non-scalar (in most draws) at that site."""
@@ -162,13 +158,13 @@ def _commutator_scalar_cases(rng, p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_commutator_scalar_equals_the_tensor_commutator(p):
-    """``commutator_scalar`` reads integer rows; the tensor commutator's
-    ``as_scalar`` is the reference, and so are the flags read from it."""
+def test_commutator_exponent_equals_the_tensor_commutator(p):
+    """``commutator_exponent`` sums the sites' scalar commutants; the tensor
+    commutator's ``as_scalar`` is the reference, and so are the flags read
+    from it."""
     outcomes, mixed_levels = set(), 0
-    for e, f in _commutator_scalar_cases(random.Random(p), p):
+    for e, f in _commutator_cases(random.Random(p), p):
         want = e.commutator(f).as_scalar()
-        assert e.commutator_scalar(f) == want
         assert e.commutator_exponent(f) == (None if want is None else want.as_omega_power())
         assert e.commutes_with(f) == (want is not None and want.is_one())
         outcomes.add(None if want is None else want.is_one())

@@ -37,10 +37,11 @@ from lcsmbqc.lcs import (
     null_space,
     row_reduce,
 )
-from lcsmbqc.mbqc import MbqcSpec, OutputTable, SiteSpec, ghz_evaluate
+from lcsmbqc.mbqc import MbqcSpec, OutputTable, SiteSpec, ghz_branch_exponents, ghz_evaluate
 from lcsmbqc.phase_fn import modinv
 from lcsmbqc.projection import HWElement, phi, value_map_nu
 
+from exact_matrix import MonomialMatrix
 from fold_products import fold_hw_product, fold_tensor_product
 from random_specs import random_specs, random_torus_table
 
@@ -416,6 +417,86 @@ def test_star_operators_commute_on_ghz_only():
     r, s = ops[1], ops[3]
     assert commute_on_ghz(r, s)
     assert not r.commutes_with(s)
+
+
+def _ghz_image(matrix, p, n_sites):
+    """The image of the unnormalised GHZ vector sum_q |q>^(x)N under a
+    monomial matrix, as {basis index: coefficient}."""
+    branches = [sum(q * p**k for k in range(n_sites)) for q in range(p)]
+    return {matrix.perm[c]: matrix.phases[c] for c in branches}
+
+
+def _site_pairs(rng, p, n_sites, exact=False):
+    """Site pairs at levels 1 and 2 with any shifts: scalar-commuting ones
+    (exactly commuting with ``exact``) or, half the time, two random
+    elements."""
+    left, right = [], []
+    while len(left) < n_sites:
+        m = rng.choice((1, 2))
+        if exact or rng.random() < 0.5:
+            a, b, c = verify.random_scalar_commuting_site_pair(rng, p, m)
+            if exact and c:
+                continue
+        else:
+            a, b = (verify.random_k_element(rng, p, m) for _ in range(2))
+        left.append(a)
+        right.append(b)
+    return left, right
+
+
+def _ghz_commutation_cases(rng, p):
+    """Tensor pairs with nonzero global phases: 1-3 random site pairs, or two
+    star rows (which commute on GHZ, not always exactly) with an exactly
+    commuting site pair appended."""
+    star = qudit_star_spec(p)
+    inputs = list(star.inputs())
+    for k in range(90):
+        if k % 3:
+            left, right = _site_pairs(rng, p, rng.randrange(1, 4))
+        else:
+            rows = [star.row_operator(rng.choice(inputs)).sites for _ in range(2)]
+            extra = _site_pairs(rng, p, 1, exact=True)
+            left, right = (list(r) + e for r, e in zip(rows, extra))
+        yield (
+            TensorElement(Phase(p, 2, rng.randrange(1, p * p)), left),
+            TensorElement(Phase(p, 1, rng.randrange(1, p)), right),
+        )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_commute_on_ghz_matches_the_monomial_matrices(p):
+    """``commute_on_ghz`` against the exact matrices of E E' and E' E applied
+    to the GHZ vector."""
+    outcomes, shifts, levels = set(), set(), set()
+    for e, f in _ghz_commutation_cases(random.Random(2700 + p), p):
+        me, mf = MonomialMatrix.from_tensor(e), MonomialMatrix.from_tensor(f)
+        want = _ghz_image(me * mf, p, e.n_sites) == _ghz_image(mf * me, p, e.n_sites)
+        assert commute_on_ghz(e, f) == want
+        outcomes.add((want, e.commutes_with(f)))
+        shifts |= {s.b for s in e.sites + f.sites}
+        levels |= {s.xi.m for s in e.sites + f.sites}
+    assert outcomes == {(True, True), (True, False), (False, False)}
+    assert shifts == set(range(p)) and {1, 2} <= levels
+
+
+def test_commute_on_ghz_reads_products_at_different_levels():
+    """With E = S_eta (x) S_eta^-1 at level 2 and E' = omega (X (x) X) E^-1,
+    E' E = omega X (x) X sits at level 1 while E E' conjugates X (x) X by E
+    and sits at level 2; they still agree on GHZ."""
+    eta = KElement(PhaseFunction.from_exponents(3, 2, (1, 2, 6)), 0)
+    e = TensorElement.of_sites([eta, eta.inverse()])
+    f = TensorElement(Phase.omega(3), [KElement.shift(3)] * 2) * e.inverse()
+    assert (ghz_branch_exponents(e * f)[0], ghz_branch_exponents(f * e)[0]) == (2, 1)
+    assert commute_on_ghz(e, f) and commute_on_ghz(f, e)
+    assert not e.commutes_with(f)
+
+
+def test_commute_on_ghz_refuses_mismatched_operands():
+    three = TensorElement.of_sites([KElement.shift(3)])
+    with pytest.raises(ShapeMismatchError):
+        commute_on_ghz(three, TensorElement.of_sites([KElement.shift(5)]))
+    with pytest.raises(ShapeMismatchError):
+        commute_on_ghz(three, TensorElement.of_sites([KElement.shift(3)] * 2))
 
 
 def test_lcs_from_mbqc_qubit_star_matches_displayed_system():
