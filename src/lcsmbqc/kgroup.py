@@ -50,12 +50,30 @@ def _element(xi: PhaseFunction, b: int) -> KElement:
 
 
 def summed_rotations(exps: Sequence[int], b: int, n: int) -> list[int]:
-    """sum_{i<n} exps[q - i b] for each q: the exponents, unreduced, of
-    (xi, b)^n for n >= 0 when xi has exponents ``exps``."""
-    acc = list(exps) if n else [0] * len(exps)
+    """sum_{i<n} exps[q - i b] for each q: the exponents of (xi, b)^n, n >= 0,
+    exact mod p^L when ``exps`` are a det-1 table's at level L.  For b != 0
+    the p rotations by multiples of b sum to det(xi) = 1, 0 mod p^L, so n
+    is taken mod p and, when 2n > p, the row is minus the other p - n."""
+    p = len(exps)
+    if b % p:
+        n %= p
+        if 2 * n > p:
+            return [-e for e in summed_rotations(rotate(exps, -n * b), b, p - n)]
+    acc = list(exps) if n else [0] * p
     for i in range(1, n):
         acc = list(map(add, acc, rotate(exps, -i * b)))
     return acc
+
+
+def summed_rotation_rows(x, b, y):
+    """Row by row, sum_{i<y} x[q - i b] for 0 <= y < p, unreduced:
+    ``summed_rotations`` on integer arrays, numpy loaded on the first call."""
+    import numpy as np
+
+    p = x.shape[1]
+    q, rows = np.arange(p), np.arange(len(x))[:, None]
+    rotated = (x[rows, (q - i * b[:, None]) % p] for i in range(p - 1))
+    return sum(np.where(i < y[:, None], row, 0) for i, row in enumerate(rotated))
 
 
 class KElement:

@@ -17,10 +17,12 @@ Two variants of that scalar are implemented:
 Normal forms are integers: the scalar as its exponent mod p^2 (the carry
 level of ``proof``), the Z and X exponents mod p.  A ``Phase`` is built
 only where the scalar is read; ``HWElement.product_of_powers`` folds an
-ordered word of closed-form powers the same way.  One routine gives the image of a site with
-shift 0 or 1 from base-p digits (no ``decompose``); larger shifts go through
-a power.  The torsion test of ``phi`` is ``TensorElement.is_p_torsion``,
-which reads the sites' integer exponents at every level.
+ordered word of closed-form powers the same way.  One routine gives the
+image of a site with shift 0 or 1 from base-p digits (no ``decompose``);
+larger shifts go through a power.  ``site_image_rows`` is that rule on
+integer arrays of site rows, as ``verify``'s index tables hold them.  The
+torsion test of ``phi`` is ``TensorElement.is_p_torsion``, which reads the
+sites' integer exponents at every level.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .errors import (
     PrimeMismatchError,
     ShapeMismatchError,
 )
-from .kgroup import KElement, structural_p_torsion
+from .kgroup import KElement, structural_p_torsion, summed_rotation_rows
 from .ktensor import TensorElement
-from .phase_fn import PhaseFunction, at_level, digit_row, modinv, row_coefficient
+from .phase_fn import PhaseFunction, _lagrange_basis, at_level, digit_row, modinv, row_coefficient
 
 PROOF = "proof"
 DISPLAYED = "displayed"
@@ -218,6 +220,37 @@ def _site_image(xi: PhaseFunction, b: int, variant: str) -> HWElement:
         )
     e = p * theta10 + theta20 if variant == PROOF else p * ((theta10 + theta20) % p)
     return _hw(p, e, (theta11,), (0,))
+
+
+def site_image_rows(p: int, m: int, exps, b, variant: str):
+    """(defined, s2, a, b) arrays of the single-site projection of the rows
+    (exps[k], b[k]), det-1 exponents at level m >= 1 and shifts in Z_p, with
+    no element built: s2 the scalar exponent at level p^2, a/b the
+    clock/shift exponents, all 0 where undefined.  Row by row this is
+    ``r_map`` or ``phi_local``: a shift b >= 2 is the b-th power of the
+    image of its unit-shift power, and a diagonal is undefined where
+    ``_site_image`` raises ``LevelError`` (on det 1, where its p-th power is
+    not central).  numpy is loaded on the first call."""
+    import numpy as np
+
+    _check_variant(variant)
+    if p == 2:
+        raise EvenPrimeError("single-site projection is defined for odd primes")
+    x, b = np.asarray(exps, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    # eta: the exponents of (xi, b)^y, y = b^-1 mod p (y = 1 for b = 0)
+    eta = summed_rotation_rows(x, b, np.array([1] + [modinv(k, p) for k in range(1, p)])[b])
+    level1 = eta % p**m // p ** (m - 1)
+    theta10, theta11 = level1[:, 0], level1 @ _lagrange_basis(p)[1] % p
+    level = max(2, m)
+    ys, low = x * p ** (level - m), p ** (level - 1)
+    theta20, rest = np.divmod(ys[:, 0] % low, p ** (level - 2))
+    shape = (rest == 0) & ((ys - ys[:, :1]) % low == 0).all(axis=1)
+    diag = p * theta10 + theta20 if variant == PROOF else p * ((theta10 + theta20) % p)
+    power = (b * p * theta10 - p * theta11 * (b * (b - 1) // 2)) % (p * p)
+    ok = (b != 0) | shape
+    s2 = np.where(b != 0, power, diag * shape).astype(np.int32)
+    a = np.where(b != 0, b * theta11 % p, theta11 * shape).astype(np.int16)
+    return ok, s2, a, b.astype(np.int16)
 
 
 def r_map(xi: PhaseFunction, variant: str = PROOF) -> HWElement:

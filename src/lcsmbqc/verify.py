@@ -2,17 +2,17 @@
 
 Exhaustive sweeps over a group run on integer index tables (``KGroupTable``)
 built from integers: an element's index is a closed form of its exponents
-and shift, and the exponent rows, the p-th powers and the projection
-images (``phi_data``) are closed forms on those integers.  The
-scalar-commuting pairs of every suite come from one self-join on exponents
-(``scalar_pairs``), and the products of those pairs from ``index_of`` on
-summed exponents, so the exhaustive homomorphism law needs no Cayley table
-and no object-API element; the Cayley table serves the lemma1 suite and the
-tests, and no other suite builds an n x n array.  The homomorphism law is
-decided exhaustively for every site count from flat pair rows
-(``_phi_pair_rows``): cyclic convolutions of per-key defect histograms
-count the commuting torsion pairs and their failures, and no tuple of sites
-is listed.
+and shift, the exponent rows and p-th powers are closed forms on those
+integers, and the projection images (``phi_data``) are
+``projection.site_image_rows`` on those rows.  Every suite's
+scalar-commuting pairs come from one self-join on exponents
+(``scalar_pairs``), and their products from ``index_of`` on summed
+exponents, so the exhaustive homomorphism law needs no Cayley table and no
+object-API element; only the lemma1 suite and the tests build an n x n
+array.  That law is decided for every site count from flat pair rows in
+row-major (i, j) order (``_phi_pair_rows``): cyclic convolutions of
+per-key defect histograms count the commuting torsion pairs and their
+failures, and no tuple of sites is listed.
 Randomized suites draw from seeded generators, so re-running a suite with
 the same configuration reproduces it bit for bit.  One loop draws the
 integers of site pairs into flat columns of kinds, head exponents, shifts,
@@ -51,6 +51,7 @@ from .kgroup import (
     kgroup_order_exponent,
     maximal_p_torsion_abelian,
     structural_p_torsion,
+    summed_rotation_rows,
 )
 from .ktensor import (
     TensorElement,
@@ -68,15 +69,8 @@ from .lcs import (
     reduce_to_classical,
     solve_classical,
 )
-from .phase_fn import LevelCoefficients, PhaseFunction, _lagrange_basis, at_level, digit_row, modinv
-from .projection import (
-    DISPLAYED,
-    PROOF,
-    HWElement,
-    _check_variant,
-    even_prime_counterexample,
-    phi,
-)
+from .phase_fn import LevelCoefficients, PhaseFunction, at_level, digit_row, modinv
+from .projection import DISPLAYED, PROOF, HWElement, even_prime_counterexample, phi, site_image_rows
 
 
 class _NumpyOnFirstUse:
@@ -288,52 +282,10 @@ class KGroupTable:
         return self._mul
 
     def phi_data(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(defined, s2, a, b) arrays of the single-site projection: s2 is the
-        scalar exponent at level p^2, a/b the clock/shift exponents, all 0
-        where undefined.  They follow ``phi_local`` on ``exps`` and ``b``, and
-        no element is built.  A shift b >= 2 maps to the b-th power of the
-        image of its unit-shift power (b^-1 factors, exponents summed over
-        exps[q - i b]); every site reads its level-1 digit row, theta_{1,0}
-        its first digit and theta_{1,1} its Lagrange coefficient.  A diagonal
-        adds its level-2 constant, read at level max(2, m); it is undefined
-        outside that shape, the ``LevelError`` of ``_site_image``, which on a
-        det-1 diagonal is where its p-th power is not central."""
+        """``site_image_rows`` on ``exps`` and ``b``, kept per variant."""
         if variant not in self._phi:
-            _check_variant(variant)
-            p, m = self.p, self.m
-            if p == 2:
-                raise EvenPrimeError("single-site projection is defined for odd primes")
-            x, b = self.exps.astype(np.int64), self.b.astype(np.int64)
-            # eta: the exponents of (xi, b)^y, y = b^-1 mod p (y = 1 for b = 0)
-            eta = _rotation_sums(x, b, np.array([1] + [modinv(k, p) for k in range(1, p)])[b])
-            level1 = eta % self.pm // p ** (m - 1)
-            theta10, theta11 = level1[:, 0], level1 @ _lagrange_basis(p)[1] % p
-            level = max(2, m)
-            ys = x * p ** (level - m)
-            low = p ** (level - 1)
-            theta20, rest = np.divmod(ys[:, 0] % low, p ** (level - 2))
-            shape = (rest == 0) & ((ys - ys[:, :1]) % low == 0).all(axis=1)
-            diag = p * theta10 + theta20 if variant == PROOF else p * ((theta10 + theta20) % p)
-            power = (b * p * theta10 - p * theta11 * (b * (b - 1) // 2)) % (p * p)
-            ok = (b != 0) | shape
-            s2 = np.where(b != 0, power, diag)
-            a = np.where(b != 0, b * theta11 % p, theta11)
-            self._phi[variant] = (
-                ok,
-                np.where(ok, s2, 0).astype(np.int32),
-                np.where(ok, a, 0).astype(np.int16),
-                np.where(ok, b, 0).astype(np.int16),
-            )
+            self._phi[variant] = site_image_rows(self.p, self.m, self.exps, self.b, variant)
         return self._phi[variant]
-
-
-def _rotation_sums(x: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row by row, sum_{i<y} x[q - i b]: ``kgroup.summed_rotations`` on
-    arrays, the exponents (unreduced) of (x, b)^y for 0 <= y < p."""
-    p = x.shape[1]
-    q, rows = np.arange(p), np.arange(len(x))[:, None]
-    rotated = (x[rows, (q - i * b[:, None]) % p] for i in range(p - 1))
-    return sum(np.where(i < y[:, None], row, 0) for i, row in enumerate(rotated))
 
 
 def _refuse_cayley_table(p: int, m: int) -> None:
@@ -881,20 +833,14 @@ def _phi_pair_rows(table: KGroupTable, variant: str) -> tuple[np.ndarray, ...]:
     the clock and shift parts of phi(i) phi(j); ``defect`` is the level-2
     scalar defect mod p^2.  The product of (x, b) and (y, b') has exponents
     x[q] + y[q - b] mod p^m and shift b + b', and its index comes from
-    ``index_of``.  Rows are listed key by key, keys in order of first
-    appearance in row-major order, and row-major within a key."""
+    ``index_of``.  Rows are the ``scalar_pairs`` rows with an incapable
+    element left out, so they stay in row-major (i, j) order."""
     p, pm = table.p, table.pm
     ok, s2, a, b = table.phi_data(variant)
     i, j, c = table.scalar_pairs
     keep = ok[i] & ok[j]
     i, j, c = i[keep], j[keep], c[keep]
     key = (c.astype(np.int32) * p + table.ppow[i]) * p + table.ppow[j]
-    # keys ranked by their first row; a stable sort keeps each key's rows in order
-    first = np.full(p**3, len(key))
-    np.minimum.at(first, key, np.arange(len(key)))
-    rank = np.argsort(np.argsort(first)).astype(np.min_scalar_type(p**3))
-    order = np.argsort(rank[key], kind="stable")
-    i, j, key = i[order], j[order], key[order]
     x, shift = table.exps.ravel(), table.b[i]
     head = np.zeros(len(i), dtype=np.int32)
     for q in range(p - 1):
@@ -915,9 +861,9 @@ def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int
     passes when every row is good and the defects sum to 0 mod p^2.  So the
     k-fold cyclic convolutions of the per-key row counts and of the good
     rows' defect histograms, read at 0, count the pairs decided and passed.
-    The first failure, in lexicographic order of rows per site, is found
-    site by site from the convolutions of the sites still open; no tuple is
-    listed."""
+    The first failure, in lexicographic order of the sites' rows, which are
+    row-major in (i, j), is found site by site from the convolutions of the
+    sites still open; no tuple is listed."""
     p, p2 = table.p, table.p**2
     if not table.phi_data(variant)[0][table.torsion].all():
         raise AssertionError("a torsion element left the projection domain")
@@ -986,7 +932,7 @@ def _site_pair_indices(
     x, b = head[shifted], b[shifted]
     x = np.concatenate([x, -x.sum(axis=1, keepdims=True) % pm], axis=1)
     x += (a[:, None] + s[:, None] * (q - b[:, None])) % p * scale
-    power = (_rotation_sums(x, b, y) + central[:, None] * scale) % pm
+    power = (summed_rotation_rows(x, b, y) + central[:, None] * scale) % pm
     i2[shifted] = table.index_of(power.T[:-1], y * b % p)
     return np.where(swapped, i2, i1), np.where(swapped, i1, i2), c
 
@@ -1016,10 +962,13 @@ def suite_phi(
     the negative controls.
 
     The randomized section always draws at p = 5, m = 2, whatever ``p`` and
-    ``m`` are; the report's config does not say so."""
+    ``m`` are; the report's config does not say so.  The law is stated for
+    odd primes, so p = 2 is refused before any table is built."""
     if n < 1:
         raise ValueError(f"a site count is positive; got {n}")
     _refuse_negative_samples(samples)
+    if p == 2:
+        raise EvenPrimeError("the homomorphism law needs an odd prime")
     checks = []
     table = group_table(p, m)
     torsion_idx = np.flatnonzero(table.torsion)

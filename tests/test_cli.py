@@ -443,13 +443,19 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):
 
 
 def test_even_prime_refusals_name_the_odd_prime_requirement(capsys):
-    """At p = 2 the commuting-pair classification and the symplectic law are
-    refused as even-prime input, not counted as failed laws, the symplectic
-    suite at every sample count."""
+    """At p = 2 the commuting-pair classification, the homomorphism law and
+    the symplectic law are refused as even-prime input, not counted as
+    failed laws, the homomorphism law before a table is admitted at any
+    level and the symplectic suite at every sample count."""
     assert run(["verify", "commuting-pairs", "--p", "2", "--m", "1"]) == 2
     assert capsys.readouterr().err.strip() == (
         "invalid input: EvenPrimeError: commuting-pair classification needs an odd prime"
     )
+    for m in ("1", "12"):
+        assert run(["verify", "phi", "--p", "2", "--m", m]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "invalid input: EvenPrimeError: the homomorphism law needs an odd prime"
+        )
     for samples in ([], ["--samples", "0"], ["--m", "3", "--samples", "0"]):
         assert run(["verify", "symplectic", "--p", "2", *samples]) == 2
         assert capsys.readouterr().err.strip() == (

@@ -265,6 +265,21 @@ def test_power_equals_repeated_products_on_shifted_samples(p, m):
             assert e**n == _repeated_product(e, n), (e, n)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_powers_at_p31_step_by_one_product(m):
+    """At p = 31 a power with 2 (n mod p) > p sums the other p - n mod p
+    rotations and negates them; each power is the one before it times the
+    element, from e^-p (the identity) on, so every such row is checked."""
+    p = 31
+    rng = random.Random(31 + m)
+    for _ in range(6):
+        e = random_k_element(rng, p, m, rng.randrange(1, p))
+        assert e**-p == KElement.identity(p)
+        for n in range(-p, 2 * p):
+            assert e**n == e ** (n - 1) * e, (e, n)
+        assert e * e.inverse() == KElement.identity(p)
+
+
 def test_subgroup_classification_qutrit_level2():
     report = maximal_p_torsion_abelian(3, 2)
     assert len(report.subgroups) == 28

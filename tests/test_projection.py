@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from lcsmbqc import (
@@ -27,7 +28,8 @@ from lcsmbqc.errors import (
     PrimeMismatchError,
     ShapeMismatchError,
 )
-from lcsmbqc.phase_fn import modinv
+from lcsmbqc.phase_fn import at_level, modinv
+from lcsmbqc.projection import site_image_rows
 from lcsmbqc.verify import (
     _remark_pair,
     random_capable_diagonal,
@@ -458,6 +460,36 @@ def test_sampled_site_images_equal_the_phase_reference(p, m, variant):
         if e.b == 0:
             expected = outcome(ref_r_map, e.xi, variant)
             assert outcome(lambda: triple(r_map(e.xi, variant))) == expected
+
+
+@pytest.mark.parametrize("variant", [PROOF, DISPLAYED])
+@pytest.mark.parametrize("p", [7, 11, 13])
+@pytest.mark.parametrize("m", [1, 2])
+def test_site_image_rows_equal_the_object_api_images(p, m, variant):
+    """``site_image_rows`` on 300 seeded rows with no table behind them:
+    each row is ``r_map`` of its diagonal or ``phi_local`` of its shifted
+    element, and undefined, with zero images, exactly where that raises
+    ``LevelError``.  At level 2 every third row is a torsion diagonal with a
+    random level-2 constant; the other level-2 diagonals almost all fall
+    outside the shape, and at level 1 every row is defined."""
+    rng = random.Random(59 * p + m)
+    elements = [
+        random_capable_diagonal(rng, p) if m == 2 and k % 3 == 0 else random_k_element(rng, p, m)
+        for k in range(300)
+    ]
+    exps, shifts = [at_level(e.xi, m) for e in elements], [e.b for e in elements]
+    defined, s2, a, b = site_image_rows(p, m, exps, shifts, variant)
+    assert [x.dtype for x in (defined, s2, a, b)] == [bool, np.int32, np.int16, np.int16]
+    undefined = 0
+    for k, e in enumerate(elements):
+        try:
+            image = r_map(e.xi, variant) if e.b == 0 else phi_local(e, variant)
+        except LevelError:
+            undefined += 1
+            assert not defined[k] and (s2[k], a[k], b[k]) == (0, 0, 0), e
+            continue
+        assert defined[k] and (s2[k], a[k], b[k]) == (image.e, image.a[0], image.b[0]), e
+    assert (undefined > 0) == (m == 2)
 
 
 @pytest.mark.parametrize("variant", [PROOF, DISPLAYED])

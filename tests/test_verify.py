@@ -613,11 +613,17 @@ def test_phi_data_diagonal_shape_is_a_central_pth_power(p, m, capable):
 
 
 def test_phi_data_refuses_an_even_prime_and_an_unknown_variant():
-    table = verify.KGroupTable(2, 1)
-    with pytest.raises(EvenPrimeError, match="single-site projection is defined for odd primes"):
-        table.phi_data(PROOF)
-    with pytest.raises(ValueError, match="unknown variant"):
-        verify.KGroupTable(3, 1).phi_data("affine")
+    """The table's method and the row rule it calls refuse alike."""
+    even_prime = "single-site projection is defined for odd primes"
+    cases = [
+        (verify.KGroupTable(2, 1), PROOF, EvenPrimeError, even_prime),
+        (verify.KGroupTable(3, 1), "affine", ValueError, "unknown variant"),
+    ]
+    for table, variant, error, message in cases:
+        with pytest.raises(error, match=message):
+            table.phi_data(variant)
+        with pytest.raises(error, match=message):
+            projection.site_image_rows(table.p, table.m, table.exps, table.b, variant)
 
 
 def test_phi_suite_projects_no_one_site_tensor(monkeypatch):
@@ -643,15 +649,16 @@ class _Group(NamedTuple):
 
 
 def _row_groups(rows, p):
-    """The pair rows of ``verify._phi_pair_rows`` regrouped by key, keys in
-    listed order; checks that each key's rows are one run."""
-    i, j, key, good, defect = rows
+    """The pair rows of ``verify._phi_pair_rows`` grouped by key, keys in
+    increasing order, by a stable sort that keeps each key's rows in listed
+    order."""
+    order = np.argsort(rows[2], kind="stable")
+    i, j, key, good, defect = (column[order] for column in rows)
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     groups = {}
     for lo, hi in zip(starts, [*starts[1:], len(key)]):
         k = int(key[lo])
         group_key = (k // (p * p), k // p % p, k % p)
-        assert group_key not in groups, "a key's rows are not listed together"
         groups[group_key] = _Group(np.stack([i[lo:hi], j[lo:hi]], axis=1), good[lo:hi], defect[lo:hi])
     return groups
 
@@ -729,10 +736,15 @@ def test_two_site_histogram_count_equals_per_quadruple_sweep(variant):
 
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
 def test_pair_groups_follow_the_row_major_listing(p, m):
+    """The pair rows are the capable scalar-commuting pairs in row-major
+    (i, j) order, and each key's rows are its pairs in that order."""
     table = verify.group_table(p, m)
     listed = _listed_pairs(table, PROOF)
-    groups = _row_groups(verify._phi_pair_rows(table, PROOF), p)
-    assert list(groups) == list(listed)
+    rows = verify._phi_pair_rows(table, PROOF)
+    row_major = sorted(pair for pairs in listed.values() for pair in pairs.tolist())
+    assert np.stack(rows[:2], axis=1).tolist() == row_major
+    groups = _row_groups(rows, p)
+    assert groups.keys() == listed.keys()
     for key, pairs in listed.items():
         assert groups[key].pairs.tolist() == pairs.tolist()
 
