@@ -6,15 +6,15 @@ S_xi|q> = xi(q)|q> and X|q> = |q+1>.  The group law is the semidirect
 product  (xi, b)(xi', b') = (xi * shift_b(xi'), b + b'),  and powers follow
 the closed form (xi, b)^n = (prod_{i<n} shift_{ib}(xi), nb).
 
-The table xi is a ``PhaseFunction`` of integer exponents, so the group law
-is a rotation plus an addition mod p^m.  A power is one summed pass over
-rotated exponent lists, an inverse is the -1st power, and a commutator is
-one integer row at a common level, canonicalised once; the scalar commutant
-is read off the same row with no commutator element built, and it answers
-every commutation question: the subgroup search's, and ``ktensor``'s, whose
-tensor commutants are sums of site commutants.  Only the public constructor
-checks det == 1; the closed operations build their results without that
-check.
+An element is the canonical integer row (p, m, exps) of its table xi, as a
+``PhaseFunction`` would store it, and the shift b; ``xi`` is built on read.
+The group law is a rotation plus an addition mod p^m, canonicalised once.  A
+power is one summed pass over rotated exponent lists, an inverse is the -1st
+power, and a commutator is one integer row at a common level (zero for two
+diagonals); the scalar commutant is read off that row with no element
+built, and it answers every commutation question: the subgroup search's,
+and ``ktensor``'s, whose tensor commutants are sums of site commutants.
+Only the public constructor checks det == 1; closed operations do not.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Optional, Sequence
 
-from .cyclo import Phase, is_prime
+from .cyclo import Phase, is_prime, reduced_phase
 from .errors import (
     BudgetExceededError,
     EvenPrimeError,
@@ -34,17 +34,18 @@ from .errors import (
     power_over_budget,
     power_text,
 )
-from .phase_fn import PhaseFunction, at_level, canonical_table, modinv, rotate
+from .phase_fn import PhaseFunction, _table, at_level, canonical_row, modinv, rotate
 
 _new = object.__new__
 _set = object.__setattr__
 
 
-def _element(xi: PhaseFunction, b: int) -> KElement:
-    """An element from a table already known to have det == 1 and a shift
-    already reduced mod p: the closed products of valid elements."""
+def _element(p: int, m: int, exps: tuple[int, ...], b: int) -> KElement:
+    """An element from a canonical det-1 row and a reduced shift, unchecked."""
     out = _new(KElement)
-    _set(out, "xi", xi)
+    _set(out, "p", p)
+    _set(out, "m", m)
+    _set(out, "exps", exps)
     _set(out, "b", b)
     return out
 
@@ -77,7 +78,8 @@ def summed_rotation_rows(x, b, y):
 
 
 class KElement:
-    """A monomial operator S_xi X^b with det(S_xi) = 1.
+    """A monomial operator S_xi X^b with det(S_xi) = 1, stored as the
+    canonical row (p, m, exps) of xi and b; ``xi`` is built on read.
 
     Tables with determinant != 1 are rejected at construction, so invalid
     elements are unrepresentable.  Products, inverses, powers and
@@ -85,29 +87,28 @@ class KElement:
     built without re-checking it.
     """
 
-    __slots__ = ("xi", "b")
+    __slots__ = ("p", "m", "exps", "b")
 
-    def __init__(self, xi: PhaseFunction, b: int):
+    def __new__(cls, xi: PhaseFunction, b: int):
         if not xi.in_special_torus():
             raise TorusMembershipError("diagonal part must have det == 1")
-        _set(self, "xi", xi)
-        _set(self, "b", b % xi.p)
+        return _element(xi.p, xi.m, xi.exps, b % xi.p)
 
     def __setattr__(self, name, value):
         raise AttributeError("KElement is immutable")
 
     @property
-    def p(self) -> int:
-        return self.xi.p
+    def xi(self) -> PhaseFunction:
+        return _table(self.p, self.m, self.exps)
 
     @classmethod
     def identity(cls, p: int) -> KElement:
-        return _element(PhaseFunction.one(p), 0)
+        return _element(p, 0, PhaseFunction.one(p).exps, 0)
 
     @classmethod
     def shift(cls, p: int) -> KElement:
         """The generalised Pauli X."""
-        return _element(PhaseFunction.one(p), 1)
+        return _element(p, 0, PhaseFunction.one(p).exps, 1)
 
     @classmethod
     def clock(cls, p: int) -> KElement:
@@ -117,7 +118,7 @@ class KElement:
     @classmethod
     def central(cls, p: int, c: int) -> KElement:
         """The central scalar omega^c * identity."""
-        return _element(PhaseFunction.constant(Phase.omega(p, c)), 0)
+        return cls(PhaseFunction.constant(Phase.omega(p, c)), 0)
 
     def is_diagonal(self) -> bool:
         return self.b == 0
@@ -127,7 +128,9 @@ class KElement:
             return NotImplemented
         if self.p != other.p:
             raise PrimeMismatchError("product needs matching primes")
-        return _element(self.xi * other.xi.shift(self.b), (self.b + other.b) % self.p)
+        p, level = self.p, max(self.m, other.m)
+        row = map(add, at_level(self, level), rotate(at_level(other, level), -self.b))
+        return _element(p, *canonical_row(p, level, row), (self.b + other.b) % p)
 
     def inverse(self) -> KElement:
         return self**-1
@@ -138,39 +141,40 @@ class KElement:
         run through all of Z_p, so each full cycle contributes det(xi) = 1:
         the exponents are the sums of exps[q - ib] over i < n % p, for any
         integer n, brought to canonical form once."""
-        xi, b, p = self.xi, self.b, self.p
-        if b == 0:
-            return _element(xi**n, 0)
-        return _element(canonical_table(p, xi.m, summed_rotations(xi.exps, b, n % p)), n * b % p)
+        p, m, b = self.p, self.m, self.b
+        row = summed_rotations(self.exps, b, n % p) if b else [e * n for e in self.exps]
+        return _element(p, *canonical_row(p, m, row), n * b % p)
 
     def _commutator_at_common_level(self, other: KElement) -> tuple[int, list[int]]:
         """The common level L of both tables and the commutator row at L: the
         exponents x[q] + y[q - b] - x[q - c] - y[q] of [(xi, b), (eta, c)],
-        with x and y the exponents of xi and eta read at L."""
+        x and y read at L; for two diagonals, level 0 and the zero row."""
         if self.p != other.p:
             raise PrimeMismatchError("commutator needs matching primes")
-        level = max(self.xi.m, other.xi.m)
-        x, y = at_level(self.xi, level), at_level(other.xi, level)
+        if not (self.b or other.b):
+            return 0, [0] * self.p
+        level = max(self.m, other.m)
+        x, y = at_level(self, level), at_level(other, level)
         b, c = self.b, other.b
         return level, [a + bb - cc - d for a, bb, cc, d in zip(x, rotate(y, -b), rotate(x, -c), y)]
 
     def commutator(self, other: KElement) -> KElement:
         """[self, other] = M N M^-1 N^-1; always diagonal, with table
         xi(q) eta(q - b) / (xi(q - c) eta(q))."""
-        return _element(canonical_table(self.p, *self._commutator_at_common_level(other)), 0)
+        return _element(self.p, *canonical_row(self.p, *self._commutator_at_common_level(other)), 0)
 
     def is_p_torsion(self) -> bool:
         power = self**self.p
-        return power.b == 0 and power.xi.m == 0
+        return power.b == 0 and power.m == 0
 
     def as_scalar(self) -> Optional[Phase]:
         """The constant value when this element is a scalar multiple of the
         identity, else None."""
         if self.b != 0:
             return None
-        exps = self.xi.exps
+        exps = self.exps
         if exps.count(exps[0]) == len(exps):
-            return self.xi(0)
+            return reduced_phase(self.p, self.m, exps[0])
         return None
 
     def scalar_commutant(self, other: KElement) -> Optional[int]:
@@ -186,10 +190,10 @@ class KElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KElement):
             return NotImplemented
-        return self.b == other.b and self.xi == other.xi
+        return (self.b, self.exps, self.m, self.p) == (other.b, other.exps, other.m, other.p)
 
     def __hash__(self) -> int:
-        return hash((self.xi, self.b))
+        return hash(((self.m, self.exps), self.b))  # equals hash((self.xi, self.b))
 
     def to_json(self) -> dict:
         return {"b": self.b, "xi": self.xi.to_json()}
@@ -205,7 +209,7 @@ class KElement:
 def structural_p_torsion(element: KElement) -> bool:
     """Torsion via the structural description: any shift part, or a diagonal
     whose table lives at level <= 1."""
-    return element.b != 0 or element.xi.m <= 1
+    return element.b != 0 or element.m <= 1
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,7 @@ def classify_commuting_pair(m1: KElement, m2: KElement) -> CommutingPairCase:
         shifted, diag = (m2, m1) if swapped else (m1, m2)
         cc = (-c) % p if swapped else c
         # the diagonal partner must be the affine table omega^{a + slope*q}
-        if diag.xi.value_level() > 1:
+        if diag.m > 1:
             raise ValueError("diagonal partner of a shifted element is not level-1")
         coeffs = diag.xi.decompose(1).theta[0]
         if any(coeffs[a] for a in range(2, p)):
@@ -308,7 +312,7 @@ def enumerate_kgroup(p: int, m: int) -> list[KElement]:
     if power_over_budget(p, k):
         raise BudgetExceededError(f"|K| = {power_text(p, k)} exceeds the enumeration budget")
     torus = enumerate_torus(p, m)
-    return [_element(xi, b) for xi in torus for b in range(p)]
+    return [_element(p, xi.m, xi.exps, b) for xi in torus for b in range(p)]
 
 
 def _close_under_multiplication(generators: Sequence[KElement]) -> frozenset[KElement]:
@@ -379,7 +383,7 @@ def maximal_p_torsion_abelian(p: int, m: int) -> SubgroupReport:
     maximal.sort(key=lambda s: (len(s), sorted(repr(e) for e in s)))
 
     torus_level_one = frozenset(
-        e for e in elements if e.is_diagonal() and e.xi.value_level() <= 1
+        e for e in elements if e.is_diagonal() and e.m <= 1
     )
     kinds = []
     for sub in maximal:

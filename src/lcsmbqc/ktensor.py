@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .cyclo import Phase, reduced_phase
 from .errors import LevelError, PrimeMismatchError, ShapeMismatchError
 from .kgroup import KElement, _element, summed_rotations
-from .phase_fn import at_level, canonical_table, digit_row, modinv, rotate, row_coefficient
+from .phase_fn import affine_coefficients, at_level, canonical_row, digit_row, modinv, rotate
 
 _new = object.__new__
 _set = object.__setattr__
@@ -42,15 +42,14 @@ class TensorElement:
 
     __slots__ = ("global_phase", "sites")
 
-    def __init__(self, global_phase: Phase, sites: Iterable[KElement]):
+    def __new__(cls, global_phase: Phase, sites: Iterable[KElement]):
         sites = tuple(sites)
         if not sites:
             raise ShapeMismatchError("tensor needs at least one site")
         p = global_phase.p
         if any(s.p != p for s in sites):
             raise PrimeMismatchError("global phase and all sites must share one prime")
-        object.__setattr__(self, "global_phase", global_phase)
-        object.__setattr__(self, "sites", sites)
+        return _tensor(global_phase, sites)
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")
@@ -70,6 +69,8 @@ class TensorElement:
     @classmethod
     def of_sites(cls, sites: Iterable[KElement]) -> TensorElement:
         sites = tuple(sites)
+        if not sites:
+            raise ShapeMismatchError("tensor needs at least one site")
         return cls(Phase.one(sites[0].p), sites)
 
     @classmethod
@@ -119,17 +120,17 @@ class TensorElement:
             total += n * phase.e * p ** (level - phase.M)
         sites = []
         for column in zip(*[g.sites for g, _ in factors]):
-            level_i = max([site.xi.m for site in column])
+            level_i = max([site.m for site in column])
             acc, shift = None, 0
             for site, (_, n) in zip(column, factors):
-                x, b = at_level(site.xi, level_i), site.b
+                x, b = at_level(site, level_i), site.b
                 if b:
                     row = summed_rotations(x, b, n % p)
                 else:
                     row = x if n == 1 else [n * e for e in x]
                 acc = row if acc is None else list(map(add, acc, rotate(row, -shift)))
                 shift = (shift + n * b) % p
-            sites.append(_element(canonical_table(p, level_i, acc), shift))
+            sites.append(_element(p, *canonical_row(p, level_i, acc), shift))
         return _tensor(reduced_phase(p, level, total), tuple(sites))
 
     def __mul__(self, other: TensorElement) -> TensorElement:
@@ -186,17 +187,16 @@ class TensorElement:
         """
         p = self.p
         g = self.global_phase
-        level = max(g.M, *(site.xi.m for site in self.sites))
+        level = max(g.M, *(site.m for site in self.sites))
         acc = p * g.e * p ** (level - g.M)
         for site in self.sites:
             if site.b:
                 continue
-            xi = site.xi
-            pm = p**xi.m
-            scalar = p * xi.exps[0] % pm
-            if any(p * e % pm != scalar for e in xi.exps):
+            pm = p**site.m
+            scalar = p * site.exps[0] % pm
+            if any(p * e % pm != scalar for e in site.exps):
                 return False
-            acc += scalar * p ** (level - xi.m)
+            acc += scalar * p ** (level - site.m)
         return acc % p**level == 0
 
     def symplectic_vector(self) -> SymplecticVector:
@@ -214,10 +214,9 @@ class TensorElement:
         p = self.p
         fbar = []
         for site in self.sites:
-            xi, b = site.xi, site.b
-            eta = summed_rotations(xi.exps, b, modinv(b, p)) if b > 1 else xi.exps
-            top = p ** max(xi.m - 1, 0)
-            fbar.append((b or 1) * row_coefficient([e // top % p for e in eta], p, 1) % p)
+            b = site.b
+            eta = summed_rotations(site.exps, b, modinv(b, p)) if b > 1 else site.exps
+            fbar.append((b or 1) * affine_coefficients(p, site.m, eta)[1] % p)
         return _symplectic_vector(p, tuple(fbar), self.b_vector)
 
     def canonical_key(self) -> tuple:
@@ -230,15 +229,15 @@ class TensorElement:
         moved = 0
         site_keys = []
         for site in self.sites:
-            xi = site.xi
-            level = max(1, xi.m)
-            exps = at_level(xi, level)
+            level = max(1, site.m)
+            exps = at_level(site, level)
             top = p ** (level - 1)
             digit = exps[0] // top
+            row = (site.m, site.exps)
             if digit:
                 moved += digit
-                xi = canonical_table(p, level, [e - digit * top for e in exps])
-            site_keys.append((xi.m, xi.exps, site.b))
+                row = canonical_row(p, level, [e - digit * top for e in exps])
+            site_keys.append((*row, site.b))
         g = self.global_phase
         if moved:
             level = max(1, g.M)
@@ -332,7 +331,7 @@ def structural_tensor_p_torsion(element: TensorElement) -> bool:
     for site in element.sites:
         if site.b != 0:
             continue
-        if site.xi.value_level() > 2:
+        if site.m > 2:
             raise LevelError("structural torsion test is stated for level <= 2")
         row = digit_row(site.xi, 2)
         if len(set(row)) > 1:

@@ -142,10 +142,10 @@ def ghz_branch_exponents(element: TensorElement) -> tuple[int, list[int]]:
     phase and the site tables."""
     p = element.p
     g = element.global_phase
-    level = max(g.M, max(site.xi.m for site in element.sites))
+    level = max(g.M, max(site.m for site in element.sites))
     ys = [g.e * p ** (level - g.M)] * p
     for site in element.sites:
-        ys = [y + e for y, e in zip(ys, rotate(at_level(site.xi, level), site.b))]
+        ys = [y + e for y, e in zip(ys, rotate(at_level(site, level), site.b))]
     pl = p**level
     return level, [y % pl for y in ys]
 

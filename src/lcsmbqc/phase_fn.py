@@ -15,14 +15,16 @@ Every table whose values are p^m-th roots of unity factors uniquely as
 with each f_j a polynomial of degree <= p-1 over Z_p.  The expansion is
 computed by reading off base-p digits of the exponents (most significant
 digit = level 1) and interpolating each digit row; see ``decompose``.
-``digit_row`` and ``row_coefficient`` read one row or one coefficient of
-it without the full expansion.
+``digit_row``, ``row_coefficient`` and ``affine_coefficients`` read a row
+or a coefficient of it without the full expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .cyclo import MAX_LEVEL, Phase, is_prime, reduced_phase
@@ -63,7 +65,7 @@ def lagrange_coeffs(values: Sequence[int], p: int) -> tuple[int, ...]:
 def row_coefficient(row: Sequence[int], p: int, a: int) -> int:
     """The x^a coefficient of the polynomial over Z_p taking row[q] at q:
     one entry of ``lagrange_coeffs``, from one row of the memoised basis."""
-    return sum(c * v for c, v in zip(_lagrange_basis(p)[a], row)) % p
+    return sum(map(mul, _lagrange_basis(p)[a], row)) % p
 
 
 def eval_poly(coeffs: Sequence[int], q: int, p: int) -> int:
@@ -128,18 +130,23 @@ def _table(p: int, m: int, exps: tuple[int, ...]) -> PhaseFunction:
     return out
 
 
-def canonical_table(p: int, m: int, exps: Sequence[int]) -> PhaseFunction:
-    """The table exp(2*pi*i * exps[q] / p^m) over a ``p`` already known to be
-    prime, brought to its canonical level.  Raises ``LevelError`` when that
-    level is above the cap, like the Phase constructor."""
+def canonical_row(p: int, m: int, exps: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(level, exps) of exp(2*pi*i * exps[q] / p^m) over a ``p`` known to be
+    prime, at its canonical level.  Raises ``LevelError`` when that level is
+    above the cap, like the Phase constructor."""
     pm = p**m
     exps = [e % pm for e in exps]
-    while m and not any(e % p for e in exps):
+    while m and gcd(p, *exps) == p:
         exps = [e // p for e in exps]
         m -= 1
     if m > MAX_LEVEL:
         raise LevelError(f"phase level {m} exceeds the cap {MAX_LEVEL}")
-    return _table(p, m, tuple(exps))
+    return m, tuple(exps)
+
+
+def canonical_table(p: int, m: int, exps: Sequence[int]) -> PhaseFunction:
+    """``canonical_row`` as a table."""
+    return _table(p, *canonical_row(p, m, exps))
 
 
 def rotate(exps: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -159,13 +166,23 @@ def digit_row(table: PhaseFunction, j: int) -> tuple[int, ...]:
     return tuple(e // top % p for e in table.exps)
 
 
-def at_level(table: PhaseFunction, level: int) -> tuple[int, ...]:
-    """The exponents of ``table`` rescaled to denominator p^level, which must
-    be at least the table's own level."""
-    if level == table.m:
-        return table.exps
-    scale = table.p ** (level - table.m)
-    return tuple(e * scale for e in table.exps)
+def affine_coefficients(p: int, m: int, exps: Sequence[int]) -> tuple[int, int]:
+    """(theta_{1,0}, theta_{1,1}) of exp(2*pi*i * exps[q] / p^m), from the
+    level-1 digit row of the exponents mod p^m, reduced or not."""
+    if not m:
+        return 0, 0
+    top = p ** (m - 1)
+    row = [e // top % p for e in exps]
+    return row[0], row_coefficient(row, p, 1)
+
+
+def at_level(row, level: int) -> tuple[int, ...]:
+    """The exponents of ``row``, a table or an element (any p, m, exps),
+    rescaled to denominator p^level, at least its own level."""
+    if level == row.m:
+        return row.exps
+    scale = row.p ** (level - row.m)
+    return tuple(e * scale for e in row.exps)
 
 
 class PhaseFunction:

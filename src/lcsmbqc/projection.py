@@ -17,12 +17,13 @@ Two variants of that scalar are implemented:
 Normal forms are integers: the scalar as its exponent mod p^2 (the carry
 level of ``proof``), the Z and X exponents mod p.  A ``Phase`` is built
 only where the scalar is read; ``HWElement.product_of_powers`` folds an
-ordered word of closed-form powers the same way.  One routine gives the
-image of a site with shift 0 or 1 from base-p digits (no ``decompose``);
-larger shifts go through a power.  ``site_image_rows`` is that rule on
-integer arrays of site rows, as ``verify``'s index tables hold them.  The
-torsion test of ``phi`` is ``TensorElement.is_p_torsion``, which reads the
-sites' integer exponents at every level.
+ordered word of closed-form powers the same way.  One integer rule reads a
+site with shift 0 or 1 off the base-p digits of its row (no ``decompose``),
+and ``phi`` sums those into one ``HWElement``; per-site normal forms are
+built only by ``r_map``, the p = 2 fixture and ``phi_local``, which ``phi``
+calls for larger shifts (a power).  ``site_image_rows`` is that rule on
+integer arrays of site rows, as ``verify``'s index tables hold them.
+``phi``'s torsion test is ``TensorElement.is_p_torsion``, on integers.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .kgroup import KElement, structural_p_torsion, summed_rotation_rows
 from .ktensor import TensorElement
-from .phase_fn import PhaseFunction, _lagrange_basis, at_level, digit_row, modinv, row_coefficient
+from .phase_fn import PhaseFunction, _lagrange_basis, affine_coefficients, at_level, modinv
 
 PROOF = "proof"
 DISPLAYED = "displayed"
@@ -71,16 +72,13 @@ class HWElement:
 
     __slots__ = ("p", "e", "a", "b")
 
-    def __init__(self, c: Phase, a: Iterable[int], b: Iterable[int]):
+    def __new__(cls, c: Phase, a: Iterable[int], b: Iterable[int]):
         p = c.p
         a = tuple(x % p for x in a)
         b = tuple(x % p for x in b)
         if len(a) != len(b) or not a:
             raise ShapeMismatchError("Z- and X-exponent vectors must match and be non-empty")
-        _set(self, "p", p)
-        _set(self, "e", c.exponent_at_level(2))  # LevelError above level 2
-        _set(self, "a", a)
-        _set(self, "b", b)
+        return _hw(p, c.exponent_at_level(2), a, b)  # LevelError above level 2
 
     def __setattr__(self, name, value):
         raise AttributeError("HWElement is immutable")
@@ -198,17 +196,16 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _site_image(xi: PhaseFunction, b: int, variant: str) -> HWElement:
-    """Image of a site (xi, b), b in {0, 1}: omega^{theta_{1,0}} Z^{theta_{1,1}}
-    X^b, times the level-2 constant of a diagonal in the variant's treatment.
-    A diagonal may have no other level >= 2 coefficient (the shape of the
-    diagonals inside torsion tensors): read at level L = max(2, m), all its
-    exponents leave one remainder mod p^(L-1), theta_{2,0} times p^(L-2)."""
+def _site_exponents(xi, b: int, variant: str) -> tuple[int, int]:
+    """Exponents (e mod p^2, a) of the image omega^{theta_{1,0}} Z^{theta_{1,1}}
+    X^b of a site (xi, b), b in {0, 1}, xi a table or an element, times the
+    level-2 constant of a diagonal in the variant's treatment.  A diagonal may
+    have no other level >= 2 coefficient (as inside torsion tensors): read at
+    L = max(2, m), its exponents leave one remainder theta_{2,0} p^(L-2) mod p^(L-1)."""
     p = xi.p
-    level1 = digit_row(xi, 1)
-    theta10, theta11 = level1[0], row_coefficient(level1, p, 1)
+    theta10, theta11 = affine_coefficients(p, xi.m, xi.exps)
     if b:
-        return _hw(p, p * theta10, (theta11,), (1,))
+        return p * theta10, theta11
     level = max(2, xi.m)
     ys = at_level(xi, level)
     low = p ** (level - 1)
@@ -219,7 +216,13 @@ def _site_image(xi: PhaseFunction, b: int, variant: str) -> HWElement:
             "level-2-constant shape"
         )
     e = p * theta10 + theta20 if variant == PROOF else p * ((theta10 + theta20) % p)
-    return _hw(p, e, (theta11,), (0,))
+    return e, theta11
+
+
+def _site_image(xi, b: int, variant: str) -> HWElement:
+    """``_site_exponents`` as a one-site normal form."""
+    e, a = _site_exponents(xi, b, variant)
+    return _hw(xi.p, e, (a,), (b,))
 
 
 def site_image_rows(p: int, m: int, exps, b, variant: str):
@@ -276,12 +279,12 @@ def phi_local(element: KElement, variant: str = PROOF) -> HWElement:
         raise NonTorsionError("projection of a single site needs a p-torsion element")
     if element.b > 1:
         return phi_local(element ** modinv(element.b, p), variant) ** element.b
-    return _site_image(element.xi, element.b, variant)
+    return _site_image(element, element.b, variant)
 
 
 def phi(element: TensorElement, variant: str = PROOF) -> HWElement:
     """Componentwise projection of a p-torsion tensor, all per-site scalar
-    factors collected into the global phase.
+    factors collected into the global phase as integers.
 
     On torsion inputs the collected scalar is always a power of omega.
     """
@@ -291,16 +294,16 @@ def phi(element: TensorElement, variant: str = PROOF) -> HWElement:
         raise EvenPrimeError("the projection pipeline is defined for odd primes")
     if not element.is_p_torsion():
         raise NonTorsionError("projection needs a p-torsion tensor")
-    e = 0
-    a_vec = []
-    b_vec = []
+    e, a_vec = element.global_phase.exponent_at_level(2), []
     for site in element.sites:
-        local = _site_image(site.xi, 0, variant) if site.b == 0 else phi_local(site, variant)
-        e += local.e
-        a_vec.append(local.a[0])
-        b_vec.append(local.b[0])
-    e += element.global_phase.exponent_at_level(2)
-    return _hw(p, e % (p * p), tuple(a_vec), tuple(b_vec))
+        if site.b > 1:
+            local = phi_local(site, variant)
+            site_e, site_a = local.e, local.a[0]
+        else:
+            site_e, site_a = _site_exponents(site, site.b, variant)
+        e += site_e
+        a_vec.append(site_a)
+    return _hw(p, e % (p * p), tuple(a_vec), element.b_vector)
 
 
 def value_map_nu(h: HWElement) -> int:
@@ -352,9 +355,9 @@ def even_prime_counterexample() -> EvenPrimeReport:
 
     # every shift is 0 or 1 at p = 2; the displayed scalar is the affine
     # truncation omega^(theta_{1,0} + theta_{2,0})
-    phi_m1 = _site_image(m1.xi, m1.b, DISPLAYED)
-    phi_m2 = _site_image(m2.xi, m2.b, DISPLAYED)
-    phi_of_product = _site_image(product.xi, product.b, DISPLAYED)
+    phi_m1 = _site_image(m1, m1.b, DISPLAYED)
+    phi_m2 = _site_image(m2, m2.b, DISPLAYED)
+    phi_of_product = _site_image(product, product.b, DISPLAYED)
     phi_images = phi_m1 * phi_m2
     return EvenPrimeReport(
         m1=m1,

@@ -69,7 +69,7 @@ from .lcs import (
     reduce_to_classical,
     solve_classical,
 )
-from .phase_fn import LevelCoefficients, PhaseFunction, at_level, digit_row, modinv
+from .phase_fn import LevelCoefficients, PhaseFunction, at_level, digit_row, modinv, rotate
 from .projection import DISPLAYED, PROOF, HWElement, even_prime_counterexample, phi, site_image_rows
 
 
@@ -173,7 +173,7 @@ class KGroupTable:
         """The object-API elements in index order, checked once against
         ``exps`` and ``b``."""
         elements = enumerate_kgroup(self.p, self.m)
-        exps = np.array([at_level(e.xi, self.m) for e in elements], dtype=np.int32)
+        exps = np.array([at_level(e, self.m) for e in elements], dtype=np.int32)
         shifts = np.array([e.b for e in elements])
         if not ((exps == self.exps).all() and (shifts == self.b).all()):
             raise AssertionError("the elements are not listed in index order")
@@ -556,7 +556,7 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
     # shifted[s, k]: the index of diagonal k with its table shifted by s
     diag = np.flatnonzero(table.b == 0)
     shifted = np.array(
-        [[table.index_of(at_level(elements[j].xi.shift(s), m)[:-1], 0) for j in diag] for s in range(p)]
+        [[table.index_of(rotate(at_level(elements[j], m), -s)[:-1], 0) for j in diag] for s in range(p)]
     )
     b = table.b.astype(np.int64)
     pow_idx = table.power_indices(max_power)

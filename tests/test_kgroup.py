@@ -24,7 +24,7 @@ from lcsmbqc.errors import (
 )
 from lcsmbqc import kgroup
 from lcsmbqc.kgroup import enumerate_torus
-from lcsmbqc.phase_fn import digit_row, row_coefficient
+from lcsmbqc.phase_fn import at_level, canonical_table, digit_row, row_coefficient
 from lcsmbqc.verify import random_k_element
 
 from exact_matrix import MonomialMatrix
@@ -119,8 +119,44 @@ def test_scalar_commutant_absent_for_nonconstant_commutator():
 
 def test_commutator_and_scalar_commutant_refuse_mixed_primes():
     for fn in (KElement.commutator, KElement.scalar_commutant):
-        with pytest.raises(PrimeMismatchError):
-            fn(shift(3), clock(5))
+        for left, right in ((shift(3), clock(5)), (clock(3), clock(5))):
+            with pytest.raises(PrimeMismatchError):
+                fn(left, right)
+
+
+def _row_answers(x: KElement, y: KElement) -> tuple:
+    """The scalar commutant and commutator table read off the commutator row
+    x[q] + y[q - b] - x[q - c] - y[q], built here from the two ``xi`` tables
+    at their common level L for every pair, diagonal or not."""
+    p, level = x.p, max(x.xi.m, y.xi.m)
+    u, v = at_level(x.xi, level), at_level(y.xi, level)
+    row = [u[q] + v[(q - x.b) % p] - u[(q - y.b) % p] - v[q] for q in range(p)]
+    pl = p**level
+    c = row[0] % pl * p // pl if len({e % pl for e in row}) == 1 else None
+    return c, canonical_table(p, level, row)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_diagonal_pairs_and_closed_ops_agree_with_their_rows(p, m):
+    """Two diagonals get the zero row without reading either table: every
+    answer equals the one the full commutator row gives.  Every closed op
+    stores a canonical row, whose table and hash are those of ``xi``."""
+    rng = random.Random(300 + 10 * p + m)
+    for _ in range(30):
+        x, y = (random_k_element(rng, p, rng.randrange(m + 1), 0) for _ in range(2))
+        s = random_k_element(rng, p, m)
+        n = rng.randrange(-p, 2 * p)
+        for left, right in ((x, y), (x, s), (s, x)):
+            c, table = _row_answers(left, right)
+            assert canonical_table(p, *left._commutator_at_common_level(right)) == table
+            assert left.scalar_commutant(right) == c
+            commutator = left.commutator(right)
+            assert (commutator.xi, commutator.b) == (table, 0)
+        closed = (x * s, s * y, x**n, s**n, s.inverse(), s.commutator(x), x.commutator(y))
+        for e in closed + (KElement.central(p, n),):
+            assert e.xi == canonical_table(p, e.m, e.exps)
+            assert hash(e) == hash((e.xi, e.b))
 
 
 def test_torsion_examples():

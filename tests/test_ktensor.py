@@ -100,6 +100,9 @@ def test_equality_matches_dense_kronecker_oracle():
 def test_shape_and_prime_guards():
     with pytest.raises(ShapeMismatchError):
         TensorElement.of_sites([X()]) * TensorElement.of_sites([X(), X()])
+    for make in (TensorElement.of_sites, lambda sites: TensorElement(Phase.one(3), sites)):
+        with pytest.raises(ShapeMismatchError, match="tensor needs at least one site"):
+            make([])
     with pytest.raises(PrimeMismatchError):
         TensorElement(Phase.one(5), [X()])
     for fn in (TensorElement.commutator_exponent, TensorElement.commutes_with):

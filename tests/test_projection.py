@@ -35,6 +35,7 @@ from lcsmbqc.verify import (
     random_capable_diagonal,
     random_commuting_torsion_pair,
     random_k_element,
+    random_torsion_tensor,
 )
 
 from exact_matrix import MonomialMatrix
@@ -499,6 +500,14 @@ def test_tensor_images_equal_the_phase_reference(variant):
         e1, e2 = random_commuting_torsion_pair(rng, 5, 2, rng.randrange(1, 4))
         for e in (e1, e2, e1 * e2):
             assert triple(phi(e, variant)) == ref_phi(e, variant)
+    # sites with shift 0, 1 and >= 2 at more primes
+    shifts = set()
+    for p in (3, 7, 11):
+        for _ in range(40):
+            e = random_torsion_tensor(rng, p, rng.randrange(1, 3), rng.randrange(1, 4))
+            shifts |= {min(site.b, 2) for site in e.sites}
+            assert triple(phi(e, variant)) == ref_phi(e, variant)
+    assert shifts == {0, 1, 2}
 
 
 def _normal_forms(p: int, rng: random.Random):
