@@ -112,6 +112,9 @@ class Phase:
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
 
+    def __reduce__(self):
+        return reduced_phase, (self.p, self.M, self.e)
+
     @classmethod
     def one(cls, p: int) -> Phase:
         return cls(p, 0, 0)

@@ -97,6 +97,9 @@ class KElement:
     def __setattr__(self, name, value):
         raise AttributeError("KElement is immutable")
 
+    def __reduce__(self):
+        return _element, (self.p, self.m, self.exps, self.b)
+
     @property
     def xi(self) -> PhaseFunction:
         return _table(self.p, self.m, self.exps)

@@ -54,6 +54,9 @@ class TensorElement:
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")
 
+    def __reduce__(self):
+        return _tensor, (self.global_phase, self.sites)
+
     @property
     def p(self) -> int:
         return self.global_phase.p
@@ -75,11 +78,13 @@ class TensorElement:
 
     @classmethod
     def identity(cls, p: int, n_sites: int) -> TensorElement:
-        return cls(Phase.one(p), [KElement.identity(p)] * n_sites)
+        return cls.scalar(Phase.one(p), n_sites)  # Phase.one proves p prime
 
     @classmethod
     def scalar(cls, value: Phase, n_sites: int) -> TensorElement:
-        return cls(value, [KElement.identity(value.p)] * n_sites)
+        if n_sites < 1:
+            raise ShapeMismatchError("tensor needs at least one site")
+        return _tensor(value, (_element(value.p, 0, (0,) * value.p, 0),) * n_sites)
 
     def _check_shape(self, other: TensorElement) -> None:
         if self.p != other.p:
@@ -146,9 +151,8 @@ class TensorElement:
 
     def commutator(self, other: TensorElement) -> TensorElement:
         self._check_shape(other)
-        return _tensor(
-            Phase.one(self.p), tuple(a.commutator(b) for a, b in zip(self.sites, other.sites))
-        )
+        sites = tuple(a.commutator(b) for a, b in zip(self.sites, other.sites))
+        return _tensor(reduced_phase(self.p, 0, 0), sites)
 
     def as_scalar(self) -> Optional[Phase]:
         """The value c when this tensor is c * identity, else None."""

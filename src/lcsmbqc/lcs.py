@@ -10,7 +10,6 @@ fixtures.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -386,32 +385,33 @@ def measurement_family_report(spec: MbqcSpec, table: OutputTable) -> Measurement
     E = (x)_s S_xi_s X and E' = (x)_s S_eta_s X: E E' and E' E take the branch
     |q>^(x)N to |q + 2>^(x)N, with the factor eta_s(q + 1) xi_s(q + 2) at site
     s for E E' and xi_s(q + 1) eta_s(q + 2) for E' E, and equal global
-    phases; so their branch exponents differ by H(E')[q] - H(E)[q] (the
-    object-API oracle is ``commute_on_ghz``).  The witness is the first pair
-    in ``itertools.combinations`` order that fails exact commutation on the
-    object API; its p^{2n}/2 pairs are refused over the enumeration budget
-    beforehand."""
+    phases; so their branch exponents differ by H(E')[q] - H(E)[q] (oracle:
+    ``commute_on_ghz``).  Exactly, rows with settings a, a' at site s have the
+    commutator row (a - a') step_s, step_s[q] = xi_s[q] - xi_s[q - 1] mod p^L,
+    a scalar iff a = a' or step_s is constant ("flat"), a - a' being a unit;
+    so rows commute iff they agree on non-flat settings and on sum_{flat s}
+    a_s step_s[0] mod p^L (oracle: ``TensorElement.commutes_with``); hence the
+    first failing pair in combinations order is row 0 and the first row unlike it."""
     import numpy as np  # on first use, like ``mbqc._row_sums``
     n_rows = spec.p**spec.n_inputs
     if (table.p, table.n_inputs, len(table.outputs)) != (spec.p, spec.n_inputs, n_rows):
         raise ShapeMismatchError("table does not match the computation spec")
-    n_pairs = n_rows * (n_rows - 1) // 2
-    refuse_over_budget(n_pairs, f"{n_pairs} row-operator pairs")
-    level, sums = _row_sums(spec)
+    level, settings, xi, sums = _row_sums(spec)
     p, pl = spec.p, spec.p**level
     outs = np.array([-1 if o is None else o % p for o in table.outputs], dtype=np.int64)
     rows_ok = (sums == sums[:, :1]).all(axis=1) & (sums[:, 0] * p == outs * pl)
     signature = (np.roll(sums, -1, axis=1) - np.roll(sums, -2, axis=1)) % pl
-    inputs = list(spec.inputs())
-    row = functools.cache(lambda k: spec.row_operator(inputs[k]))
-    witness = next(((inputs[a], inputs[b]) for a, b in itertools.combinations(range(n_rows), 2)
-                    if not row(a).commutes_with(row(b))), None)
+    step = (xi - np.roll(xi, 1, axis=1)) % pl
+    flat = (step == step[:, :1]).all(axis=1)
+    keys = np.column_stack([settings[:, ~flat], settings[:, flat] @ step[flat, 0] % pl])
+    j = int((keys != keys[0]).any(axis=1).argmax())  # 0 when every key is row 0's
+    witness = ((0,) * spec.n_inputs, tuple(j // p**k % p for k in reversed(range(spec.n_inputs))))
     return MeasurementFamilyReport(
         all_torsion=not (sums.sum(axis=1) % pl).any(),
         ghz_rows_match_outputs=bool(rows_ok.all()),
         all_pairs_commute_on_ghz=bool((signature == signature[0]).all()),
-        exact_commutativity=witness is None,
-        noncommuting_pair=witness,
+        exact_commutativity=not j,
+        noncommuting_pair=witness if j else None,
     )
 
 

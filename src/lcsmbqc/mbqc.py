@@ -199,10 +199,10 @@ def _settings(spec: MbqcSpec):
 
 
 def _row_sums(spec: MbqcSpec):
-    """(L, Y) with L the largest site level and Y[i, q] the site sum of the
-    i-th row operator's level-L exponents, sum_s settings[i, s] *
-    at_level(xi_s, L)[q] mod p^L, an int64 array with inputs in lexicographic
-    order; every row has shift 1 at every site.  Raises
+    """(L, S, X, Y) with L the largest site level, S the ``_settings``, X[s]
+    = at_level(xi_s, L), and Y[i, q] the site sum of the i-th row operator's
+    level-L exponents, sum_s S[i, s] * X[s, q] mod p^L, int64 arrays with
+    inputs in lexicographic order; every row has shift 1 at every site.  Raises
     ``TorusMembershipError`` like the ``KElement`` constructor when some site
     has det != 1 at some input.  The p^n * sites * p exponents are refused
     over the budget, and beyond int64, before anything is allocated."""
@@ -218,7 +218,7 @@ def _row_sums(spec: MbqcSpec):
     xi = np.array([at_level(site.xi, level) for site in spec.sites], dtype=np.int64)
     if (settings * (xi.sum(axis=1) % pl) % pl).any():
         raise TorusMembershipError("diagonal part must have det == 1")
-    return level, settings @ xi % pl
+    return level, settings, xi, settings @ xi % pl
 
 
 def output_table(spec: MbqcSpec) -> OutputTable:
@@ -227,7 +227,7 @@ def output_table(spec: MbqcSpec) -> OutputTable:
     deterministic when that sum is constant.  Its output is the omega power
     y p / p^L: every site has det == 1, so the p equal branch sums add up
     to p y = 0 mod p^L, and a deterministic row is always an omega power."""
-    level, sums = _row_sums(spec)
+    level, _, _, sums = _row_sums(spec)
     p, pl = spec.p, spec.p**level
     flags = (sums == sums[:, :1]).all(axis=1).tolist()
     outputs = tuple(y * p // pl if flag else None for y, flag in zip(sums[:, 0].tolist(), flags))

@@ -210,6 +210,9 @@ class PhaseFunction:
     def __setattr__(self, name, value):
         raise AttributeError("PhaseFunction is immutable")
 
+    def __reduce__(self):
+        return _table, (self.p, self.m, self.exps)
+
     @property
     def values(self) -> tuple[Phase, ...]:
         """The table as Phases, values[q] = xi(q)."""

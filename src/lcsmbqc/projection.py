@@ -83,6 +83,9 @@ class HWElement:
     def __setattr__(self, name, value):
         raise AttributeError("HWElement is immutable")
 
+    def __reduce__(self):
+        return _hw, (self.p, self.e, self.a, self.b)
+
     @property
     def c(self) -> Phase:
         return reduced_phase(self.p, 2, self.e)

@@ -49,6 +49,23 @@ def test_demo_qudit_star_rejects_p2(capsys):
     assert run(["demo", "qudit-star", "--p", "2"]) == 2
 
 
+def test_demo_qudit_star_p101_runs_at_the_default_budget(tmp_path, monkeypatch, capsys):
+    """The family report reads exact commutation from one key per row, so
+    at the default budget the star runs up to p = 149 (here p = 101, whose
+    52,025,100 row pairs are never enumerated); p = 151 is refused at its
+    row exponents."""
+    monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
+    out_file = tmp_path / "demo.json"
+    assert run(["demo", "qudit-star", "--p", "101", "--out", str(out_file)]) == 0
+    family = json.loads(out_file.read_text())["family"]
+    assert family["noncommuting_pair"] == [[0, 0], [0, 1]]
+    assert not family["exact_commutativity"] and family["all_pairs_commute_on_ghz"]
+    capsys.readouterr()
+    assert run(["demo", "qudit-star", "--p", "151"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("budget exceeded: the 22801x3x151 row exponents")
+
+
 def test_verify_command(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = run(
@@ -115,8 +132,9 @@ def test_mbqc_run_from_spec_file(tmp_path):
 
 
 def test_mbqc_run_over_budget_exits_2(tmp_path, monkeypatch, capsys):
-    """The p=3 star's 9x3x3 row exponents are refused at a budget of 50,
-    and the p=11 demo's 7,260 row pairs at a budget of 5,000."""
+    """The p=3 star's 9x3x3 row exponents are refused at a budget of 50.
+    The p=11 demo's 121x3x11 row exponents (3,993) fit a budget of 5,000,
+    and its family report, which enumerates no row pairs, needs no more."""
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(qudit_star_spec(3).to_json()))
     monkeypatch.setenv("LCSMBQC_BUDGET", "50")
@@ -124,9 +142,11 @@ def test_mbqc_run_over_budget_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("budget exceeded: the 9x3x3 row exponents")
     monkeypatch.setenv("LCSMBQC_BUDGET", "5000")
-    assert run(["demo", "qudit-star", "--p", "11"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["budget exceeded: the 7260 row-operator pairs exceed the budget"]
+    out_file = tmp_path / "demo.json"
+    assert run(["demo", "qudit-star", "--p", "11", "--out", str(out_file)]) == 0
+    assert capsys.readouterr().err == ""
+    family = json.loads(out_file.read_text())["family"]
+    assert family["noncommuting_pair"] == [[0, 0], [0, 1]]
 
 
 def test_lcs_solve_and_check(tmp_path, capsys):

@@ -29,7 +29,7 @@ from lcsmbqc.errors import (
     ShapeMismatchError,
     UnsupportedModulusError,
 )
-from lcsmbqc import lcs, mbqc, verify
+from lcsmbqc import ktensor, lcs, mbqc, verify
 from lcsmbqc.lcs import (
     MeasurementFamilyReport,
     SolutionConditionReport,
@@ -301,8 +301,13 @@ def _family_oracle(spec, table):
     )
 
 
-ORACLE_SPECS = [qubit_star_spec()] + [qudit_star_spec(p) for p in (3, 5, 7)] + random_specs(
-    2026, 240
+# the wider draw adds p = 7, level-3 tables, four sites and flat (constant
+# or affine) tables, the sites whose commutators are scalars at any settings
+ORACLE_SPECS = (
+    [qubit_star_spec()]
+    + [qudit_star_spec(p) for p in (3, 5, 7)]
+    + random_specs(2026, 240)
+    + random_specs(31, 120, primes=(2, 3, 5, 7), levels=(1, 2, 3), max_sites=4, flat=0.4)
 )
 
 
@@ -326,7 +331,7 @@ def test_family_report_equals_the_object_api_oracle():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_family_report_witness_is_the_reference_loop_pair(p):
-    """The witness read through ``commutes_with`` is the oracle's: the first
+    """The witness read from the row keys is the oracle's: the first
     pair in ``itertools.combinations`` order whose tensor commutator is not
     the identity.  On the star, on random level-1 and level-2 site tables,
     on a spec whose first p - 1 pairs commute only because two site scalars
@@ -368,36 +373,45 @@ def test_family_report_rejects_a_table_of_another_shape():
 
 def test_tables_and_family_reports_make_no_object_api_ghz_calls(monkeypatch):
     """``output_table`` and ``measurement_family_report`` read the row
-    exponents only; ``ghz_evaluate`` and ``commute_on_ghz`` are their
-    oracles."""
+    exponents only: they call none of their object-API oracles
+    (``ghz_evaluate``, ``commute_on_ghz``, ``MbqcSpec.row_operator`` and
+    ``TensorElement.commutes_with``) and build no tensor."""
     calls = []
 
-    def counting(fn):
+    def counting(name, fn):
         def wrapped(*args):
-            calls.append(fn.__name__)
+            calls.append(name)
             return fn(*args)
 
         return wrapped
 
-    for module in (mbqc, lcs):
-        for name in ("ghz_evaluate", "commute_on_ghz"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(getattr(module, name)))
-    for spec in [qudit_star_spec(5), qubit_star_spec()] + random_specs(7, 30):
-        measurement_family_report(spec, output_table(spec))
+    for owner, name in (
+        (mbqc, "ghz_evaluate"),
+        (lcs, "commute_on_ghz"),
+        (MbqcSpec, "row_operator"),
+        (TensorElement, "commutes_with"),
+        (ktensor, "_tensor"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    specs = [qudit_star_spec(5), qubit_star_spec()] + random_specs(7, 30) + ORACLE_SPECS[-40:]
+    reports = [measurement_family_report(spec, output_table(spec)) for spec in specs]
     assert calls == []
+    assert {r.exact_commutativity for r in reports} == {True, False}
 
 
-def test_family_report_pairs_are_refused_over_budget(monkeypatch):
-    """At p = 11 the star's 121x3x11 row exponents (3,993) fit a
-    budget of 5,000; its 7,260 row pairs do not."""
-    monkeypatch.setenv("LCSMBQC_BUDGET", "5000")
+def test_family_report_needs_only_the_row_exponent_budget(monkeypatch):
+    """At p = 11 the star's 121x3x11 row exponents (3,993) fit a budget of
+    5,000, and the report, which enumerates no row pairs, runs within it and
+    equals the oracle; one below 3,993 refuses the row exponents."""
     spec = qudit_star_spec(11)
     table = output_table(spec)
-    with pytest.raises(BudgetExceededError, match="the 7260 row-operator pairs"):
+    monkeypatch.setenv("LCSMBQC_BUDGET", "5000")
+    report = measurement_family_report(spec, table)
+    assert report == _family_oracle(spec, table)
+    assert report.noncommuting_pair == ((0, 0), (0, 1))
+    monkeypatch.setenv("LCSMBQC_BUDGET", "3992")
+    with pytest.raises(BudgetExceededError, match="the 121x3x11 row exponents"):
         measurement_family_report(spec, table)
-    monkeypatch.setenv("LCSMBQC_BUDGET", "7260")
-    assert measurement_family_report(spec, table).all_pairs_commute_on_ghz
 
 
 def test_commute_on_ghz_examples():
