@@ -380,18 +380,19 @@ class MeasurementFamilyReport:
 def measurement_family_report(spec: MbqcSpec, table: OutputTable) -> MeasurementFamilyReport:
     """The flags read from the row exponents, every shift being 1: a row is
     torsion iff its determinants multiply to 1, matches o iff its site sum is
-    the constant omega^o, and all pairs commute on GHZ iff the p^n signatures
-    H[q] = sum_s e_s(q + 1) - e_s(q + 2) agree mod p^L.  For the last, with
-    E = (x)_s S_xi_s X and E' = (x)_s S_eta_s X: E E' and E' E take the branch
-    |q>^(x)N to |q + 2>^(x)N, with the factor eta_s(q + 1) xi_s(q + 2) at site
-    s for E E' and xi_s(q + 1) eta_s(q + 2) for E' E, and equal global
-    phases; so their branch exponents differ by H(E')[q] - H(E)[q] (oracle:
-    ``commute_on_ghz``).  Exactly, rows with settings a, a' at site s have the
-    commutator row (a - a') step_s, step_s[q] = xi_s[q] - xi_s[q - 1] mod p^L,
-    a scalar iff a = a' or step_s is constant ("flat"), a - a' being a unit;
-    so rows commute iff they agree on non-flat settings and on sum_{flat s}
-    a_s step_s[0] mod p^L (oracle: ``TensorElement.commutes_with``); hence the
-    first failing pair in combinations order is row 0 and the first row unlike it."""
+    the constant omega^o, and all pairs commute on GHZ iff each row of the
+    spread D_i = Y_i - Y_0 of the site sums Y is constant mod p^L.  For the
+    last, with E = (x)_s S_xi_s X and E' = (x)_s S_eta_s X: E E' and E' E take
+    the branch |q>^(x)N to |q + 2>^(x)N, with the factor eta_s(q + 1) xi_s(q +
+    2) at site s for E E' and xi_s(q + 1) eta_s(q + 2) for E' E, and equal
+    global phases; so their exponents differ by H(E')[q] - H(E)[q] for H[q] =
+    Y[q + 1] - Y[q + 2] (oracle: ``commute_on_ghz``), and H_i - H_0 = 0 iff
+    D_i[q + 1] = D_i[q + 2] at every q.  Exactly, rows with settings a, a' at
+    site s have the commutator row (a - a') step_s, step_s[q] = xi_s[q] -
+    xi_s[q - 1] mod p^L, a scalar iff a = a' or step_s is constant ("flat"),
+    a - a' being a unit; so rows commute iff they agree on non-flat settings
+    and on sum_{flat s} a_s step_s[0] mod p^L (oracle: ``TensorElement.commutes_with``);
+    hence the first failing pair in combinations order is row 0 and the first row unlike it."""
     import numpy as np  # on first use, like ``mbqc._row_sums``
     n_rows = spec.p**spec.n_inputs
     if (table.p, table.n_inputs, len(table.outputs)) != (spec.p, spec.n_inputs, n_rows):
@@ -400,16 +401,18 @@ def measurement_family_report(spec: MbqcSpec, table: OutputTable) -> Measurement
     p, pl = spec.p, spec.p**level
     outs = np.array([-1 if o is None else o % p for o in table.outputs], dtype=np.int64)
     rows_ok = (sums == sums[:, :1]).all(axis=1) & (sums[:, 0] * p == outs * pl)
-    signature = (np.roll(sums, -1, axis=1) - np.roll(sums, -2, axis=1)) % pl
+    all_torsion = not (sums.sum(axis=1) % pl).any()
+    sums -= sums[0].copy()  # the spread D, in place: an overlapping row 0 is buffered full size
+    sums %= pl
     step = (xi - np.roll(xi, 1, axis=1)) % pl
     flat = (step == step[:, :1]).all(axis=1)
     keys = np.column_stack([settings[:, ~flat], settings[:, flat] @ step[flat, 0] % pl])
     j = int((keys != keys[0]).any(axis=1).argmax())  # 0 when every key is row 0's
     witness = ((0,) * spec.n_inputs, tuple(j // p**k % p for k in reversed(range(spec.n_inputs))))
     return MeasurementFamilyReport(
-        all_torsion=not (sums.sum(axis=1) % pl).any(),
+        all_torsion=all_torsion,
         ghz_rows_match_outputs=bool(rows_ok.all()),
-        all_pairs_commute_on_ghz=bool((signature == signature[0]).all()),
+        all_pairs_commute_on_ghz=bool((sums == sums[:, :1]).all()),
         exact_commutativity=not j,
         noncommuting_pair=witness if j else None,
     )

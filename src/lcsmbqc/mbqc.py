@@ -199,13 +199,13 @@ def _settings(spec: MbqcSpec):
 
 
 def _row_sums(spec: MbqcSpec):
-    """(L, S, X, Y) with L the largest site level, S the ``_settings``, X[s]
-    = at_level(xi_s, L), and Y[i, q] the site sum of the i-th row operator's
-    level-L exponents, sum_s S[i, s] * X[s, q] mod p^L, int64 arrays with
-    inputs in lexicographic order; every row has shift 1 at every site.  Raises
-    ``TorusMembershipError`` like the ``KElement`` constructor when some site
-    has det != 1 at some input.  The p^n * sites * p exponents are refused
-    over the budget, and beyond int64, before anything is allocated."""
+    """(L, S, X, Y) with L the largest site level, S the ``_settings``, X[s] =
+    at_level(xi_s, L), and Y[i, q] the site sum of the i-th row operator's
+    level-L exponents, sum_s S[i, s] * X[s, q] mod p^L reduced in place, int64
+    arrays with inputs in lexicographic order; every row has shift 1 at every
+    site.  Raises ``TorusMembershipError`` like the ``KElement`` constructor
+    when some site has det != 1 at some input.  The p^n * sites * p exponents
+    are refused over the budget, and beyond int64, before anything is allocated."""
     import numpy as np
 
     p, n, sites = spec.p, spec.n_inputs, spec.n_sites
@@ -218,7 +218,9 @@ def _row_sums(spec: MbqcSpec):
     xi = np.array([at_level(site.xi, level) for site in spec.sites], dtype=np.int64)
     if (settings * (xi.sum(axis=1) % pl) % pl).any():
         raise TorusMembershipError("diagonal part must have det == 1")
-    return level, settings, xi, settings @ xi % pl
+    sums = settings @ xi
+    sums %= pl
+    return level, settings, xi, sums
 
 
 def output_table(spec: MbqcSpec) -> OutputTable:

@@ -361,22 +361,18 @@ def random_capable_diagonal(rng: random.Random, p: int, t: Optional[int] = None)
             return KElement(coeffs.reconstruct(), 0)
 
 
-SITE_PAIR_KINDS = ("diag", "mixed", "shifted")
-
-
 def draw_site_pairs(rng: random.Random, p: int, m: int, count: int) -> tuple[list, ...]:
     """The integers of ``count`` pairs (M, N) with [M, N] = omega^c, in flat
     columns (kind, head, b, c, partner, swapped): every random draw of
     ``count`` calls of ``random_scalar_commuting_site_pair``, each integer by
     the rejection loop of ``_below`` run inline.
 
-    Pair k is a ``SITE_PAIR_KINDS[kind[k]]`` pair.  M has shift b[k] and the
-    p - 1 level-m head exponents (det 1 fixes the last) that pair k adds to
-    ``head``.  N is made from the fields it adds to ``partner``: the diagonal
-    with those p - 1 head exponents ("diag"), the affine diagonal omega^(a +
-    s q) from (a, s) ("mixed"), or omega^central (M chi)^y with chi that
-    affine diagonal from (a, s, y, central) ("shifted").  The pair is listed
-    as (N, M) when swapped[k]; c[k] is its commutant as listed."""
+    M has shift b[k] and the p - 1 level-m head exponents (det 1 fixes the
+    last) that pair k adds to ``head``.  N is made from the fields it adds to
+    ``partner``, by kind[k]: 0 ("diag") the diagonal with p - 1 head
+    exponents, 1 ("mixed") chi = omega^(a + s q) from (a, s), 2 ("shifted")
+    omega^central (M chi)^y from (a, s, y, central).  The pair is listed as
+    (N, M) when swapped[k]; c[k] is its commutant as listed."""
     bits, coin, pm = rng.getrandbits, rng.random, p**m
     kp, kq, km = p.bit_length(), (p - 1).bit_length(), pm.bit_length()
     columns = kind, head, b, c, partner, swapped = [], [], [], [], [], []
@@ -431,16 +427,9 @@ def draw_site_pairs(rng: random.Random, p: int, m: int, count: int) -> tuple[lis
     return columns
 
 
-def draw_site_pair(rng: random.Random, p: int, m: int) -> tuple:
-    """One pair of ``draw_site_pairs``: (kind name, head, b, c, partner, swapped),
-    partner a list of head exponents ("diag") or a tuple of fields."""
-    (kind,), head, (b,), (c,), partner, (swapped,) = draw_site_pairs(rng, p, m, 1)
-    return SITE_PAIR_KINDS[kind], head, b, c, tuple(partner) if kind else partner, swapped
-
-
-def draw_shifted_pair(rng: random.Random, p: int, m: int, c: Optional[int]) -> tuple:
-    """A pair with both shift parts nonzero, as ``draw_site_pair`` returns
-    it: N = omega^central (M chi)^y with chi(q) = omega^(a + c' q),
+def draw_shifted_pair(rng: random.Random, p: int, m: int, c: Optional[int]) -> tuple[list, ...]:
+    """One kind-2 pair in ``draw_site_pairs`` columns, drawn as b, b', head,
+    c', a, central: N = omega^central (M chi)^y, chi(q) = omega^(a + c' q),
     y b = b' and b' c' = -c, for the given c or a random one."""
     bits = rng.getrandbits
     b = 1 + _below(bits, p - 1)
@@ -448,20 +437,20 @@ def draw_shifted_pair(rng: random.Random, p: int, m: int, c: Optional[int]) -> t
     head = _draw_head(rng, p, m)
     cprime = _below(bits, p) if c is None else (-c) * modinv(bp, p) % p
     a = _below(bits, p)
-    partner = (a, cprime, bp * modinv(b, p) % p, _below(bits, p))
-    return "shifted", head, b, (-bp * cprime) % p, partner, False
+    partner = [a, cprime, bp * modinv(b, p) % p, _below(bits, p)]
+    return [2], head, [b], [(-bp * cprime) % p], partner, [False]
 
 
-def site_pair_elements(p: int, m: int, draw: tuple) -> tuple[KElement, KElement, int]:
-    """The object-API pair (M, N, c) of a ``draw_site_pair`` draw, in its
-    listed order."""
-    kind, head, b, c, partner, swapped = draw
+def site_pair_elements(p: int, m: int, columns: tuple) -> tuple[KElement, KElement, int]:
+    """The object-API pair (M, N, c) of the one-pair columns of
+    ``draw_site_pairs`` or ``draw_shifted_pair``, in its listed order."""
+    (kind,), head, (b,), (c,), partner, (swapped,) = columns
     m1 = KElement(_torus_table(p, m, head), b)
-    if kind == "diag":
+    if kind == 0:
         m2 = KElement(_torus_table(p, m, partner), 0)
     else:
         m2 = KElement(PhaseFunction.omega_poly(p, partner[:2]), 0)
-        if kind == "shifted":
+        if kind == 2:
             m2 = KElement.central(p, partner[3]) * (m1 * m2) ** partner[2]
     return (m2, m1, c) if swapped else (m1, m2, c)
 
@@ -471,7 +460,7 @@ def random_scalar_commuting_site_pair(
 ) -> tuple[KElement, KElement, int]:
     """A pair (M, M') with [M, M'] = omega^c, sampled across the three case
     shapes; returns (M, M', c)."""
-    return site_pair_elements(p, m, draw_site_pair(rng, p, m))
+    return site_pair_elements(p, m, draw_site_pairs(rng, p, m, 1))
 
 
 def random_commuting_torsion_pair(
@@ -536,20 +525,20 @@ def suite_lemma1(p: int = 3, m: int = 2, max_power: int = 9) -> SuiteReport:
     mul = table.mul
     checks = []
 
-    bad = None
+    failed = []  # (e, n) at the first power n where each failing e fails
     for e in elements:
         acc = KElement.identity(p)
         for n in range(max_power + 1):
             if e**n != acc:
-                bad = (e, n)
+                failed.append((e, n))
                 break
             acc = acc * e
     checks.append(
         CheckResult(
             "power closed form equals iterated product",
-            bad is None,
+            not failed,
             count=len(elements) * (max_power + 1),
-            detail="" if bad is None else f"failed at {bad}",
+            detail=f"{len(failed)} failures, e.g. {failed[0]}" if failed else "",
         )
     )
 
@@ -1012,12 +1001,13 @@ def suite_phi(
 
     # torsion, center, commutator preservation; (c Z^a X^b)^p has the
     # scalar exponent p s2 - p^2 a b (p - 1)/2 mod p^2 and no Z or X part
-    tor_bad = (p * s2 - p * p * a * b * (p - 1) // 2)[torsion_idx] % (p * p) != 0
+    tor_bad = int(np.count_nonzero((p * s2 - p * p * a * b * (p - 1) // 2)[torsion_idx] % (p * p)))
     checks.append(
         CheckResult(
             "projection preserves torsion",
-            not tor_bad.any(),
+            tor_bad == 0,
             count=len(torsion_idx),
+            detail=f"{tor_bad} failures" if tor_bad else "",
         )
     )
     center_ok = all(
@@ -1033,6 +1023,7 @@ def suite_phi(
             "projection preserves scalar commutators on torsion sites",
             comm_bad == 0,
             count=comm_count,
+            detail=f"{comm_bad} failures" if comm_bad else "",
         )
     )
 
@@ -1145,6 +1136,7 @@ def suite_symplectic(
             "powers of one torsion tensor give isotropic vectors",
             iso_bad == 0,
             count=200,
+            detail=f"{iso_bad} failures" if iso_bad else "",
         )
     )
     return _report(

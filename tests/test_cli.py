@@ -110,6 +110,17 @@ def test_mbqc_demo_to_csv(tmp_path):
     assert rows[1] == ["0", "0", "0", "True"]
 
 
+def test_mbqc_demo_qubit_star_writes_the_or_table(capsys):
+    assert run(["mbqc", "demo", "qubit-star"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "i_1,i_2,o,deterministic",
+        "0,0,0,True",
+        "0,1,1,True",
+        "1,0,1,True",
+        "1,1,1,True",
+    ]
+
+
 def test_mbqc_demo_writes_the_same_csv_bytes_to_stdout_and_out(tmp_path):
     out_file = tmp_path / "table.csv"
     args = ["-m", "lcsmbqc.cli", "mbqc", "demo", "qudit-star", "--p", "3"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -324,7 +325,7 @@ def test_family_report_equals_the_object_api_oracle():
             assert report == _family_oracle(spec, variant)
             flags.add((report.ghz_rows_match_outputs, report.all_pairs_commute_on_ghz))
         witnesses.add(report.exact_commutativity)
-    # deterministic rows have constant site sums, so equal (zero) signatures
+    # deterministic rows have constant site sums, so a constant spread
     assert flags == {(True, True), (False, True), (False, False)}
     assert witnesses == {True, False}
 
@@ -412,6 +413,26 @@ def test_family_report_needs_only_the_row_exponent_budget(monkeypatch):
     monkeypatch.setenv("LCSMBQC_BUDGET", "3992")
     with pytest.raises(BudgetExceededError, match="the 121x3x11 row exponents"):
         measurement_family_report(spec, table)
+
+
+def test_tables_and_family_reports_keep_one_copy_of_the_row_sums():
+    """At p = 61 the star's row sums are a 3,721 x 61 int64 array of p^3 * 8
+    bytes.  ``output_table`` reduces them in place, and the report turns
+    them into their spread from a copy of row 0 in place, so neither peaks
+    at a second full-size copy (subtracting row 0 itself has numpy buffer
+    all of the sums against the overlap: 2.1 for the report)."""
+    spec = qudit_star_spec(61)
+    table = output_table(spec)
+    measurement_family_report(spec, table)  # numpy loaded and warmed
+    peaks = []
+    for run in (lambda: output_table(spec), lambda: measurement_family_report(spec, table)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 61**3 / 8)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.5, peaks
 
 
 def test_commute_on_ghz_examples():

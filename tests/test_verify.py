@@ -24,7 +24,7 @@ from lcsmbqc import (
     verify,
 )
 from lcsmbqc.errors import BudgetExceededError, EvenPrimeError, LevelError
-from lcsmbqc.phase_fn import at_level, digit_row
+from lcsmbqc.phase_fn import PhaseFunction, at_level, digit_row
 
 
 def test_suite_registry_names():
@@ -189,8 +189,8 @@ def test_below_draws_what_randrange_and_choice_draw(seed):
 
 
 def _randrange_site_pair(rng, p, m):
-    """``draw_site_pair`` written with ``randrange`` and ``choice``: the
-    reference for its ``_below`` draws."""
+    """One pair of ``draw_site_pairs`` written with ``randrange`` and
+    ``choice``, as a kind-name tuple: the reference for its ``_below`` draws."""
     pm = p**m
     kind = rng.choice(("diag", "mixed", "shifted"))
     if kind == "diag":
@@ -222,22 +222,27 @@ def _randrange_shifted_pair(rng, p, m, c):
 def test_site_pair_draws_equal_the_randrange_draws(p, m):
     fast, slow = random.Random(p * 10 + m), random.Random(p * 10 + m)
     for k in range(5000):
-        assert verify.draw_site_pair(fast, p, m) == _randrange_site_pair(slow, p, m)
+        drawn = _column_pairs(verify.draw_site_pairs(fast, p, m, 1), p)[0]
+        assert drawn == _randrange_site_pair(slow, p, m)
         c = k % p if k % 3 else None
-        assert verify.draw_shifted_pair(fast, p, m, c) == _randrange_shifted_pair(slow, p, m, c)
+        shifted = _column_pairs(verify.draw_shifted_pair(fast, p, m, c), p)[0]
+        assert shifted == _randrange_shifted_pair(slow, p, m, c)
     assert fast.getstate() == slow.getstate()
 
 
+_KIND_NAMES = ("diag", "mixed", "shifted")
+
+
 def _column_pairs(columns, p):
-    """The pairs of ``draw_site_pairs`` columns as ``draw_site_pair`` tuples,
-    read pair by pair: the reference for the column layout."""
+    """The pairs of ``draw_site_pairs`` columns as ``_randrange_site_pair``
+    tuples, read pair by pair: the reference for the column layout."""
     kind, head, b, c, partner, swapped = columns
     pairs, at = [], 0
     for k, r in enumerate(kind):
         fields = partner[at : at + (p - 1, 2, 4)[r]]
         at += len(fields)
         row = head[k * (p - 1) : (k + 1) * (p - 1)]
-        pairs.append((verify.SITE_PAIR_KINDS[r], row, b[k], c[k], tuple(fields) if r else fields, swapped[k]))
+        pairs.append((_KIND_NAMES[r], row, b[k], c[k], tuple(fields) if r else fields, swapped[k]))
     assert at == len(partner) and len(head) == len(kind) * (p - 1)
     assert len(b) == len(c) == len(swapped) == len(kind)
     return pairs
@@ -253,19 +258,8 @@ def test_batch_site_pair_draws_equal_the_randrange_draws(p, m, count):
     assert fast.getstate() == slow.getstate()
     assert all(type(v) is int for column in columns[:5] for v in column)
     assert all(type(v) is bool for v in columns[5])
-
-
-def test_a_single_draw_is_one_pair_of_the_batch():
-    """``draw_site_pair`` gives the list and tuple types of the reference:
-    a list head, a list partner for "diag" and a tuple for the others."""
-    kinds = set()
-    for seed in range(40):
-        fast, slow = random.Random(seed), random.Random(seed)
-        drawn, expected = verify.draw_site_pair(fast, 5, 1), _randrange_site_pair(slow, 5, 1)
-        assert drawn == expected and fast.getstate() == slow.getstate()
-        assert [type(v) for v in drawn] == [type(v) for v in expected]
-        kinds.add(drawn[0])
-    assert kinds == set(verify.SITE_PAIR_KINDS)
+    if count == 2000:
+        assert set(columns[0]) == {0, 1, 2}
 
 
 def _element_index(table):
@@ -917,7 +911,7 @@ def test_site_pair_indices_leave_the_generator_state_of_the_draws():
     fast, slow = random.Random(31), random.Random(31)
     verify._site_pair_indices(table, fast, 2000)
     for _ in range(2000):
-        verify.draw_site_pair(slow, 3, 2)
+        verify.draw_site_pairs(slow, 3, 2, 1)
     assert fast.getstate() == slow.getstate()
 
 
@@ -943,7 +937,7 @@ def test_commutator_check_makes_no_single_draw(monkeypatch):
     def single(*args):
         raise AssertionError("a single site pair was drawn")
 
-    monkeypatch.setattr(verify, "draw_site_pair", single)
+    monkeypatch.setattr(verify, "site_pair_elements", single)
     assert verify._phi_commutators(table, PROOF, random.Random(24)) == expected
 
 
@@ -1216,3 +1210,123 @@ def test_the_convolutions_are_refused_over_the_budget(monkeypatch):
     verify._phi_site_tuples(table, PROOF, 1)
     with pytest.raises(BudgetExceededError, match="the 2916 products of the 2-site convolutions"):
         verify._phi_site_tuples(table, PROOF, 2)
+
+
+def _failing(report):
+    """(name, count, detail) of each failing check of ``report``."""
+    return [(check.name, check.count, check.detail) for check in report.checks if not check.passed]
+
+
+def test_lemma1_names_the_first_failing_power(monkeypatch):
+    """A power planted to be omega times too large at n = 2 fails every
+    element at n = 2; the detail counts them and names the first in element
+    order.  The other checks read integer power tables and still pass."""
+    power = KElement.__pow__
+
+    def planted(self, n):
+        e = power(self, n)
+        return KElement.central(self.p, 1) * e if n == 2 else e
+
+    monkeypatch.setattr(KElement, "__pow__", planted)
+    verify.group_table.cache_clear()
+    try:
+        report = verify.suite_lemma1(3, 1)
+        first = verify.group_table(3, 1).elements[0]
+    finally:
+        verify.group_table.cache_clear()
+    detail = f"27 failures, e.g. {(first, 2)}"
+    assert _failing(report) == [("power closed form equals iterated product", 270, detail)]
+
+
+def test_decomposition_round_trips_fail_on_a_planted_coefficient(monkeypatch):
+    """theta_1,0 + 1 breaks every round trip, exhaustive and randomized;
+    injectivity reads reconstructions only and still passes."""
+    decompose = PhaseFunction.decompose
+
+    def planted(self, m):
+        coeffs = decompose(self, m)
+        (head, *rest), *levels = coeffs.theta
+        return LevelCoefficients(coeffs.p, (((head + 1) % coeffs.p, *rest), *levels))
+
+    monkeypatch.setattr(PhaseFunction, "decompose", planted)
+    report = verify.suite_decomposition(3, 1, samples=20)
+    assert _failing(report) == [
+        ("round trip over all 3^3 level-1 tables", 27, "27 failures"),
+        ("randomized round trip at p=5, level 2", 20, "20 failures"),
+    ]
+
+
+def test_randomized_phi_check_fails_for_the_displayed_variant():
+    """The displayed variant passes the single-site sweep at level 1 but not
+    the randomized level-2 draws at p = 5."""
+    report = verify.suite_phi(3, 1, n=1, variant=DISPLAYED, samples=200)
+    assert _failing(report) == [
+        ("randomized homomorphism at p=5, up to three sites", 200, "9 failures")
+    ]
+
+
+def test_randomized_symplectic_check_fails_on_a_planted_form(monkeypatch):
+    form = verify.symplectic_form
+    monkeypatch.setattr(verify, "symplectic_form", lambda v, w: form(v, w) + 1)
+    report = verify.suite_symplectic(3, 1, samples=50)
+    assert _failing(report) == [
+        ("randomized symplectic law on two- and three-site tensors", 50, "50 mismatches")
+    ]
+
+
+def test_isotropic_check_counts_its_failures(monkeypatch):
+    monkeypatch.setattr(verify, "is_isotropic", lambda vecs: False)
+    report = verify.suite_symplectic(3, 1, samples=5)
+    assert _failing(report) == [
+        ("powers of one torsion tensor give isotropic vectors", 200, "200 failures")
+    ]
+
+
+def test_phi_preservation_checks_count_their_failures(monkeypatch):
+    """A scalar image exponent planted one too large fails every torsion
+    element, and a drawn commutant planted one too large every torsion
+    pair."""
+    rows, indices = verify.site_image_rows, verify._site_pair_indices
+
+    def planted_rows(*args):
+        ok, s2, a, b = rows(*args)
+        return ok, s2 + 1, a, b
+
+    def planted_indices(*args):
+        i1, i2, c = indices(*args)
+        return i1, i2, c + 1
+
+    monkeypatch.setattr(verify, "site_image_rows", planted_rows)
+    monkeypatch.setattr(verify, "_site_pair_indices", planted_indices)
+    verify.group_table.cache_clear()
+    try:
+        report = verify.suite_phi(3, 1, n=1, samples=0)
+    finally:
+        verify.group_table.cache_clear()
+    checks = {check.name: (check.count, check.detail) for check in report.checks}
+    for name in (
+        "projection preserves torsion",
+        "projection preserves scalar commutators on torsion sites",
+    ):
+        count, detail = checks[name]
+        assert count > 0 and detail == f"{count} failures"
+
+
+def test_phi_suite_refuses_a_non_commuting_generated_pair(monkeypatch):
+    """Z and X at p = 3: p-torsion, commuting up to omega but not exactly."""
+    pair = TensorElement.of_sites([KElement.clock(3)]), TensorElement.of_sites([KElement.shift(3)])
+    monkeypatch.setattr(verify, "random_commuting_torsion_pair", lambda rng, p, m, n: pair)
+    with pytest.raises(AssertionError, match="generator produced a non-commuting pair"):
+        verify.suite_phi(3, 1, n=1, samples=1)
+
+
+def test_symplectic_suite_refuses_a_non_scalar_generated_commutator(monkeypatch):
+    """X against the level-2 diagonal with exponents (0, 1, 8): the
+    commutator's exponents (1, 7, 1) are not constant."""
+    x = KElement.shift(3)
+    diagonal = KElement(PhaseFunction.from_exponents(3, 2, [0, 1, 8]), 0)
+    monkeypatch.setattr(
+        verify, "random_scalar_commuting_site_pair", lambda rng, p, m: (x, diagonal, 0)
+    )
+    with pytest.raises(AssertionError, match="generator produced a non-scalar commutator"):
+        verify.suite_symplectic(3, 1, samples=1)
