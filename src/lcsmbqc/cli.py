@@ -8,6 +8,8 @@ produce identical bytes; tables are CSV.  Exit codes: 0 all verdicts hold,
 exhausted budgets), each reported on one stderr line.  ``verify`` forwards
 every flag that is given to the suite and refuses a flag that the suite's
 signature does not accept; the qubit fixtures refuse ``--p`` likewise.
+``main`` builds its parser once per process, so in-process callers reuse
+one argparse tree: ``parse_args`` keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import sys
@@ -27,10 +30,10 @@ from .kgroup import maximal_p_torsion_abelian
 from .lcs import (
     GeneratorAssignment,
     LCS,
+    _table_and_family_report,
     check_classical,
     check_solution_conditions,
     lcs_from_mbqc,
-    measurement_family_report,
     mermin_fixtures,
     reduce_to_classical,
     solve_classical,
@@ -156,9 +159,8 @@ def cmd_demo(args) -> int:
     # qudit-star
     p = 3 if args.p is None else args.p
     spec = qudit_star_spec(p)
-    table = output_table(spec)
+    table, family = _table_and_family_report(spec)  # one row-sum product
     witness = contextuality_witness(table)
-    family = measurement_family_report(spec, table)
     summary = {
         "demo": name,
         "p": p,
@@ -387,9 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``build_parser`` tree of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "name", "qudit-star") != "qudit-star" and args.p is not None:
         # the qubit fixtures are fixed at p = 2
         command = "mbqc demo" if args.command == "mbqc" else "demo"

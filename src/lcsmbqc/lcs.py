@@ -25,7 +25,7 @@ from .errors import (
 )
 from .kgroup import KElement
 from .ktensor import TensorElement
-from .mbqc import MbqcSpec, OutputTable, _row_sums, _settings, ghz_branch_exponents
+from .mbqc import MbqcSpec, OutputTable, _output_table, _row_sums, _settings, ghz_branch_exponents
 from .phase_fn import PhaseFunction, modinv
 from .projection import HWElement, PROOF, phi, value_map_nu
 
@@ -393,11 +393,28 @@ def measurement_family_report(spec: MbqcSpec, table: OutputTable) -> Measurement
     a - a' being a unit; so rows commute iff they agree on non-flat settings
     and on sum_{flat s} a_s step_s[0] mod p^L (oracle: ``TensorElement.commutes_with``);
     hence the first failing pair in combinations order is row 0 and the first row unlike it."""
-    import numpy as np  # on first use, like ``mbqc._row_sums``
     n_rows = spec.p**spec.n_inputs
     if (table.p, table.n_inputs, len(table.outputs)) != (spec.p, spec.n_inputs, n_rows):
         raise ShapeMismatchError("table does not match the computation spec")
+    return _family_report(spec, table, *_row_sums(spec))
+
+
+def _table_and_family_report(spec: MbqcSpec) -> tuple[OutputTable, MeasurementFamilyReport]:
+    """``output_table(spec)`` and its ``measurement_family_report`` from one
+    ``_row_sums`` product: the table reads the sums before the report turns
+    them into their spread in place."""
     level, settings, xi, sums = _row_sums(spec)
+    table = _output_table(spec, level, sums)
+    return table, _family_report(spec, table, level, settings, xi, sums)
+
+
+def _family_report(
+    spec: MbqcSpec, table: OutputTable, level: int, settings, xi, sums
+) -> MeasurementFamilyReport:
+    """``measurement_family_report`` from the spec's ``_row_sums``, whose
+    sums it turns into their spread in place."""
+    import numpy as np  # on first use, like ``mbqc._row_sums``
+
     p, pl = spec.p, spec.p**level
     outs = np.array([-1 if o is None else o % p for o in table.outputs], dtype=np.int64)
     rows_ok = (sums == sums[:, :1]).all(axis=1) & (sums[:, 0] * p == outs * pl)

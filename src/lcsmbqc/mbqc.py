@@ -6,7 +6,9 @@ The cost per input is O(number_of_sites * p), exactly: ``output_table`` and
 the family report in ``lcs`` read all p^n inputs from one int64 product of
 p^n * sites * p exponents, ``lcs_from_mbqc`` its rows from the settings
 product, and ``interpolate_poly`` applies one p x p matrix along each input
-axis.  Each is refused over the enumeration budget beforehand.
+axis.  Each is refused over the enumeration budget beforehand.  ``demo
+qudit-star`` builds that product once: its output table and its family
+report read the same ``_row_sums``.
 """
 
 from __future__ import annotations
@@ -121,11 +123,9 @@ def measurement_op(xi: PhaseFunction, setting: int) -> KElement:
 
 def star_base_function(p: int) -> PhaseFunction:
     """The base table theta(1) * omega^((q-1)^(p-1)) whose l-th pointwise
-    power is the star operator at setting l."""
-    theta = Phase(p, 2, 1)
-    return PhaseFunction(
-        [theta * Phase.omega(p, pow((q - 1) % p, p - 1, p)) for q in range(p)]
-    )
+    power is the star operator at setting l, read as level-2 exponents
+    1 + p ((q-1)^(p-1) mod p); a composite p is refused by the table."""
+    return PhaseFunction.from_exponents(p, 2, [1 + p * pow(q - 1, p - 1, p) for q in range(p)])
 
 
 def star_measurement_op(p: int, setting: int) -> KElement:
@@ -176,7 +176,7 @@ class OutputTable:
 
     @property
     def is_fully_deterministic(self) -> bool:
-        return all(self.deterministic) and all(o is not None for o in self.outputs)
+        return all(self.deterministic) and None not in self.outputs
 
     def inputs(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(self.p), repeat=self.n_inputs)
@@ -230,6 +230,12 @@ def output_table(spec: MbqcSpec) -> OutputTable:
     y p / p^L: every site has det == 1, so the p equal branch sums add up
     to p y = 0 mod p^L, and a deterministic row is always an omega power."""
     level, _, _, sums = _row_sums(spec)
+    return _output_table(spec, level, sums)
+
+
+def _output_table(spec: MbqcSpec, level: int, sums) -> OutputTable:
+    """``output_table`` from the spec's ``_row_sums`` at ``level``, which it
+    only reads."""
     p, pl = spec.p, spec.p**level
     flags = (sums == sums[:, :1]).all(axis=1).tolist()
     outputs = tuple(y * p // pl if flag else None for y, flag in zip(sums[:, 0].tolist(), flags))

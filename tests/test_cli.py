@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -15,7 +16,12 @@ from lcsmbqc import (
     PhaseFunction,
     SiteSpec,
     TensorElement,
+    cli,
+    lcs,
+    mbqc,
+    measurement_family_report,
     mermin_fixtures,
+    output_table,
     qudit_star_spec,
     verify,
 )
@@ -64,6 +70,85 @@ def test_demo_qudit_star_p101_runs_at_the_default_budget(tmp_path, monkeypatch, 
     assert run(["demo", "qudit-star", "--p", "151"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("budget exceeded: the 22801x3x151 row exponents")
+
+
+@pytest.mark.parametrize("p", [4, 9])
+def test_demo_qudit_star_refuses_a_composite_p_with_one_line(capsys, p):
+    assert run(["demo", "qudit-star", "--p", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"invalid input: ValueError: p must be prime, got {p}"
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 11, 31])
+def test_demo_qudit_star_builds_its_row_sums_once(tmp_path, monkeypatch, capsys, p):
+    """The demo's table and family report read one row-sum product, and
+    equal the public ``output_table`` and ``measurement_family_report``."""
+    spec = qudit_star_spec(p)
+    table = output_table(spec)
+    family = json.loads(json.dumps(dataclasses.asdict(measurement_family_report(spec, table))))
+    calls = []
+    row_sums = mbqc._row_sums
+
+    def counted(spec):
+        calls.append(spec.p)
+        return row_sums(spec)
+
+    for module in (mbqc, lcs):
+        monkeypatch.setattr(module, "_row_sums", counted)
+    out_file = tmp_path / "demo.json"
+    assert run(["demo", "qudit-star", "--p", str(p), "--out", str(out_file)]) == 0
+    assert calls == [p]
+    report = json.loads(out_file.read_text())
+    assert report["outputs"] == list(table.outputs)
+    assert report["family"] == family
+
+
+def _outcome(capsys, args, out_file):
+    """(exit code, stdout, stderr, bytes written to ``out_file``) of one
+    call; the file is removed after it is read."""
+    try:
+        code = run(args)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    written = out_file.read_bytes() if out_file.exists() else None
+    out_file.unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """``main`` parses every call with the one parser of the process.  Calls
+    that omit flags an earlier call set, and calls after a usage error, give
+    the exit code, output and written file of a freshly built parser."""
+    assert cli._parser() is cli._parser()
+    fixtures = mermin_fixtures()
+    system = tmp_path / "square.json"
+    system.write_text(json.dumps(fixtures.square.to_json()))
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text(json.dumps(fixtures.square_assignment.to_json()))
+    out_file = tmp_path / "out.json"
+    check = ["lcs", "check", "--lcs", str(system)]
+    calls = [
+        ["demo", "qudit-star", "--p", "5", "--out", str(out_file)],
+        ["demo", "mermin-square"],
+        ["verify", "phi", "--samples", "0"],
+        ["verify", "torsion"],
+        [*check, "--x", ",".join("0" * 9)],
+        [*check, "--assignment", str(assignment)],
+        ["demo", "qudit-star", "--p", "five"],
+        ["demo", "qudit-star"],
+        [*check, "--x", "0", "--assignment", str(assignment)],
+        [*check, "--assignment", str(assignment)],
+    ]
+    reused = [_outcome(capsys, args, out_file) for args in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(capsys, args, out_file) for args in calls]
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [0, 0, 0, 0, 1, 0, 2, 0, 2, 0]
+    assert [written is not None for *_, written in reused] == [True] + [False] * 9
 
 
 def test_verify_command(tmp_path, capsys):

@@ -182,6 +182,13 @@ def test_output_table_flags_nondeterministic_inputs():
     assert not table.is_fully_deterministic
 
 
+def test_a_none_output_is_not_fully_deterministic():
+    """An eigenvalue that is no omega power leaves output None on a
+    deterministic row; the table is then not fully deterministic."""
+    assert not OutputTable(3, 1, (0, None, 1), (True,) * 3).is_fully_deterministic
+    assert OutputTable(3, 1, (0, 2, 1), (True,) * 3).is_fully_deterministic
+
+
 def test_interpolation_constant():
     base = PhaseFunction.omega_poly(3, (0, 1))
     spec = MbqcSpec(3, 2, tuple(SiteSpec(base, (0, 0, 0)) for _ in range(3)))
@@ -275,6 +282,20 @@ def test_qubit_star_equals_p2_star_base():
     from lcsmbqc.mbqc import star_base_function
 
     assert star_base_function(2) == qubit_star_spec().sites[0].xi
+
+
+def test_star_base_table_equals_the_phase_product():
+    """The level-2 exponents 1 + p ((q-1)^(p-1) mod p) are the table
+    theta(1) * omega^((q-1)^(p-1)), built here as a product of phases."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        theta = Phase(p, 2, 1)
+        reference = PhaseFunction(
+            [theta * Phase.omega(p, pow((q - 1) % p, p - 1, p)) for q in range(p)]
+        )
+        assert star_base_function(p) == reference
+    for p in (4, 9):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            star_base_function(p)
 
 
 def test_fermat_exponent_identity():
@@ -413,6 +434,17 @@ def test_interpolation_of_a_table_without_inputs():
     assert interpolate_poly(OutputTable(5, 0, (7,), (True,))).coeffs == {(): 2}
     assert interpolate_poly(OutputTable(5, 0, (5,), (True,))).coeffs == {}
     assert interpolate_poly(OutputTable(5, 0, (3,), (True,))).coeffs == {(): 3}
+    # no products are formed, so a prime past int64 is allowed
+    assert interpolate_poly(OutputTable(2**89 - 1, 0, (3,), (True,))).coeffs == {(): 3}
+
+
+def test_interpolation_reduces_outputs_past_int64():
+    """Outputs that do not fit int64 are reduced mod p exactly, like the
+    residues they stand for."""
+    assert interpolate_poly(OutputTable(5, 0, (10**30 + 2,), (True,))).coeffs == {(): 2}
+    big = OutputTable(3, 1, (2**63 + 1, -(2**63) - 2, 3**50 + 2), (True,) * 3)
+    residues = OutputTable(3, 1, tuple(o % 3 for o in big.outputs), (True,) * 3)
+    assert interpolate_poly(big) == interpolate_poly(residues)
 
 
 def test_interpolation_is_refused_over_budget(monkeypatch):
