@@ -1,5 +1,6 @@
-"""Shared exception types, and the whole work-budget policy: the budget is
-read from ``LCSMBQC_BUDGET`` alone, and ``BudgetExceededError`` enforces it."""
+"""Shared exception types, the integer check of JSON fields, and the whole
+work-budget policy: the budget is read from ``LCSMBQC_BUDGET`` alone, and
+``BudgetExceededError`` enforces it."""
 
 from __future__ import annotations
 
@@ -38,6 +39,14 @@ class EvenPrimeError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured element budget."""
+
+
+def json_int(value, field: str) -> int:
+    """``value`` when it is an integer; anything else, a string or a boolean
+    too, is refused with a ``TypeError`` that names the JSON field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"JSON field {field!r} takes integers, got {type(value).__name__}")
+    return value
 
 
 def resolve_budget() -> int:

@@ -1,8 +1,10 @@
 """Linear constraint systems over Z_d: classical solving through one
 column-major Gauss-Jordan routine (``row_reduce``, shared with
-``null_space``; entries come back reduced mod p, the row count kept), one
-checker of the three operator-solution conditions for tensor and
-Heisenberg-Weyl assignments (each constraint row is one
+``null_space``; entries come back reduced mod p, the row count kept), which
+``solve_classical`` runs on row blocks of doubling length, stopping at the
+first block that shows the system inconsistent (a qudit-star system after
+4 of its p^2 rows); one checker of the three operator-solution conditions
+for tensor and Heisenberg-Weyl assignments (each constraint row is one
 ``product_of_powers`` of the assignment's element type), the reduction of
 operator assignments to classical solutions, and the standard two-qubit
 fixtures.
@@ -21,6 +23,7 @@ from .errors import (
     PrimeMismatchError,
     ShapeMismatchError,
     UnsupportedModulusError,
+    json_int,
     refuse_over_budget,
 )
 from .kgroup import KElement
@@ -64,7 +67,11 @@ class LCS:
 
     @classmethod
     def from_json(cls, data: dict) -> LCS:
-        return cls(int(data["d"]), tuple(tuple(r) for r in data["A"]), tuple(data["b"]))
+        return cls(
+            json_int(data["d"], "d"),
+            tuple(tuple(json_int(v, "A") for v in row) for row in data["A"]),
+            tuple(json_int(v, "b") for v in data["b"]),
+        )
 
 
 def _lcs(d: int, A: tuple[tuple[int, ...], ...], b: tuple[int, ...]) -> LCS:
@@ -98,36 +105,42 @@ def row_reduce(
     pivot row is cleared in one pass over its rows, and the columns left of
     the pivot are 0 in that row.  Its rows x width x min(rows, n_cols) entry
     updates are refused over the budget before any elimination."""
-    return _reduce_columns([[v % p for v in col] for col in zip(*matrix)], len(matrix), p, n_cols)
+    _refuse_elimination(len(matrix), len(matrix[0]) if matrix else 0, n_cols)
+    cols = [[v % p for v in col] for col in zip(*matrix)]
+    pivots = _reduce_columns(cols, p, n_cols)
+    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in matrix]
+    return rows, pivots
 
 
-def _reduce_columns(
-    cols: list[list[int]], n_rows: int, p: int, n_cols: int
-) -> tuple[list[list[int]], list[int]]:
-    """The elimination of ``row_reduce`` on its columns, given as lists of
-    ``n_rows`` entries already reduced mod p; it overwrites them."""
-    width = len(cols)
+def _refuse_elimination(n_rows: int, width: int, n_cols: int) -> None:
+    """Refuse the n_rows x width x min(n_rows, n_cols) entry updates of an
+    elimination over the budget."""
     steps = min(n_rows, n_cols)
     refuse_over_budget(n_rows * width * steps, f"{n_rows}x{width}x{steps} row-reduction steps")
+
+
+def _reduce_columns(cols: list[list[int]], p: int, n_cols: int) -> list[int]:
+    """The elimination of ``row_reduce`` in place, on its columns given as
+    lists of equal length with entries already reduced mod p; the pivot
+    columns."""
     pivots: list[int] = []
     for c, col in enumerate(cols[:n_cols]):
         r = len(pivots)
-        pivot = next((i for i in range(r, n_rows) if col[i]), None)
+        pivot = next((i for i in range(r, len(col)) if col[i]), None)
         if pivot is None:
             continue
         inv = modinv(col[pivot], p)
         for other in cols:
             other[r], other[pivot] = other[pivot], other[r]
             other[r] = other[r] * inv % p
-        factors, col[:] = col[:], [0] * n_rows
+        factors, col[:] = col[:], [0] * len(col)
         factors[r], col[r] = 0, 1
         for other in cols[c + 1:]:
             w = other[r]
             if w:
                 other[:] = [(v - f * w) % p for v, f in zip(other, factors)]
         pivots.append(c)
-    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n_rows)]
-    return rows, pivots
+    return pivots
 
 
 def null_space(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
@@ -146,18 +159,35 @@ def null_space(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
 
 def solve_classical(system: LCS) -> Optional[tuple[int, ...]]:
     """One solution of A x = b mod d (d prime) with every free variable 0, or
-    None when the system is inconsistent."""
-    d, n = system.d, system.n_cols
+    None when the system is inconsistent.  The rows are read in blocks, the
+    first n + 1 rows long and each later one as long as all rows before it;
+    a block is reduced together with the echelon rows of those before it,
+    and the solve stops at the first block that leaves a nonzero right-hand
+    side below the rank, so the rows after it are never read.  The answer
+    is that of one pass: the pivots and the reduced echelon rows depend on
+    the row space alone.  The whole system's elimination is refused over
+    the budget before the first block."""
+    d, n, m = system.d, system.n_cols, system.n_rows
     if not is_prime(d):
         raise UnsupportedModulusError(f"solving needs a prime modulus, got {d}")
-    # LCS entries are reduced mod d, so the columns go to the elimination as they are
-    cols = [list(col) for col in zip(*system.A)] + [list(system.b)]
-    rows, pivots = _reduce_columns(cols, system.n_rows, d, n)
-    if any(row[-1] for row in rows[len(pivots):]):
-        return None
+    _refuse_elimination(m, n + 1, n)
+    # one list per column of A, then b; entries are reduced mod d already
+    cols: list[list[int]] = [[] for _ in range(n + 1)]
+    pivots: list[int] = []
+    start = 0
+    while start < m:
+        stop = max(2 * start, n + 1)
+        rank = len(pivots)
+        for col, new in zip(cols, [*zip(*system.A[start:stop]), system.b[start:stop]]):
+            del col[rank:]
+            col.extend(new)
+        pivots = _reduce_columns(cols, d, n)
+        if any(cols[n][len(pivots):]):
+            return None
+        start = stop
     x = [0] * n
-    for row, col in zip(rows, pivots):
-        x[col] = row[-1]
+    for r, c in enumerate(pivots):
+        x[c] = cols[n][r]
     return tuple(x)
 
 

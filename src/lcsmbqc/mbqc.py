@@ -26,6 +26,7 @@ from .errors import (
     PrimeMismatchError,
     ShapeMismatchError,
     TorusMembershipError,
+    json_int,
     refuse_over_budget,
 )
 from .kgroup import KElement
@@ -57,7 +58,8 @@ class SiteSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> SiteSpec:
-        return cls(PhaseFunction.from_json(data["xi"]), tuple(data["coeffs"]))
+        coeffs = tuple(json_int(c, "coeffs") for c in data["coeffs"])
+        return cls(PhaseFunction.from_json(data["xi"]), coeffs)
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ class MbqcSpec:
     @classmethod
     def from_json(cls, data: dict) -> MbqcSpec:
         return cls(
-            int(data["p"]),
-            int(data["n_inputs"]),
+            json_int(data["p"], "p"),
+            json_int(data["n_inputs"], "n_inputs"),
             tuple(SiteSpec.from_json(s) for s in data["sites"]),
         )
 

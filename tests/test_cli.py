@@ -270,6 +270,49 @@ def test_lcs_solve_is_exact_beyond_int64(tmp_path, capsys):
     assert lcsmbqc.check_classical(lcsmbqc.LCS.from_json(system), x)
 
 
+def _star_spec_with(coeffs=None, **fields):
+    """The p = 3 star spec as JSON with top-level fields replaced and, given
+    ``coeffs``, the coefficients of site 0."""
+    data = {**qudit_star_spec(3).to_json(), **fields}
+    if coeffs is not None:
+        data["sites"][0]["coeffs"] = coeffs
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "args, content, field, kind",
+    [
+        (["lcs", "check", "--x", "1"], '{"d": 3, "A": [[1]], "b": ["%s"]}', "b", "str"),
+        (["lcs", "solve"], '{"d": 3, "A": [["x"]], "b": [0]}', "A", "str"),
+        (["lcs", "solve"], '{"d": "3", "A": [[1]], "b": [0]}', "d", "str"),
+        (["lcs", "solve"], '{"d": true, "A": [[1]], "b": [0]}', "d", "bool"),
+        (["lcs", "solve"], '{"d": 3, "A": [[true]], "b": [0]}', "A", "bool"),
+        (["lcs", "check", "--x", "1"], '{"d": 3, "A": [[1]], "b": [false]}', "b", "bool"),
+        (["lcs", "from-mbqc"], _star_spec_with(coeffs=["%d", 1, 0]), "coeffs", "str"),
+        (["mbqc", "run"], _star_spec_with(coeffs=[0, True, 0]), "coeffs", "bool"),
+        (["lcs", "from-mbqc"], _star_spec_with(p="3"), "p", "str"),
+        (["mbqc", "run"], _star_spec_with(n_inputs=True), "n_inputs", "bool"),
+    ],
+    ids=[
+        "check-b-string", "solve-A-string", "solve-d-string", "solve-d-bool", "solve-A-bool",
+        "check-b-bool", "from-mbqc-coeffs-string", "run-coeffs-bool", "from-mbqc-p-string",
+        "run-n_inputs-bool",
+    ],
+)
+def test_json_integer_fields_take_only_integers(tmp_path, capsys, args, content, field, kind):
+    """A string or a boolean in an integer field of a system or a spec exits
+    2 with one line that names the field, before any work."""
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    flag = "--spec" if args[-1] in ("from-mbqc", "run") else "--lcs"
+    assert run([*args, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid input: TypeError: JSON field '{field}' takes integers, got {kind}"
+    ]
+
+
 def test_lcs_solve_over_budget_exits_2(tmp_path, monkeypatch, capsys):
     """A 40x5 system with four unknowns takes 40 * 5 * 4 = 800 entry
     updates: refused at a budget of 799, solved at 800."""

@@ -183,6 +183,130 @@ def test_qudit_star_systems_reduce_as_the_reference_and_have_no_solution(p):
         assert brute_force_solve(system) is None
 
 
+def _single_pass_solve(system):
+    """The solve as one elimination of the whole augmented matrix: the
+    reference for the block-wise ``solve_classical``."""
+    n = system.n_cols
+    augmented = [[*row, rhs] for row, rhs in zip(system.A, system.b)]
+    rows, pivots = row_reduce(augmented, system.d, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    x = [0] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
+def _blocks_read(n, row):
+    """How many blocks the solve reads to reach 0-based ``row`` of a system
+    with ``n`` unknowns: the first block has n + 1 rows, and each later
+    one as many as all rows before it."""
+    stop, blocks = n + 1, 1
+    while stop <= row:
+        stop, blocks = 2 * stop, blocks + 1
+    return blocks
+
+
+def _counting_reduce_columns(monkeypatch):
+    """Spy on ``lcs._reduce_columns``: the row count of each call."""
+    calls = []
+    reduce_columns = lcs._reduce_columns
+
+    def spy(cols, p, n_cols):
+        calls.append(len(cols[0]))
+        return reduce_columns(cols, p, n_cols)
+
+    monkeypatch.setattr(lcs, "_reduce_columns", spy)
+    return calls
+
+
+def _consistent_rows(rng, p, n, m):
+    x = [rng.randrange(p) for _ in range(n)]
+    A = [[0 if rng.random() < 0.3 else rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    return A, [sum(a * v for a, v in zip(row, x)) % p for row in A]
+
+
+def _contradiction(rng, p, A, b):
+    """A row in the span of the rows of A whose right-hand side is off by a
+    nonzero amount: it makes a consistent A x = b inconsistent."""
+    coeffs = [rng.randrange(p) for _ in A]
+    row = [sum(c * r[k] for c, r in zip(coeffs, A)) % p for k in range(len(A[0]) if A else 0)]
+    return row, (sum(c * v for c, v in zip(coeffs, b)) + rng.randrange(1, p)) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 2**61 - 1])
+def test_block_wise_solve_equals_the_single_pass_reference(p):
+    """Tall consistent systems, systems inconsistent only in their last row,
+    width 0 and no rows: the same answer as one elimination of the whole
+    system."""
+    rng = random.Random(1000 + p % 1000)
+    systems = [(LCS(p, (), ()), True), (LCS(p, ((),) * 3, (0, 0, 0)), True)]
+    systems.append((LCS(p, ((),) * 3, (0, 0, 1)), False))
+    for _ in range(60):
+        n = rng.randrange(0, 7)
+        A, b = _consistent_rows(rng, p, n, rng.randrange(0, 120))
+        systems.append((LCS(p, tuple(map(tuple, A)), tuple(b)), True))
+        row, rhs = _contradiction(rng, p, A, b)
+        systems.append((LCS(p, tuple(map(tuple, A + [row])), tuple(b + [rhs])), False))
+    for system, consistent in systems:
+        got = solve_classical(system)
+        assert got == _single_pass_solve(system)
+        assert (got is not None) == consistent
+        if consistent:
+            assert check_classical(system, got)
+
+
+@pytest.mark.parametrize("p", [3, 2**61 - 1])
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_an_inconsistency_at_a_block_boundary_stops_the_solve_in_its_block(p, n, monkeypatch):
+    """The first contradiction in the last row of a block, or in the first
+    row of the next, of a system that goes on with consistent rows: no
+    solution, as in one pass, and the solve reads no block after it."""
+    rng = random.Random(n)
+    calls = _counting_reduce_columns(monkeypatch)
+    boundaries = [n + 1, 2 * (n + 1), 4 * (n + 1), 8 * (n + 1)]
+    for bad in [k + shift for k in boundaries for shift in (-1, 0)]:
+        A, b = _consistent_rows(rng, p, n, 16 * (n + 1))
+        A[bad], b[bad] = _contradiction(rng, p, A[:bad], b[:bad])
+        system = LCS(p, tuple(map(tuple, A)), tuple(b))
+        calls.clear()
+        assert solve_classical(system) is None
+        assert len(calls) == _blocks_read(n, bad)
+        # each block is reduced with at most n echelon rows, not the rows before it
+        lengths = [n + 1] + [(n + 1) * 2**k for k in range(len(calls) - 1)]
+        assert all(rows <= n + length for rows, length in zip(calls, lengths))
+        assert _single_pass_solve(system) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 149])
+def test_the_star_solve_stops_after_n_plus_1_rows(p, monkeypatch):
+    """Rows 0-2 of a star system already give 0 = -1, so the solve reduces
+    its first block of n + 1 = 4 rows and reads no further."""
+    monkeypatch.delenv("LCSMBQC_BUDGET", raising=False)
+    spec = qudit_star_spec(p)
+    system = lcs_from_mbqc(spec, output_table(spec))
+    calls = _counting_reduce_columns(monkeypatch)
+    assert solve_classical(system) is None
+    assert sum(calls) <= 4
+
+
+def test_the_solve_is_refused_on_the_whole_system_before_any_row_is_read(monkeypatch):
+    """A 40 x 3 system inconsistent in row 0 takes 40 * 4 * 3 = 480 entry
+    updates in one pass: refused at a budget of 479 with no row reduced,
+    though its first block alone would settle it, and solved at 480."""
+    A = ((0, 0, 0),) + tuple((i % 3, 1, i % 2) for i in range(39))
+    system = LCS(3, A, (1,) + (0,) * 39)
+    calls = _counting_reduce_columns(monkeypatch)
+    monkeypatch.setenv("LCSMBQC_BUDGET", "479")
+    refusal = r"^the 40x4x3 row-reduction steps exceed the budget$"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        solve_classical(system)
+    assert calls == []
+    monkeypatch.setenv("LCSMBQC_BUDGET", "480")
+    assert solve_classical(system) is None
+    assert calls == [4]
+
+
 def test_solver_handles_systems_with_no_rows_or_no_columns():
     """The solver hands the elimination the columns of A and b as they are,
     so an empty A still carries b."""
