@@ -17,7 +17,7 @@ import cmath
 import math
 from typing import Optional
 
-from .errors import LevelError, PrimeMismatchError
+from .errors import LevelError, PrimeMismatchError, json_int
 
 # cap on the canonical exponent level M of any Phase or phase table
 MAX_LEVEL = 4
@@ -174,7 +174,7 @@ class Phase:
 
     @classmethod
     def from_json(cls, data: dict) -> Phase:
-        return cls(int(data["p"]), int(data["M"]), int(data["e"]))
+        return cls(*(json_int(data[field], field) for field in ("p", "M", "e")))
 
     def __repr__(self) -> str:
         if self.M == 0:

@@ -31,6 +31,7 @@ from .errors import (
     LevelError,
     PrimeMismatchError,
     TorusMembershipError,
+    json_int,
     power_over_budget,
     power_text,
 )
@@ -203,7 +204,7 @@ class KElement:
 
     @classmethod
     def from_json(cls, data: dict) -> KElement:
-        return cls(PhaseFunction.from_json(data["xi"]), int(data["b"]))
+        return cls(PhaseFunction.from_json(data["xi"]), json_int(data["b"], "b"))
 
     def __repr__(self) -> str:
         return f"KElement(xi={self.xi!r}, b={self.b})"

@@ -28,7 +28,13 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .cyclo import MAX_LEVEL, Phase, is_prime, reduced_phase
-from .errors import LevelError, PrimeMismatchError, TorusMembershipError, refuse_over_budget
+from .errors import (
+    LevelError,
+    PrimeMismatchError,
+    TorusMembershipError,
+    json_int,
+    refuse_over_budget,
+)
 
 _new = object.__new__
 _set = object.__setattr__
@@ -118,7 +124,8 @@ class LevelCoefficients:
 
     @classmethod
     def from_json(cls, data: dict) -> LevelCoefficients:
-        return cls(int(data["p"]), tuple(tuple(row) for row in data["theta"]))
+        theta = tuple(tuple(json_int(v, "theta") for v in row) for row in data["theta"])
+        return cls(json_int(data["p"], "p"), theta)
 
 
 def _table(p: int, m: int, exps: tuple[int, ...]) -> PhaseFunction:

@@ -39,6 +39,7 @@ from .errors import (
     NonTorsionError,
     PrimeMismatchError,
     ShapeMismatchError,
+    json_int,
 )
 from .kgroup import KElement, structural_p_torsion, summed_rotation_rows
 from .ktensor import TensorElement
@@ -188,7 +189,8 @@ class HWElement:
 
     @classmethod
     def from_json(cls, data: dict) -> HWElement:
-        return cls(Phase.from_json(data["c"]), data["a"], data["b"])
+        a, b = (tuple(json_int(x, field) for x in data[field]) for field in ("a", "b"))
+        return cls(Phase.from_json(data["c"]), a, b)
 
     def __repr__(self) -> str:
         return f"HWElement(c={self.c!r}, a={self.a}, b={self.b})"

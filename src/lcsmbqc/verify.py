@@ -12,7 +12,9 @@ object-API element; only the lemma1 suite and the tests build an n x n
 array.  That law is decided for every site count from flat pair rows in
 row-major (i, j) order (``_phi_pair_rows``): cyclic convolutions of
 per-key defect histograms count the commuting torsion pairs and their
-failures, and no tuple of sites is listed.
+failures, each count one dot product read at 0, and no tuple of sites is
+listed; only the convolutions of 2..n-1 sites, which the next site count
+and the witness search read, are built in full.
 Randomized suites draw from seeded generators, so re-running a suite with
 the same configuration reproduces it bit for bit.  One loop draws the
 integers of site pairs into flat columns of kinds, head exponents, shifts,
@@ -850,9 +852,13 @@ def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int
     passes when every row is good and the defects sum to 0 mod p^2.  So the
     k-fold cyclic convolutions of the per-key row counts and of the good
     rows' defect histograms, read at 0, count the pairs decided and passed.
-    The first failure, in lexicographic order of the sites' rows, which are
-    row-major in (i, j), is found site by site from the convolutions of the
-    sites still open; no tuple is listed."""
+    The k-fold one at 0 is a dot product of the histogram's nonzero cells
+    with the (k - 1)-fold one at the negated cells, and the one-fold one is
+    the histogram itself, so only the 2..n-1-fold convolutions are built in
+    full: ``n <= 2`` shifts no array.  The first failure, in lexicographic
+    order of the sites' rows, which are row-major in (i, j), is found site
+    by site from the convolutions of the sites still open; no tuple is
+    listed."""
     p, p2 = table.p, table.p**2
     if not table.phi_data(variant)[0][table.torsion].all():
         raise AssertionError("a torsion element left the projection domain")
@@ -866,17 +872,24 @@ def _phi_site_tuples(table: KGroupTable, variant: str, n: int) -> list[tuple[int
     work = n * np.count_nonzero(counts) * p**5
     refuse_over_budget(work, f"{work} products of the {n}-site convolutions")
     # powers[r]: the r-fold cyclic convolutions over Z_p^3 x Z_{p^2}, of the
-    # r sites still open, one shifted copy per cell where a count is nonzero
-    powers = [np.zeros_like(counts)]
+    # r sites still open; powers[1] is counts, and a level r >= 2 is built,
+    # one shifted copy per nonzero cell, when level r + 1 reads it
+    powers = [np.zeros_like(counts), counts]
     powers[0][0, 0, 0, 0] = 1
-    cells = list(zip(*np.nonzero(counts.any(axis=-1))))
+    cells = np.nonzero(counts.any(axis=-1))
+    # the k-fold convolution at 0 pairs each nonzero cell x of counts with
+    # the cell -x of the (k - 1)-fold one
+    weights = counts[cells]
+    opposite = tuple(-axis % size for axis, size in zip(cells, counts.shape))
     parts = np.stack([key // p2, key // p % p, key % p])
     results = []
     for k in range(1, n + 1):
-        powers.append(np.zeros_like(counts))
-        for cell in cells:
-            powers[k] += counts[cell] * np.roll(powers[k - 1], cell, axis=(0, 1, 2, 3))
-        total, passed = powers[k][0, 0, 0, 0]
+        if k > 2:
+            level = np.zeros_like(counts)
+            for cell, weight in zip(zip(*cells), weights):
+                level += weight * np.roll(powers[k - 2], cell, axis=(0, 1, 2, 3))
+            powers.append(level)
+        total, passed = (weights * powers[k - 1][opposite]).sum(axis=0)
         sites = None
         if total > passed:
             sites, summed, defects, all_good = [], 0, 0, True

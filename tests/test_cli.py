@@ -270,13 +270,24 @@ def test_lcs_solve_is_exact_beyond_int64(tmp_path, capsys):
     assert lcsmbqc.check_classical(lcsmbqc.LCS.from_json(system), x)
 
 
-def _star_spec_with(coeffs=None, **fields):
+def _star_spec_with(coeffs=None, phase=None, **fields):
     """The p = 3 star spec as JSON with top-level fields replaced and, given
-    ``coeffs``, the coefficients of site 0."""
+    ``coeffs`` or ``phase``, the coefficients or the first table value of
+    site 0."""
     data = {**qudit_star_spec(3).to_json(), **fields}
     if coeffs is not None:
         data["sites"][0]["coeffs"] = coeffs
+    if phase is not None:
+        data["sites"][0]["xi"]["values"][0] = phase
     return json.dumps(data)
+
+
+def _tensor_with(global_phase=None, b=1, value=None):
+    """A one-site p = 3 tensor as JSON: identity global phase and table
+    unless replaced, site shift ``b``."""
+    one = {"p": 3, "M": 0, "e": 0}
+    xi = {"p": 3, "values": [value or one, one, one]}
+    return json.dumps({"global": global_phase or one, "sites": [{"b": b, "xi": xi}]})
 
 
 @pytest.mark.parametrize(
@@ -292,19 +303,24 @@ def _star_spec_with(coeffs=None, **fields):
         (["mbqc", "run"], _star_spec_with(coeffs=[0, True, 0]), "coeffs", "bool"),
         (["lcs", "from-mbqc"], _star_spec_with(p="3"), "p", "str"),
         (["mbqc", "run"], _star_spec_with(n_inputs=True), "n_inputs", "bool"),
+        (["lcs", "from-mbqc"], _star_spec_with(phase={"p": "3", "M": 2, "e": "4"}), "p", "str"),
+        (["phi"], _tensor_with(b="1"), "b", "str"),
+        (["phi"], _tensor_with(global_phase={"p": 3, "M": 1, "e": True}), "e", "bool"),
+        (["phi"], _tensor_with(value={"p": 3, "M": "2", "e": 4}), "M", "str"),
     ],
     ids=[
         "check-b-string", "solve-A-string", "solve-d-string", "solve-d-bool", "solve-A-bool",
         "check-b-bool", "from-mbqc-coeffs-string", "run-coeffs-bool", "from-mbqc-p-string",
-        "run-n_inputs-bool",
+        "run-n_inputs-bool", "from-mbqc-phase-p-string", "phi-b-string", "phi-global-e-bool",
+        "phi-table-M-string",
     ],
 )
 def test_json_integer_fields_take_only_integers(tmp_path, capsys, args, content, field, kind):
-    """A string or a boolean in an integer field of a system or a spec exits
-    2 with one line that names the field, before any work."""
+    """A string or a boolean in an integer field of a system, a spec or a
+    tensor exits 2 with one line that names the field, before any work."""
     path = tmp_path / "input.json"
     path.write_text(content)
-    flag = "--spec" if args[-1] in ("from-mbqc", "run") else "--lcs"
+    flag = {"from-mbqc": "--spec", "run": "--spec", "phi": "--tensor"}.get(args[-1], "--lcs")
     assert run([*args, flag, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,6 +9,7 @@ import pytest
 
 from lcsmbqc import KElement, Phase, PhaseFunction, TensorElement
 from lcsmbqc.errors import ShapeMismatchError
+from lcsmbqc.phase_fn import LevelCoefficients
 from lcsmbqc.projection import HWElement
 
 
@@ -52,3 +53,19 @@ def test_tensor_identity_and_scalar_refusals():
             TensorElement.scalar(w, n_sites)
     with pytest.raises(ValueError, match="p must be prime"):
         TensorElement.identity(6, 2)
+
+
+@pytest.mark.parametrize(
+    "cls, data, field, kind",
+    [
+        (LevelCoefficients, {"p": "5", "theta": [[1, 2]]}, "p", "str"),
+        (LevelCoefficients, {"p": 5, "theta": [[1, True]]}, "theta", "bool"),
+        (HWElement, {"c": {"p": 5, "M": 0, "e": 0}, "a": ["1"], "b": [0]}, "a", "str"),
+        (HWElement, {"c": {"p": 5, "M": 0, "e": 0}, "a": [1], "b": [False]}, "b", "bool"),
+    ],
+    ids=["levels-p", "levels-theta", "hw-a", "hw-b"],
+)
+def test_from_json_takes_only_integers(cls, data, field, kind):
+    """Integer fields read from JSON refuse a string or a boolean by name."""
+    with pytest.raises(TypeError, match=f"JSON field '{field}' takes integers, got {kind}"):
+        cls.from_json(data)

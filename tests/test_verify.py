@@ -1192,6 +1192,43 @@ def test_three_site_witness_fails_under_the_object_api():
     assert phi(e1 * e2, PROOF) == phi(e1, PROOF) * phi(e2, PROOF)
 
 
+@pytest.mark.parametrize("variant, cells", [(PROOF, 11), (DISPLAYED, 14)])
+def test_the_convolution_builds_only_the_powers_it_reads(monkeypatch, variant, cells):
+    """The k-site counts are read at 0 by one dot product with the
+    (k - 1)-fold convolution, and the one-fold convolution is the histogram
+    itself, so a check up to n sites builds the levels 2..n-1 alone: no
+    shifted sum at n <= 2, and one shifted copy per nonzero cell at n = 3
+    (11 cells at (3, 2) in the proof variant, 14 in the displayed one)."""
+    table = verify.group_table(3, 2)
+    verify._phi_site_tuples(table, variant, 1)
+    calls = []
+    roll = np.roll
+    monkeypatch.setattr(np, "roll", lambda *args, **kwargs: calls.append(1) or roll(*args, **kwargs))
+    for n, expected in ((1, 0), (2, 0), (3, cells)):
+        calls.clear()
+        verify._phi_site_tuples(table, variant, n)
+        assert len(calls) == expected
+
+
+def test_two_site_witness_at_the_last_level_fails_under_the_object_api():
+    """At n = 2 the two-site counts and witness come from the dot product
+    with the histogram, with no level built; at n = 3 from the built levels.
+    Both give the same result, a commuting torsion pair on which only the
+    displayed projection fails.  The report bytes, 26,244 failures and this
+    witness, are pinned by ``test_displayed_two_site_report_matches_golden_digest``
+    and the three-site count by
+    ``test_displayed_three_site_report_matches_golden_digest``."""
+    table = verify.group_table(3, 2)
+    two_site = verify._phi_site_tuples(table, DISPLAYED, 2)[1]
+    total, failures, sites = two_site
+    assert (total, failures, len(sites)) == (11_711_385, 26_244, 2)
+    assert verify._phi_site_tuples(table, DISPLAYED, 3)[1] == two_site
+    e1, e2 = _site_tensors(table, sites)
+    assert e1.commutes_with(e2) and e1.is_p_torsion() and e2.is_p_torsion()
+    assert phi(e1 * e2, DISPLAYED) != phi(e1, DISPLAYED) * phi(e2, DISPLAYED)
+    assert phi(e1 * e2, PROOF) == phi(e1, PROOF) * phi(e2, PROOF)
+
+
 def test_site_count_and_samples_are_refused_below_their_range():
     for n in (0, -2):
         with pytest.raises(ValueError, match="a site count is positive"):
