@@ -74,6 +74,8 @@ class MbqcSpec:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
+        if self.n_inputs < 0:
+            raise ValueError(f"n_inputs must be non-negative, got {self.n_inputs}")
         if not self.sites:
             raise ShapeMismatchError("a computation needs at least one site")
         for k, site in enumerate(self.sites):
@@ -168,8 +170,8 @@ def ghz_evaluate(element: TensorElement) -> Optional[Phase]:
 @dataclass(frozen=True)
 class OutputTable:
     """Outputs o(i) over all p^n inputs in lexicographic order, with a
-    determinism flag per input.  Non-deterministic inputs and eigenvalues
-    that are not omega powers carry output None."""
+    determinism flag per input.  Every site has det 1, so output None
+    marks exactly the non-deterministic inputs."""
 
     p: int
     n_inputs: int

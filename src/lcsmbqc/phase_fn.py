@@ -319,7 +319,11 @@ class PhaseFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> PhaseFunction:
-        return cls([Phase.from_json(v) for v in data["values"]])
+        p = json_int(data["p"], "p")
+        table = cls([Phase.from_json(v) for v in data["values"]])
+        if table.p != p:
+            raise PrimeMismatchError(f"table says p={p}, its values are over p={table.p}")
+        return table
 
     def __repr__(self) -> str:
         return f"PhaseFunction({', '.join(repr(v) for v in self.values)})"

@@ -682,8 +682,8 @@ def suite_commuting_pairs(p: int = 3, m: int = 2) -> SuiteReport:
 def suite_subgroups(p: int = 3, m: int = 2) -> SuiteReport:
     """Maximal p-torsion abelian classification; dihedral structure at p=2."""
     checks = []
+    report = maximal_p_torsion_abelian(p, m)
     if p == 2:
-        report = maximal_p_torsion_abelian(p, m)
         klein = all(k == "center_and_shift" for k in report.kinds)
         checks.append(
             CheckResult(
@@ -709,7 +709,6 @@ def suite_subgroups(p: int = 3, m: int = 2) -> SuiteReport:
         )
         return _report("subgroups", {"p": p, "m": m}, checks)
 
-    report = maximal_p_torsion_abelian(p, m)
     expected_shift = p ** (m * (p - 1) - 1)
     checks.append(
         CheckResult(

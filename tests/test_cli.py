@@ -282,11 +282,14 @@ def _star_spec_with(coeffs=None, phase=None, **fields):
     return json.dumps(data)
 
 
-def _tensor_with(global_phase=None, b=1, value=None):
+def _tensor_with(global_phase=None, b=1, value=None, p=3):
     """A one-site p = 3 tensor as JSON: identity global phase and table
-    unless replaced, site shift ``b``."""
+    unless replaced, site shift ``b``; the table says ``p``, or no prime
+    when ``p`` is None."""
     one = {"p": 3, "M": 0, "e": 0}
-    xi = {"p": 3, "values": [value or one, one, one]}
+    xi = {"p": p, "values": [value or one, one, one]}
+    if p is None:
+        del xi["p"]
     return json.dumps({"global": global_phase or one, "sites": [{"b": b, "xi": xi}]})
 
 
@@ -386,6 +389,20 @@ def test_nondeterministic_spec_exits_1_from_both_spec_commands(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "lcs from-mbqc failed: the computation table must be deterministic\n"
+
+
+@pytest.mark.parametrize("args", [["mbqc", "run"], ["lcs", "from-mbqc"]])
+def test_a_negative_input_width_exits_2_naming_the_field(tmp_path, capsys, args):
+    """n_inputs = -1 with no coefficients per site matches the n + 1 count,
+    so the width is refused on its own, before any setting is built."""
+    one = {"p": 3, "M": 0, "e": 0}
+    site = {"xi": {"p": 3, "values": [one, one, one]}, "coeffs": []}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"p": 3, "n_inputs": -1, "sites": [site]}))
+    assert run([*args, "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid input: ValueError: n_inputs must be non-negative, got -1"
+    ]
 
 
 def test_lcs_reduce(tmp_path, capsys):
@@ -576,6 +593,8 @@ def _non_torsion_tensor():
         (["demo", "mermin-square", "--p", "7"], None),
         (["demo", "mermin-star", "--p", "7"], None),
         (["mbqc", "demo", "qubit-star", "--p", "7"], None),
+        (["phi", "--tensor", "{f}"], _tensor_with(p=5)),
+        (["phi", "--tensor", "{f}"], _tensor_with(p=None)),
     ],
     ids=[
         "composite-modulus",
@@ -603,6 +622,8 @@ def _non_torsion_tensor():
         "mermin-square-p",
         "mermin-star-p",
         "qubit-star-p",
+        "phi-table-p-mismatch",
+        "phi-table-p-missing",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, content):

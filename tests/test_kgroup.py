@@ -25,7 +25,7 @@ from lcsmbqc.errors import (
 from lcsmbqc import kgroup
 from lcsmbqc.kgroup import enumerate_torus
 from lcsmbqc.phase_fn import at_level, canonical_table, digit_row, row_coefficient
-from lcsmbqc.verify import random_k_element
+from lcsmbqc.verify import random_k_element, suite_subgroups
 
 from exact_matrix import MonomialMatrix
 
@@ -331,6 +331,40 @@ def test_subgroup_classification_heisenberg_weyl():
     assert len(report.subgroups) == 4
     assert report.torus_count == 1 and report.shift_count == 3
     assert report.intersections_equal_center
+
+
+def test_subgroup_search_tests_each_distinct_centraliser_once(monkeypatch):
+    """At (3, 2) the 28 distinct centralisers are closed 9-element sets: 81
+    products each to test closure, then 9 to list omega^c s^k for each of
+    the 27 shift-type subgroups, 2268 + 243 products in all."""
+    calls = []
+    mul = KElement.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(KElement, "__mul__", counted)
+    maximal_p_torsion_abelian(3, 2)
+    assert len(calls) <= 2511
+
+
+def test_a_centraliser_that_is_not_closed_is_not_a_subgroup(monkeypatch):
+    """With clock and shift planted as commuting at (3, 1), each of their
+    centralisers gains the other and stops being closed; the same
+    subgroups are still found from the other elements' centralisers."""
+    expected = maximal_p_torsion_abelian(3, 1)
+    planted = {KElement.clock(3), KElement.shift(3)}
+    commutant = KElement.scalar_commutant
+
+    def faulty(a, b):
+        return 0 if {a, b} == planted else commutant(a, b)
+
+    monkeypatch.setattr(KElement, "scalar_commutant", faulty)
+    report = maximal_p_torsion_abelian(3, 1)
+    assert report == expected
+    assert not any(planted <= s for s in report.subgroups)
+    assert suite_subgroups(3, 1).passed
 
 
 def test_subgroup_pairs_are_refused_over_budget(monkeypatch):
